@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 
 from .evac import (NonUniformCapacityError, SideReduction,
                    SimulationInfeasible, SimulationTrace, SolveReport,
-                   assemble_schedule, reduce_side, schedule_objective,
-                   simulate, solve, solve_report, validate_schedule)
+                   assemble_schedule, fractional_lower_bound, reduce_side,
+                   schedule_objective, simulate, solve, solve_report,
+                   validate_schedule)
 from .instances import (GenParams, PackParams, SplitMix64, bundled_examples,
                         gen_from_partition, gen_random, gen_random_packing)
-from .kernels import backend
 from .model import (FractionalPacking, Group, InstanceError, Move, Packing,
                     PackingInstance, PackingItem, PathInstance, Schedule,
                     parse_instance, parse_packing, parse_packing_instance,
@@ -35,7 +35,7 @@ from .relax import (fractional_objective, lower_bound_report,
                     validate_fractional)
 
 __all__ = [
-    "__version__", "backend",
+    "__version__",
     # model
     "Group", "PathInstance", "PackingItem", "PackingInstance", "Packing",
     "Move", "Schedule", "FractionalPacking", "InstanceError",
@@ -52,7 +52,8 @@ __all__ = [
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
     "validate_fractional", "lower_bound_report",
     # evacuation
-    "reduce_side", "assemble_schedule", "solve", "solve_report",
+    "reduce_side", "fractional_lower_bound", "assemble_schedule", "solve",
+    "solve_report",
     "SolveReport", "SideReduction", "simulate", "SimulationTrace",
     "schedule_objective", "validate_schedule", "NonUniformCapacityError",
     "SimulationInfeasible",

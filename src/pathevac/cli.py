@@ -11,14 +11,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
-from . import evac, instances, kernels, oracles, relax
-from .model import (InstanceError, fraction_str, parse_instance,
+from . import evac, instances, oracles, relax
+from .model import (InstanceError, _dumps, fraction_str, parse_instance,
                     parse_packing_instance, parse_schedule,
                     serialize_instance, serialize_packing,
                     serialize_packing_instance, serialize_schedule)
@@ -38,18 +35,6 @@ def _write(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-
-
-def _threads() -> int:
-    raw = os.environ.get("DYNAFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +104,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_lowerbound(args) -> int:
     if args.instance is not None:
         inst = parse_instance(_read(args.instance))
-        total = Fraction(0)
-        for side in ("left", "right"):
-            pinst, red = evac.reduce_side(inst, side)
-            if not pinst.items:
-                continue
-            target = relax.reduced_ready_times(pinst) if args.reduced_tau \
-                else pinst
-            fp = relax.solve_fractional_greedy(target)
-            total += relax.fractional_objective(fp, target) + red.delay_cost
+        total = evac.fractional_lower_bound(
+            inst, reduced_tau=bool(args.reduced_tau))
         doc = {"fractional_lb": fraction_str(total),
                "reduced_tau": bool(args.reduced_tau)}
     else:
@@ -204,12 +182,7 @@ def _bench_evac_row(seed: int, args) -> dict:
     start = time.perf_counter()
     report = evac.solve_report(inst)
     greedy = report.objective
-    lb = Fraction(0)
-    for side in ("left", "right"):
-        pinst, red = evac.reduce_side(inst, side)
-        if pinst.items:
-            fp = relax.solve_fractional_greedy(pinst)
-            lb += relax.fractional_objective(fp, pinst) + red.delay_cost
+    lb = evac.fractional_lower_bound(inst)
     row = {"seed": seed, "m": len(inst.groups), "greedy": greedy,
            "fractional_lb": fraction_str(lb),
            "opt": "", "ratio_vs_opt": "",
@@ -234,16 +207,11 @@ def _cmd_bench(args) -> int:
     seeds = list(range(args.seed_start, args.seed_start + args.count))
     worker = _bench_packing_row if args.problem == "packing" \
         else _bench_evac_row
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: worker(s, args), seeds))
-    else:
-        rows = [worker(s, args) for s in seeds]
+    rows = [worker(s, args) for s in seeds]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_BENCH_COLUMNS)
     writer.writeheader()
-    for row in rows:  # seed order is the submission order
+    for row in rows:
         writer.writerow(row)
     ratios_opt = [float(r["ratio_vs_opt"]) for r in rows if r["ratio_vs_opt"]]
     ratios_lb = [float(r["ratio_vs_lb"]) for r in rows if r["ratio_vs_lb"]]
@@ -287,8 +255,7 @@ def _cmd_examples(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathevac",
-        description="Minsum evacuation scheduling on path networks "
-                    f"(kernel backend: {kernels.backend()})")
+        description="Minsum evacuation scheduling on path networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve an instance with the greedy")

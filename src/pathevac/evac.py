@@ -10,7 +10,9 @@ the route gives every intermediate departure with zero waiting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+from . import relax
 from .model import (Packing, PackingInstance, PackingItem, PathInstance,
                     Schedule)
 from .packing import GreedyTrace, packing_objective, solve_greedy
@@ -79,6 +81,26 @@ def reduce_side(inst: PathInstance, side: str) \
                           bottleneck_distance=d_b, prefix=prefix,
                           weight_sum=weight_sum,
                           delay_cost=(d_b - 1) * weight_sum))
+
+
+def fractional_lower_bound(inst: PathInstance,
+                           reduced_tau: bool = False) -> Fraction:
+    """Two-sided fractional lower bound on the evacuation objective.
+
+    Sums, over the non-empty sides, the fractional packing optimum of the
+    side's reduction plus its delay cost. With `reduced_tau` each side's
+    ready times are first reduced to their pair index, which gives the
+    weaker bound the factor-2 certificate is stated against.
+    """
+    total = Fraction(0)
+    for side in ("left", "right"):
+        pinst, red = reduce_side(inst, side)
+        if not pinst.items:
+            continue
+        target = relax.reduced_ready_times(pinst) if reduced_tau else pinst
+        fp = relax.solve_fractional_greedy(target)
+        total += relax.fractional_objective(fp, target) + red.delay_cost
+    return total
 
 
 def assemble_schedule(inst: PathInstance, left: Packing | None,

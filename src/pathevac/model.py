@@ -451,10 +451,3 @@ def parse_schedule(text: str) -> Schedule:
 def fraction_str(f: Fraction) -> str:
     """Exact decimal-free rendering, e.g. '21' or '5/2'."""
     return str(f)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError([f"fraction: {exc}"]) from exc

@@ -224,20 +224,19 @@ def test_bench_evac_csv(capsys):
     assert all(r["opt"] == "" for r in rows)
 
 
-def test_bench_thread_env_keeps_output(monkeypatch, capsys):
-    args = ["bench", "--problem", "packing", "--count", "4",
-            "--items", "4", "--capacity", "6", "--with-oracle"]
-    assert main(args) == 0
-    serial = _bench_rows(capsys.readouterr().out)
-    monkeypatch.setenv("DYNAFLOW_THREADS", "2")
-    assert main(args) == 0
-    threaded = _bench_rows(capsys.readouterr().out)
-
-    def strip_timing(rows):
-        return [{k: v for k, v in r.items() if k != "wall_time_s"}
-                for r in rows]
-
-    assert strip_timing(serial) == strip_timing(threaded)
+def test_bench_evac_lb_matches_lowerbound(tmp_path, capsys):
+    shape = ["--nodes", "5", "--groups", "6", "--capacity", "5",
+             "--max-distance", "3"]
+    assert main(["bench", "--problem", "evac", "--count", "4",
+                 "--seed-start", "20", *shape]) == 0
+    rows = _bench_rows(capsys.readouterr().out)[:4]
+    for row in rows:
+        inst = tmp_path / f"inst{row['seed']}.json"
+        assert main(["gen", "--seed", row["seed"], *shape,
+                     "--output", str(inst)]) == 0
+        assert main(["lowerbound", "--instance", str(inst)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fractional_lb"] == row["fractional_lb"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from pathevac import (GenParams, Group, NonUniformCapacityError, Packing,
                       PathInstance, Schedule, SimulationInfeasible,
-                      assemble_schedule, gen_random, reduce_side,
-                      schedule_objective, simulate, solve, solve_report,
-                      validate_schedule)
+                      assemble_schedule, fractional_lower_bound, gen_random,
+                      reduce_side, schedule_objective, simulate, solve,
+                      solve_report, validate_schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,15 @@ def test_reduce_side_rejects_bad_side(fixtures):
 
 # ---------------------------------------------------------------------------
 # assembly
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fractional_lower_bound_brackets_greedy(seed):
+    inst = gen_random(seed, GenParams(nodes=6, groups=7, max_distance=3))
+    plain = fractional_lower_bound(inst)
+    reduced = fractional_lower_bound(inst, reduced_tau=True)
+    _, objective = solve(inst)
+    assert reduced <= plain <= objective <= 2 * reduced
+
 
 def test_assemble_walks_routes_back(fixtures):
     inst = fixtures["fig1b"].instance

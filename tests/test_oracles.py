@@ -78,20 +78,6 @@ def test_packing_opt_matches_brute_force(inst):
     assert brute_packing_opt(inst, horizon_bound(inst)) == value
 
 
-def test_kernel_parity():
-    compiled = pytest.importorskip("pathevac._dpcore")
-    from pathevac import _dppure
-    for seed in range(80):
-        inst = gen_random_packing(seed, PackParams(
-            items=(seed % 9) + 1, capacity=(seed % 13) + 1, max_ready=5))
-        args = ([it.size for it in inst.items],
-                [it.weight for it in inst.items],
-                [it.ready for it in inst.items],
-                inst.capacity, horizon_bound(inst))
-        assert compiled.solve_packing_dp(*args) == \
-            _dppure.solve_packing_dp(*args)
-
-
 # ---------------------------------------------------------------------------
 # evacuation oracle
 
