@@ -9,8 +9,12 @@ the route gives every intermediate departure with zero waiting.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from . import relax
 from .model import (Packing, PackingInstance, PackingItem, PathInstance,
@@ -47,6 +51,15 @@ class SideReduction:
         return not self.prefix
 
 
+def _positions(inst: PathInstance) -> list[int]:
+    """pos[v] is the distance from node 1 to node v (pos[0] is unused).
+
+    One sweep of prefix sums, so the distance between nodes i and j is
+    abs(pos[i] - pos[j]) in O(1).
+    """
+    return [0, *accumulate(inst.distances, initial=0)]
+
+
 def reduce_side(inst: PathInstance, side: str) \
         -> tuple[PackingInstance, SideReduction]:
     """Turn one side of the facility into a ready-time packing instance.
@@ -72,7 +85,8 @@ def reduce_side(inst: PathInstance, side: str) \
                               bottleneck_distance=0, prefix={},
                               weight_sum=0, delay_cost=0))
     d_b = inst.distance(edge)
-    prefix = {g.id: inst.path_distance(g.node, near) for g in groups}
+    pos = _positions(inst)
+    prefix = {g.id: abs(pos[g.node] - pos[near]) for g in groups}
     items = tuple(PackingItem(id=g.id, size=g.size, weight=g.weight,
                               ready=prefix[g.id] + 1) for g in groups)
     weight_sum = sum(g.weight for g in groups)
@@ -114,6 +128,7 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
     """
     a = inst.facility
     by_id = inst.group_by_id()
+    pos = _positions(inst)
     moves: dict[tuple[int, int], list[str]] = {}
     for side, packing in (("left", left), ("right", right)):
         if packing is None:
@@ -127,7 +142,7 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
                 route = range(g.node, near + 1) if side == "left" \
                     else range(g.node, near - 1, -1)
                 for v in route:
-                    t = t_cross - inst.path_distance(v, near)
+                    t = t_cross - abs(pos[v] - pos[near])
                     if t < 1:
                         raise ValueError(
                             f"group {gid!r} in bin {t_cross} cannot reach the "
@@ -189,19 +204,34 @@ def solve(inst: PathInstance) -> tuple[Schedule, int]:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Epoch-by-epoch occupancy of a schedule walk."""
+    """Occupancy and landings of a schedule walk.
 
-    occupancy: dict[int, dict[int, tuple[str, ...]]]  # t -> node -> ids
+    `occupancy` holds snapshots only at epoch 0 and at event epochs (epochs
+    with a departure or a landing); between two events nothing moves, so
+    `occupancy_at(t)` answers for any epoch from the latest snapshot.
+    """
+
+    occupancy: dict[int, dict[int, tuple[str, ...]]]  # event t -> node -> ids
     arrivals: dict[tuple[int, int], tuple[str, ...]]  # (t, node) -> landed ids
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
+
+    @cached_property
+    def _epochs(self) -> list[int]:
+        return sorted(self.occupancy)
+
+    def occupancy_at(self, t: int) -> dict[int, tuple[str, ...]]:
+        """Node -> ids at the end of epoch t: the latest snapshot at or
+        before t, empty before epoch 0."""
+        i = bisect_right(self._epochs, t)
+        return self.occupancy[self._epochs[i - 1]] if i else {}
 
     def render_table(self) -> str:
         """Per-epoch occupancy table, one line per epoch."""
         nodes = sorted({v for occ in self.occupancy.values() for v in occ})
         lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
         for t in range(self.horizon + 1):
-            occ = self.occupancy.get(t, {})
+            occ = self.occupancy_at(t)
             cells = []
             for v in nodes:
                 ids = occ.get(v, ())
@@ -215,45 +245,72 @@ def _walk(inst: PathInstance, sched: Schedule) \
     """Shared engine: run the schedule, collecting violations as they occur.
 
     Groups named in a bad move simply do not move, so one violation never
-    cascades into spurious ones downstream.
+    cascades into spurious ones downstream. The walk jumps from one event
+    epoch to the next (moves sorted once, landings in a heap), so its cost
+    follows the number of moves, never the epoch values. Within an epoch,
+    departures go first in node order, then landings in departure order,
+    so a distance-1 hop lands in its own epoch and cannot leave again
+    before the next one.
     """
     a = inst.facility
     by_id = inst.group_by_id()
     violations: list[str] = []
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
+    seen: set[tuple[int, int]] = set()
     for m in sched.moves:
         if m.node < 1 or m.node > inst.nodes:
             violations.append(f"unknown: node {m.node} outside the path "
                               f"(move at time {m.time})")
             continue
-        bad = [gid for gid in m.groups if gid not in by_id]
-        for gid in bad:
-            violations.append(f"unknown: group {gid!r} in move at time "
-                              f"{m.time}, node {m.node}")
-        kept = tuple(gid for gid in m.groups if gid in by_id)
+        key = (m.time, m.node)
+        if key in seen:
+            violations.append(f"duplicate: two moves at time {m.time}, "
+                              f"node {m.node}")
+            continue
+        seen.add(key)
+        kept: dict[str, None] = {}
+        for gid in m.groups:
+            if gid not in by_id:
+                violations.append(f"unknown: group {gid!r} in move at time "
+                                  f"{m.time}, node {m.node}")
+            elif gid in kept:
+                violations.append(f"duplicate: group {gid!r} twice in move "
+                                  f"at time {m.time}, node {m.node}")
+            else:
+                kept[gid] = None
         if kept:
-            moves[(m.time, m.node)] = kept
+            moves[key] = tuple(kept)
 
-    at: dict[int, list[str]] = {v: [] for v in range(1, inst.nodes + 1)}
+    # insertion-ordered: instance order first, then landing order
+    at: dict[int, dict[str, None]] = {v: {} for v in range(1, inst.nodes + 1)}
     for g in inst.groups:
-        at[g.node].append(g.id)
+        at[g.node][g.id] = None
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
-    pending: dict[int, list[tuple[int, str]]] = {}  # land epoch -> (node, id)
     horizon = max((t for (t, _v) in moves), default=0)
     occupancy = {0: {v: tuple(ids) for v, ids in at.items() if ids}}
     arrivals: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    t = 1
-    while t <= horizon or any(e >= t for e in pending):
-        for (mt, v) in sorted(k for k in moves if k[0] == t):
-            ids = moves[(mt, v)]
+    # moves before epoch 1 are never reached, as in an epoch-by-epoch walk
+    departures = sorted(k for k in moves if k[0] >= 1)
+    # (land epoch, departure index, node, ids): ties land in departure order
+    landings: list[tuple[int, int, int, list[str]]] = []
+    i = 0
+    while i < len(departures) or landings:
+        t = departures[i][0] if i < len(departures) else landings[0][0]
+        if landings and landings[0][0] < t:
+            t = landings[0][0]
+        while i < len(departures) and departures[i][0] == t:
+            v = departures[i][1]
+            ids = moves[departures[i]]
+            i += 1
             if v == a:
                 violations.append(f"direction: move at the facility node {a} "
                                   f"at time {t}")
                 continue
+            here = at[v]
             present = []
             for gid in ids:
-                if gid in at[v]:
+                if gid in here:
                     present.append(gid)
                 else:
                     violations.append(f"presence: group {gid!r} not at node "
@@ -269,20 +326,18 @@ def _walk(inst: PathInstance, sched: Schedule) \
             d = inst.distance(edge)
             u = v + 1 if v < a else v - 1
             for gid in present:
-                at[v].remove(gid)
-            pending.setdefault(t + d - 1, []).append((u, present))
-        if t in pending:
-            landed = pending.pop(t)
-            for (u, ids) in landed:
-                at[u].extend(ids)
-                key = (t, u)
-                arrivals[key] = arrivals.get(key, ()) + tuple(ids)
-                if u == a:
-                    for gid in ids:
-                        arrival_time.setdefault(gid, t)
+                del here[gid]
+            heapq.heappush(landings, (t + d - 1, i, u, present))
+        while landings and landings[0][0] == t:
+            _t, _seq, u, ids = heapq.heappop(landings)
+            at[u].update(dict.fromkeys(ids))
+            key = (t, u)
+            arrivals[key] = arrivals.get(key, ()) + tuple(ids)
+            if u == a:
+                for gid in ids:
+                    arrival_time.setdefault(gid, t)
         occupancy[t] = {v: tuple(ids) for v, ids in at.items() if ids}
         horizon = max(horizon, t)
-        t += 1
 
     trace = SimulationTrace(occupancy=occupancy, arrivals=arrivals,
                             arrival_time=arrival_time, horizon=horizon)

@@ -1,11 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathevac import (GenParams, Group, NonUniformCapacityError, Packing,
-                      PathInstance, Schedule, SimulationInfeasible,
+from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
+                      Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
                       reduce_side, schedule_objective, simulate, solve,
                       solve_report, validate_schedule)
+from pathevac.evac import _walk
+from ref_walk import ref_walk
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +172,98 @@ def test_objective_requires_arrival(fixtures):
 def test_render_table(fixtures):
     fx = fixtures["fig1b"]
     table = simulate(fx.instance, fx.schedule).render_table()
-    lines = table.splitlines()
-    assert lines[0].startswith("time")
-    assert "node 1" in lines[0] and "node 3" in lines[0]
-    assert any("-" in line for line in lines[1:])
+    assert table == """\
+time  node 1  node 2  node 3
+   0  G11,G12  G21,G22  -
+   1  G12  G22,G11  -
+   2  -  G22,G12  G21
+   3  -  G22  G21,G11
+   4  -  -  G21,G11,G12
+   5  -  -  G21,G11,G12,G22"""
+
+
+def test_render_table_fills_epochs_without_events():
+    # G2 waits at node 4 through epoch 1 and G1, G3 sit at the facility
+    # throughout; epochs 1, 3, 6, 7 and 10-12 have no departure or landing
+    inst = gen_random(26, GenParams(nodes=4, groups=3, capacity=10,
+                                    max_size=10, max_distance=6, facility=1))
+    sched, _ = solve(inst)
+    trace = simulate(inst, sched)
+    assert sorted(trace.occupancy) == [0, 2, 4, 5, 8, 9, 13]
+    assert trace.render_table() == """\
+time  node 1  node 2  node 3  node 4
+   0  G1,G3  -  -  G2
+   1  G1,G3  -  -  G2
+   2  G1,G3  -  -  -
+   3  G1,G3  -  -  -
+   4  G1,G3  -  G2  -
+   5  G1,G3  -  -  -
+   6  G1,G3  -  -  -
+   7  G1,G3  -  -  -
+   8  G1,G3  G2  -  -
+   9  G1,G3  -  -  -
+  10  G1,G3  -  -  -
+  11  G1,G3  -  -  -
+  12  G1,G3  -  -  -
+  13  G1,G3,G2  -  -  -"""
+
+
+def test_occupancy_at_holds_the_latest_snapshot(fixtures):
+    inst = fixtures["fig1b"].instance
+    trace = simulate(inst, Schedule(moves=(Move(5, 2, ("G21",)),)))
+    assert sorted(trace.occupancy) == [0, 5, 6]
+    assert trace.occupancy_at(-1) == {}
+    assert trace.occupancy_at(4) == trace.occupancy[0]
+    assert trace.occupancy_at(5) == {1: ("G11", "G12"), 2: ("G22",)}
+    assert trace.occupancy_at(99) == {1: ("G11", "G12"), 2: ("G22",),
+                                      3: ("G21",)}
+
+
+def test_duplicate_group_in_one_move(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 2, ("G21", "G21")),))
+    trace, violations = _walk(inst, sched)
+    assert violations == [
+        "duplicate: group 'G21' twice in move at time 1, node 2"]
+    assert trace.arrivals == {(2, 3): ("G21",)}
+
+
+def test_two_moves_at_one_time_and_node(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 2, ("G21",)), Move(1, 2, ("G22",))))
+    trace, violations = _walk(inst, sched)
+    assert violations == ["duplicate: two moves at time 1, node 2"]
+    assert trace.arrivals == {(2, 3): ("G21",)}
+
+
+# ---------------------------------------------------------------------------
+# cost follows the number of moves, not epoch values
+
+def test_validate_one_move_at_epoch_1e9(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(10 ** 9, 2, ("G21",)),))
+    start = time.perf_counter()
+    violations = validate_schedule(inst, sched)
+    elapsed = time.perf_counter() - start
+    assert violations == [
+        f"completion: group {gid!r} never arrives at the facility"
+        for gid in ("G11", "G12", "G22")]
+    assert elapsed < 1.0
+
+
+def test_solve_and_validate_bottleneck_distance_1e9():
+    d = 10 ** 9
+    inst = PathInstance(nodes=3, facility=3, capacity=4, distances=(2, d),
+                        groups=(Group(id="a", node=1, size=3, weight=5),
+                                Group(id="b", node=2, size=2, weight=1)))
+    start = time.perf_counter()
+    sched, objective = solve(inst)
+    violations = validate_schedule(inst, sched)
+    elapsed = time.perf_counter() - start
+    assert violations == []
+    # b crosses the bottleneck at epoch 1, a at epoch 3 (its ready time)
+    assert objective == 1 * d + 5 * (d + 2)
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +316,83 @@ def test_delaying_a_suffix_stays_feasible(inst, data):
     assert validate_schedule(inst, shifted) == []
     later = schedule_objective(simulate(inst, shifted), inst)
     assert later >= objective
+
+
+# ---------------------------------------------------------------------------
+# event-driven walk against the epoch-by-epoch reference
+
+_CORRUPTIONS = ("drop", "shift", "merge", "late", "node", "group", "facility")
+
+
+def _add(moves: dict, key: tuple[int, int], ids) -> None:
+    here = moves.setdefault(key, [])
+    here.extend(gid for gid in ids if gid not in here)
+
+
+def _corrupt(inst: PathInstance, sched: Schedule, data) -> Schedule:
+    """One to three corruptions of a solved schedule, never producing a
+    duplicate (time, node) or a group named twice in one move."""
+    moves = {k: list(ids) for k, ids in sched.as_map().items()}
+    ids = [g.id for g in inst.groups] or ["ghost"]
+    size = {g.id: g.size for g in inst.groups}
+    draw = data.draw
+    kinds = st.lists(st.sampled_from(_CORRUPTIONS), min_size=1, max_size=3)
+    for kind in draw(kinds, label="corruptions"):
+        keys = sorted(moves)
+        if kind == "drop" and keys:
+            del moves[draw(st.sampled_from(keys))]
+        elif kind == "shift" and any(t > 1 for t, _v in keys):
+            t, v = draw(st.sampled_from([k for k in keys if k[0] > 1]))
+            _add(moves, (t - 1, v), moves.pop((t, v)))
+        elif kind == "merge":
+            # fold a later move into an earlier one from the same node
+            # where the two together exceed the capacity
+            pairs = [(k, j) for k in keys for j in keys
+                     if k[1] == j[1] and k[0] < j[0]
+                     and sum(size.get(g, 0) for g in moves[k] + moves[j])
+                     > inst.capacity]
+            if pairs:
+                k, j = draw(st.sampled_from(pairs))
+                _add(moves, k, moves.pop(j))
+        elif kind == "late" and keys:
+            t, v = draw(st.sampled_from(keys))
+            late = t + draw(st.integers(min_value=1, max_value=1000))
+            _add(moves, (late, v), moves.pop((t, v)))
+        elif kind == "node":
+            v = draw(st.sampled_from((0, inst.nodes + 1)))
+            t = draw(st.integers(min_value=1, max_value=50))
+            _add(moves, (t, v), [draw(st.sampled_from(ids))])
+        elif kind == "group":
+            key = draw(st.sampled_from(keys)) if keys else (1, 1)
+            _add(moves, key, ["ghost"])
+        elif kind == "facility":
+            t = draw(st.integers(min_value=1, max_value=50))
+            _add(moves, (t, inst.facility), [draw(st.sampled_from(ids))])
+    return Schedule.from_map(moves)
+
+
+_any_distance_instances = st.builds(
+    lambda seed, nodes, groups, cap, dist: gen_random(
+        seed, GenParams(nodes=nodes, groups=groups, capacity=cap,
+                        max_weight=9, max_distance=dist)),
+    seed=st.integers(min_value=0, max_value=2 ** 48),
+    nodes=st.integers(min_value=2, max_value=6),
+    groups=st.integers(min_value=1, max_value=7),
+    cap=st.integers(min_value=1, max_value=8),
+    dist=st.sampled_from((1, 3, 1000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_any_distance_instances, data=st.data())
+def test_walk_matches_epoch_by_epoch_reference(inst, data):
+    sched, _ = solve(inst)
+    sched = _corrupt(inst, sched, data)
+    trace, violations = _walk(inst, sched)
+    ref_trace, ref_violations = ref_walk(inst, sched)
+    assert violations == ref_violations
+    assert trace.arrivals == ref_trace.arrivals
+    assert trace.arrival_time == ref_trace.arrival_time
+    assert trace.horizon == ref_trace.horizon
+    assert set(trace.occupancy) <= set(ref_trace.occupancy)
+    for t in range(ref_trace.horizon + 1):
+        assert trace.occupancy_at(t) == ref_trace.occupancy[t]
