@@ -262,6 +262,10 @@ def _walk(inst: PathInstance, sched: Schedule) \
             violations.append(f"unknown: node {m.node} outside the path "
                               f"(move at time {m.time})")
             continue
+        if m.time < 1:
+            violations.append(f"time: move at time {m.time}, node {m.node} "
+                              "before epoch 1")
+            continue
         key = (m.time, m.node)
         if key in seen:
             violations.append(f"duplicate: two moves at time {m.time}, "
@@ -290,8 +294,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
     occupancy = {0: {v: tuple(ids) for v, ids in at.items() if ids}}
     arrivals: dict[tuple[int, int], tuple[str, ...]] = {}
 
-    # moves before epoch 1 are never reached, as in an epoch-by-epoch walk
-    departures = sorted(k for k in moves if k[0] >= 1)
+    departures = sorted(moves)
     # (land epoch, departure index, node, ids): ties land in departure order
     landings: list[tuple[int, int, int, list[str]]] = []
     i = 0

@@ -4,7 +4,10 @@ Items have sizes, weights, and ready times (earliest usable bin). Bins are
 indexed 1, 2, ... and each holds total size at most the capacity; an item
 packed into bin j incurs cost weight * j. The greedy packs bins in order,
 always placing the eligible item with the largest weight/size ratio, and
-closes the current bin the first time that item does not fit.
+closes the current bin the first time that item does not fit. Ratios are
+compared exactly after reducing each weight/size by its gcd; equal ratios
+go in instance order. Ranking once and keeping the eligible items in a
+heap makes the greedy O(n log n) in the number of items.
 
 Eligibility is deliberately coarser than the ready times: an item with ready
 time r becomes eligible at the smallest odd bin index >= r. Aligning every
@@ -16,8 +19,12 @@ against the fractional relaxation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from heapq import heappop, heappush
+from math import gcd
+from typing import NamedTuple, Sequence
 
-from .model import Packing, PackingInstance
+from .model import Packing, PackingInstance, PackingItem
 
 
 def eligibility_threshold(ready: int) -> int:
@@ -27,15 +34,32 @@ def eligibility_threshold(ready: int) -> int:
     return (ready // 2) * 2 + 1
 
 
-@dataclass(frozen=True)
-class GreedyStep:
-    """One decision of the greedy: place an item, close a bin, or jump."""
+class GreedyStep(NamedTuple):
+    """One decision of the greedy: place an item, close a bin, or jump.
+
+    Holds raw numbers only; `detail` and `render()` format them on request,
+    so recording a decision costs one tuple.
+    """
 
     bin: int
     action: str          # "place" | "close" | "jump"
     item: str | None     # placed item, or the item that failed to fit
     eligible: int        # eligible-item count when the decision was made
-    detail: str
+    load: int            # bin load after a place, before a close
+    target: int          # bin a jump goes to
+    weight: int          # weight and size of `item`
+    size: int
+    capacity: int
+
+    @property
+    def detail(self) -> str:
+        if self.action == "jump":
+            return f"no eligible items, jump to bin {self.target}"
+        if self.action == "close":
+            return (f"close ({self.item} does not fit: "
+                    f"{self.load}+{self.size}>{self.capacity})")
+        return (f"place {self.item} (ratio {self.weight}/{self.size}, "
+                f"load {self.load}/{self.capacity})")
 
     def render(self) -> str:
         return f"bin {self.bin}: {self.action} {self.detail}"
@@ -50,55 +74,74 @@ class GreedyTrace:
         return "\n".join(s.render() for s in self.steps)
 
 
-def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
-    """Deterministic greedy packing.
+def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
+    """The items by weight/size ratio, largest first, ties in instance order.
 
-    Ratio ties break toward the earlier item in instance order; comparisons
-    are exact integer cross-products. When no unpacked item is eligible for
-    the current bin the index jumps straight to the smallest threshold among
-    the rest. Replaying the returned trace reproduces the packing.
+    Each (weight, size) is reduced by its gcd, so 1/2, 2/4 and 3/6 are one
+    ratio. Only the distinct ratios are compared, by integer cross-products;
+    the stable sort of the indices by ratio rank keeps instance order within
+    a tie.
     """
-    items = inst.items
-    thresholds = [eligibility_threshold(it.ready) for it in items]
-    remaining = list(range(len(items)))
+    keys = []
+    for it in items:
+        g = gcd(it.weight, it.size)
+        keys.append((it.weight // g, it.size // g))
+    # a before b when a's ratio is larger: w_a * s_b > w_b * s_a
+    distinct = sorted(set(keys), key=cmp_to_key(
+        lambda a, b: b[0] * a[1] - a[0] * b[1]))
+    rank = {k: r for r, k in enumerate(distinct)}
+    ranks = [rank[k] for k in keys]
+    return [items[i] for i in sorted(range(len(items)),
+                                     key=ranks.__getitem__)]
+
+
+def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
+    """Deterministic greedy packing in O(n log n) for n items.
+
+    Items are ranked once by `ratio_order`: largest weight/size ratio first,
+    exact ratio ties toward the earlier item in instance order. A pointer
+    over the items sorted by eligibility threshold admits them into a heap
+    of ranks as the bin index reaches their threshold, and the heap's top is
+    the item to place, so the heap holds exactly the eligible items. When it
+    is empty the index jumps straight to the threshold at the pointer, the
+    smallest among the rest. Replaying the returned trace reproduces the
+    packing.
+    """
+    cap = inst.capacity
+    # positions in `ranked` stand for items: the smallest is the best
+    ranked = ratio_order(inst.items)
+    n = len(ranked)
+    thresholds = [eligibility_threshold(it.ready) for it in ranked]
+    by_threshold = sorted(range(n), key=thresholds.__getitem__)
+    p = 0
+    heap: list[int] = []
     bins: dict[int, list[str]] = {}
     steps: list[GreedyStep] = []
     j = 1
     load = 0
-    last_bin = 0
-    while remaining:
-        eligible = [i for i in remaining if thresholds[i] <= j]
-        if not eligible:
-            target = min(thresholds[i] for i in remaining)
-            steps.append(GreedyStep(
-                bin=j, action="jump", item=None, eligible=0,
-                detail=f"no eligible items, jump to bin {target}"))
+    while p < n or heap:
+        while p < n and thresholds[by_threshold[p]] <= j:
+            heappush(heap, by_threshold[p])
+            p += 1
+        if not heap:
+            target = thresholds[by_threshold[p]]
+            steps.append(GreedyStep(j, "jump", None, 0, 0, target, 0, 0, cap))
             j = target
             load = 0
             continue
-        best = eligible[0]
-        for i in eligible[1:]:
-            # w_i / s_i > w_best / s_best, exactly
-            if items[i].weight * items[best].size > \
-                    items[best].weight * items[i].size:
-                best = i
-        it = items[best]
-        if load + it.size > inst.capacity:
-            steps.append(GreedyStep(
-                bin=j, action="close", item=it.id, eligible=len(eligible),
-                detail=f"close ({it.id} does not fit: "
-                       f"{load}+{it.size}>{inst.capacity})"))
+        it = ranked[heap[0]]
+        if load + it.size > cap:
+            steps.append(GreedyStep(j, "close", it.id, len(heap), load, 0,
+                                    it.weight, it.size, cap))
             j += 1
             load = 0
             continue
+        steps.append(GreedyStep(j, "place", it.id, len(heap), load + it.size,
+                                0, it.weight, it.size, cap))
+        heappop(heap)
         bins.setdefault(j, []).append(it.id)
         load += it.size
-        last_bin = max(last_bin, j)
-        remaining.remove(best)
-        steps.append(GreedyStep(
-            bin=j, action="place", item=it.id, eligible=len(eligible),
-            detail=f"place {it.id} (ratio {it.weight}/{it.size}, "
-                   f"load {load}/{inst.capacity})"))
+    last_bin = j if n else 0     # the last decision is a place
     packing = Packing(bins=tuple(
         tuple(bins.get(b, ())) for b in range(1, last_bin + 1)))
     return packing, GreedyTrace(steps=tuple(steps))

@@ -6,7 +6,8 @@ rescans all moves on each one and snapshots every node every epoch. It is
 deliberately left as it was, so the differential tests can compare the
 two walks violation for violation. A move that names a group twice, or two
 moves at one (time, node), break it (a crash or a silently dropped move),
-so those inputs are never fed to it.
+and it silently skips a move before epoch 1 (its horizon can even go
+negative), so those inputs are never fed to it.
 """
 
 from __future__ import annotations

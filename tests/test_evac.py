@@ -236,6 +236,18 @@ def test_two_moves_at_one_time_and_node(fixtures):
     assert trace.arrivals == {(2, 3): ("G21",)}
 
 
+def test_move_before_epoch_1(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(0, 2, ("G21",)), Move(-3, 1, ("G11",))))
+    trace, violations = _walk(inst, sched)
+    assert violations == ["time: move at time 0, node 2 before epoch 1",
+                          "time: move at time -3, node 1 before epoch 1"]
+    assert trace.arrivals == {} and trace.horizon == 0
+    assert validate_schedule(inst, sched)[:2] == violations
+    with pytest.raises(SimulationInfeasible, match="time: move at time -3"):
+        simulate(inst, Schedule(moves=(Move(-3, 2, ("G21",)),)))
+
+
 # ---------------------------------------------------------------------------
 # cost follows the number of moves, not epoch values
 

@@ -1,0 +1,153 @@
+"""Differential tests: the O(n log n) greedies against the list scans.
+
+`ref_greedy` keeps the greedy packer, the fractional greedy and the
+fractional validation as they were before the heap rewrite. Both versions
+must agree packing for packing, trace step for trace step (rendered text
+included), entry for entry and violation for violation.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import ref_greedy
+from pathevac import (FractionalPacking, PackingInstance, PackingItem,
+                      fractional_objective, reduced_ready_times,
+                      solve_fractional_greedy, solve_greedy,
+                      validate_fractional)
+
+# reduced ratios; scaled copies such as 1/2, 2/4, 3/6 tie only after reduction
+_BASE_RATIOS = ((1, 2), (1, 1), (2, 3), (3, 1))
+
+
+def _items(*rows):
+    return tuple(PackingItem(id=f"i{k}", size=s, weight=w, ready=r)
+                 for k, (s, w, r) in enumerate(rows))
+
+
+# named shapes the strategy below also draws, pinned as explicit examples
+_TIES_AFTER_REDUCTION = PackingInstance(capacity=6, items=_items(
+    (6, 3, 1), (2, 1, 1), (4, 2, 2), (1, 1, 1), (3, 3, 1), (4, 2, 1)))
+_ALL_EQUAL = PackingInstance(capacity=5, items=_items(
+    (2, 4, 3), (1, 2, 1), (3, 6, 1), (2, 4, 2), (1, 2, 4)))
+_SPARSE_READY = PackingInstance(capacity=4, items=_items(
+    (3, 5, 81), (2, 1, 1), (4, 9, 42), (1, 7, 81), (2, 2, 43)))
+_SIZE_IS_CAPACITY = PackingInstance(capacity=3, items=_items(
+    (3, 2, 1), (3, 5, 1), (1, 1, 2), (3, 5, 3), (2, 4, 1)))
+_EXAMPLES = (_TIES_AFTER_REDUCTION, _ALL_EQUAL, _SPARSE_READY,
+             _SIZE_IS_CAPACITY, PackingInstance(capacity=1, items=()))
+
+
+@st.composite
+def packing_instances(draw):
+    """Small instances rich in the greedy's corner cases.
+
+    Ratios are free, or drawn from scaled copies of a few reduced ratios
+    (ties equal only after reduction), or all one reduced ratio. Ready
+    times are packed or spread far apart, so the index must jump. Sizes
+    equal to the capacity are drawn often.
+    """
+    cap = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=14))
+    mode = draw(st.sampled_from(("free", "ties", "equal")))
+    spread = draw(st.sampled_from((1, 4, 40)))
+    bases = [r for r in _BASE_RATIOS if r[1] <= cap]
+    equal = draw(st.sampled_from(bases))
+    rows = []
+    for _ in range(n):
+        if mode == "free":
+            size = draw(st.one_of(st.just(cap),
+                                  st.integers(min_value=1, max_value=cap)))
+            weight = draw(st.integers(min_value=1, max_value=20))
+        else:
+            a, b = equal if mode == "equal" else draw(st.sampled_from(bases))
+            m = draw(st.integers(min_value=1, max_value=cap // b))
+            size, weight = b * m, a * m
+        ready = draw(st.integers(min_value=0, max_value=3)) * spread \
+            + draw(st.integers(min_value=1, max_value=2))
+        rows.append((size, weight, ready))
+    return PackingInstance(capacity=cap, items=_items(*rows))
+
+
+def _with_examples(test):
+    for inst in _EXAMPLES:
+        test = example(inst=inst)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=packing_instances())
+@_with_examples
+def test_greedy_matches_reference(inst):
+    packing, trace = solve_greedy(inst)
+    ref_packing, ref_trace = ref_greedy.solve_greedy(inst)
+    assert packing == ref_packing
+    assert [(s.bin, s.action, s.item, s.eligible, s.detail, s.render())
+            for s in trace.steps] == \
+        [(s.bin, s.action, s.item, s.eligible, s.detail, s.render())
+         for s in ref_trace.steps]
+    assert trace.render() == ref_trace.render()
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=packing_instances())
+@_with_examples
+def test_fractional_greedy_matches_reference(inst):
+    for variant in (inst, reduced_ready_times(inst)):
+        fp = solve_fractional_greedy(variant)
+        ref_fp = ref_greedy.solve_fractional_greedy(variant)
+        assert fp.entries == ref_fp.entries
+        assert validate_fractional(fp, variant) == []
+        value = fractional_objective(fp, variant)
+        assert type(value) is Fraction
+        assert value == ref_greedy.fractional_objective(ref_fp, variant)
+
+
+_DAMAGE = ("shift", "scale", "drop", "nonpositive", "above_one", "unknown")
+
+
+def _damage(entries, kind, k, data):
+    item_id, j, frac = entries[k]
+    if kind == "shift":
+        entries[k] = (item_id, j + data.draw(st.sampled_from((-2, -1, 1, 2))),
+                      frac)
+    elif kind == "scale":
+        entries[k] = (item_id, j, frac * data.draw(st.fractions(
+            min_value=Fraction(1, 6), max_value=6, max_denominator=6)))
+    elif kind == "drop":
+        del entries[k]
+    elif kind == "nonpositive":
+        entries[k] = (item_id, j, data.draw(st.sampled_from(
+            (Fraction(0), -frac, Fraction(-1)))))
+    elif kind == "above_one":
+        entries[k] = (item_id, j, data.draw(st.sampled_from(
+            (frac + 1, Fraction(7, 6), Fraction(2)))))
+    else:
+        entries[k] = ("nope", j, frac)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=packing_instances(), reduced=st.booleans(), data=st.data())
+def test_validation_of_damaged_packings_matches_reference(inst, reduced,
+                                                          data):
+    target = reduced_ready_times(inst) if reduced else inst
+    entries = list(solve_fractional_greedy(target).entries)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if not entries:
+            break
+        _damage(entries, data.draw(st.sampled_from(_DAMAGE)),
+                data.draw(st.integers(min_value=0,
+                                      max_value=len(entries) - 1)), data)
+    fp = FractionalPacking(entries=tuple(entries))
+    violations = validate_fractional(fp, target)
+    assert violations == ref_greedy.validate_fractional(fp, target)
+    if violations:
+        with pytest.raises(ValueError) as new:
+            fractional_objective(fp, target)
+        with pytest.raises(ValueError) as ref:
+            ref_greedy.fractional_objective(fp, target)
+        assert str(new.value) == str(ref.value)
+    else:
+        assert fractional_objective(fp, target) == \
+            ref_greedy.fractional_objective(fp, target)

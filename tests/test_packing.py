@@ -1,10 +1,13 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathevac import (PackingInstance, PackingItem, eligibility_threshold,
-                      gen_random_packing, PackParams, packing_objective,
-                      pair_overflow_violations, paired_view, replay_trace,
-                      solve_greedy, validate_packing)
+                      fractional_objective, gen_random_packing, PackParams,
+                      packing_objective, pair_overflow_violations,
+                      paired_view, reduced_ready_times, replay_trace,
+                      solve_fractional_greedy, solve_greedy, validate_packing)
 from pathevac.model import Packing
 
 
@@ -121,3 +124,21 @@ def test_paired_objective_brackets_greedy(inst):
     _rows, paired = paired_view(packing, inst)
     objective = packing_objective(packing, inst)
     assert paired <= objective <= 2 * paired or not inst.items
+
+
+def test_greedy_and_bound_scale_to_20000_items():
+    # the list-scanning greedy of tests/ref_greedy.py took 10.4 s here on
+    # a 2-vCPU VM
+    inst = gen_random_packing(2024, PackParams(
+        items=20000, capacity=60, max_size=6, max_ready=2000))
+    start = time.perf_counter()
+    packing, _trace = solve_greedy(inst)
+    greedy_s = time.perf_counter() - start
+    start = time.perf_counter()
+    reduced = reduced_ready_times(inst)
+    lb = fractional_objective(solve_fractional_greedy(reduced), reduced)
+    bound_s = time.perf_counter() - start
+    assert greedy_s < 2.0 and bound_s < 2.0
+    greedy = packing_objective(packing, inst)
+    assert lb <= greedy <= 2 * lb
+    assert pair_overflow_violations(packing, inst) == []
