@@ -24,13 +24,13 @@ from .model import (FractionalPacking, Group, InstanceError, Move, Packing,
                     parse_schedule, serialize_instance, serialize_packing,
                     serialize_packing_instance, serialize_schedule,
                     validate_instance, validate_packing_instance)
-from .oracles import (HorizonTooSmall, OracleBudgetExceeded, exact_dwsf_opt,
+from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       horizon_bound)
 from .packing import (GreedyTrace, eligibility_threshold, packing_objective,
                       pair_overflow_violations, paired_view, replay_trace,
                       solve_greedy, validate_packing)
-from .relax import (fractional_objective, lower_bound_report,
+from .relax import (fractional_bound, fractional_objective,
                     reduced_ready_times, solve_fractional_greedy,
                     validate_fractional)
 
@@ -50,7 +50,7 @@ __all__ = [
     "pair_overflow_violations",
     # relaxation
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
-    "validate_fractional", "lower_bound_report",
+    "validate_fractional", "fractional_bound",
     # evacuation
     "reduce_side", "fractional_lower_bound", "assemble_schedule", "solve",
     "solve_report",
@@ -59,7 +59,7 @@ __all__ = [
     "SimulationInfeasible",
     # oracles
     "horizon_bound", "exact_packing_opt", "exact_dwsf_opt",
-    "exact_fractional_opt_mcf", "OracleBudgetExceeded", "HorizonTooSmall",
+    "exact_fractional_opt_mcf", "OracleBudgetExceeded",
     # generators
     "SplitMix64", "GenParams", "PackParams", "gen_random",
     "gen_random_packing", "gen_from_partition", "bundled_examples",

@@ -85,16 +85,16 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.instance is not None:
         inst = parse_instance(_read(args.instance))
-        opt, schedule = oracles.exact_dwsf_opt(inst, horizon=args.horizon)
+        opt, schedule = oracles.exact_dwsf_opt(inst)
         doc = {"opt": opt,
                "witness": json.loads(serialize_schedule(schedule))}
     elif args.fractional:
         pinst = parse_packing_instance(_read(args.packing))
-        value = oracles.exact_fractional_opt_mcf(pinst, t_max=args.t_max)
+        value = oracles.exact_fractional_opt_mcf(pinst)
         doc = {"opt": fraction_str(value), "witness": None}
     else:
         pinst = parse_packing_instance(_read(args.packing))
-        opt, packing = oracles.exact_packing_opt(pinst, t_max=args.t_max)
+        opt, packing = oracles.exact_packing_opt(pinst)
         doc = {"opt": opt,
                "witness": json.loads(serialize_packing(packing, opt))}
     _write(args.output, _dumps(doc))
@@ -103,15 +103,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     if args.instance is not None:
-        inst = parse_instance(_read(args.instance))
-        total = evac.fractional_lower_bound(
-            inst, reduced_tau=bool(args.reduced_tau))
-        doc = {"fractional_lb": fraction_str(total),
-               "reduced_tau": bool(args.reduced_tau)}
+        value = evac.fractional_lower_bound(parse_instance(
+            _read(args.instance)), args.reduced_tau)
     else:
-        pinst = parse_packing_instance(_read(args.packing))
-        doc = relax.lower_bound_report(pinst, reduced=bool(args.reduced_tau))
-    _write(args.output, _dumps(doc))
+        value = relax.fractional_bound(parse_packing_instance(
+            _read(args.packing)), args.reduced_tau)
+    _write(args.output, _dumps({"fractional_lb": fraction_str(value),
+                                "reduced_tau": args.reduced_tau}))
     return 0
 
 
@@ -122,6 +120,19 @@ def _parse_partition(text: str) -> list[int]:
         raise InstanceError([f"partition: {exc}"]) from exc
 
 
+def _pack_params(args) -> instances.PackParams:
+    return instances.PackParams(
+        items=args.items, capacity=args.capacity, max_size=args.max_size,
+        max_weight=args.max_weight, max_ready=args.max_ready)
+
+
+def _gen_params(args, **extra) -> instances.GenParams:
+    return instances.GenParams(
+        nodes=args.nodes, groups=args.groups, capacity=args.capacity,
+        max_size=args.max_size, max_weight=args.max_weight,
+        max_distance=args.max_distance, **extra)
+
+
 def _cmd_gen(args) -> int:
     if args.partition is not None:
         inst = instances.gen_from_partition(_parse_partition(args.partition))
@@ -130,67 +141,48 @@ def _cmd_gen(args) -> int:
     if args.seed is None:
         raise InstanceError(["gen: --seed is required without --partition"])
     if args.packing:
-        params = instances.PackParams(
-            items=args.items, capacity=args.capacity,
-            max_size=args.max_size, max_weight=args.max_weight,
-            max_ready=args.max_ready)
-        pinst = instances.gen_random_packing(args.seed, params)
+        pinst = instances.gen_random_packing(args.seed, _pack_params(args))
         _write(args.output, serialize_packing_instance(pinst))
         return 0
-    params = instances.GenParams(
-        nodes=args.nodes, groups=args.groups, capacity=args.capacity,
-        max_size=args.max_size, max_weight=args.max_weight,
-        max_distance=args.max_distance, facility=args.facility,
-        allow_at_facility=not args.no_at_facility)
-    inst = instances.gen_random(args.seed, params)
+    inst = instances.gen_random(args.seed, _gen_params(
+        args, facility=args.facility,
+        allow_at_facility=not args.no_at_facility))
     _write(args.output, serialize_instance(inst))
     return 0
 
 
-def _bench_packing_row(seed: int, args) -> dict:
-    params = instances.PackParams(
-        items=args.items, capacity=args.capacity, max_size=args.max_size,
-        max_weight=args.max_weight, max_ready=args.max_ready)
-    pinst = instances.gen_random_packing(seed, params)
+def _bench_packing(seed: int, args):
+    """Item count and greedy, bound and oracle calls of a packing row."""
+    pinst = instances.gen_random_packing(seed, _pack_params(args))
+    return (len(pinst.items),
+            lambda: packing_objective(solve_greedy(pinst)[0], pinst),
+            lambda: relax.fractional_bound(pinst),
+            lambda: oracles.exact_packing_opt(pinst)[0])
+
+
+def _bench_evac(seed: int, args):
+    """Group count and greedy, bound and oracle calls of an evac row."""
+    inst = instances.gen_random(seed, _gen_params(args))
+    return (len(inst.groups),
+            lambda: evac.solve_report(inst).objective,
+            lambda: evac.fractional_lower_bound(inst),
+            lambda: oracles.exact_dwsf_opt(inst)[0])
+
+
+def _bench_row(seed: int, args) -> dict:
+    make = _bench_packing if args.problem == "packing" else _bench_evac
+    m, greedy_of, bound_of, opt_of = make(seed, args)
     start = time.perf_counter()
-    packing, _trace = solve_greedy(pinst)
-    greedy = packing_objective(packing, pinst)
-    fp = relax.solve_fractional_greedy(pinst)
-    lb = relax.fractional_objective(fp, pinst)
-    row = {"seed": seed, "m": len(pinst.items), "greedy": greedy,
+    greedy = greedy_of()
+    lb = bound_of()
+    row = {"seed": seed, "m": m, "greedy": greedy,
            "fractional_lb": fraction_str(lb),
            "opt": "", "ratio_vs_opt": "",
            "ratio_vs_lb": f"{float(greedy / lb):.6f}" if lb else "",
            "wall_time_s": 0.0}
     if args.with_oracle:
         try:
-            opt, _ = oracles.exact_packing_opt(pinst)
-            row["opt"] = opt
-            row["ratio_vs_opt"] = f"{greedy / opt:.6f}" if opt else ""
-        except oracles.OracleBudgetExceeded:
-            row["opt"] = "budget_exceeded"
-    row["wall_time_s"] = round(time.perf_counter() - start, 6)
-    return row
-
-
-def _bench_evac_row(seed: int, args) -> dict:
-    params = instances.GenParams(
-        nodes=args.nodes, groups=args.groups, capacity=args.capacity,
-        max_size=args.max_size, max_weight=args.max_weight,
-        max_distance=args.max_distance)
-    inst = instances.gen_random(seed, params)
-    start = time.perf_counter()
-    report = evac.solve_report(inst)
-    greedy = report.objective
-    lb = evac.fractional_lower_bound(inst)
-    row = {"seed": seed, "m": len(inst.groups), "greedy": greedy,
-           "fractional_lb": fraction_str(lb),
-           "opt": "", "ratio_vs_opt": "",
-           "ratio_vs_lb": f"{float(greedy / lb):.6f}" if lb else "",
-           "wall_time_s": 0.0}
-    if args.with_oracle:
-        try:
-            opt, _ = oracles.exact_dwsf_opt(inst)
+            opt = opt_of()
             row["opt"] = opt
             row["ratio_vs_opt"] = f"{greedy / opt:.6f}" if opt else ""
         except oracles.OracleBudgetExceeded:
@@ -205,9 +197,7 @@ _BENCH_COLUMNS = ["seed", "m", "greedy", "fractional_lb", "opt",
 
 def _cmd_bench(args) -> int:
     seeds = list(range(args.seed_start, args.seed_start + args.count))
-    worker = _bench_packing_row if args.problem == "packing" \
-        else _bench_evac_row
-    rows = [worker(s, args) for s in seeds]
+    rows = [_bench_row(s, args) for s in seeds]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_BENCH_COLUMNS)
     writer.writeheader()
@@ -252,6 +242,18 @@ def _cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_shape_flags(p: argparse.ArgumentParser, capacity: int) -> None:
+    """The instance-shape flags shared by `gen` and `bench`."""
+    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--groups", type=int, default=5)
+    p.add_argument("--items", type=int, default=8)
+    p.add_argument("--capacity", type=int, default=capacity)
+    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-weight", type=int, default=9)
+    p.add_argument("--max-distance", type=int, default=2)
+    p.add_argument("--max-ready", type=int, default=4)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathevac",
@@ -278,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--packing", help="packing instance JSON")
     p.add_argument("--fractional", action="store_true",
                    help="fractional optimum instead of integral (--packing)")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="epoch budget for the evacuation oracle")
-    p.add_argument("--t-max", type=int, default=None,
-                   help="bin budget for the packing oracles")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_oracle)
 
@@ -301,14 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values for the two-node reduction")
     p.add_argument("--packing", action="store_true",
                    help="emit a packing instance instead of a path instance")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--items", type=int, default=8)
-    p.add_argument("--capacity", type=int, default=6)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=9)
-    p.add_argument("--max-distance", type=int, default=2)
-    p.add_argument("--max-ready", type=int, default=4)
+    _add_shape_flags(p, capacity=6)
     p.add_argument("--facility", type=int, default=None)
     p.add_argument("--no-at-facility", action="store_true",
                    help="never place groups on the facility node")
@@ -322,14 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-start", type=int, default=1)
     p.add_argument("--with-oracle", action="store_true",
                    help="add exact optima (skipping over-budget instances)")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--items", type=int, default=8)
-    p.add_argument("--capacity", type=int, default=10)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=9)
-    p.add_argument("--max-distance", type=int, default=2)
-    p.add_argument("--max-ready", type=int, default=4)
+    _add_shape_flags(p, capacity=10)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bench)
 
@@ -357,7 +341,7 @@ def main(argv=None) -> int:
     except oracles.OracleBudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (oracles.HorizonTooSmall, evac.SimulationInfeasible) as exc:
+    except evac.SimulationInfeasible as exc:
         print(exc, file=sys.stderr)
         return 1
     except (FileNotFoundError, PermissionError, ValueError) as exc:

@@ -36,19 +36,9 @@ class SimulationInfeasible(ValueError):
 
 @dataclass(frozen=True)
 class SideReduction:
-    """Bookkeeping of one side's reduction to a packing problem."""
+    """What one side's reduction adds to its packing objective."""
 
-    side: str                      # "left" | "right"
-    near_node: int                 # neighbour of the facility on this side
-    bottleneck_edge: int           # edge index k of {k, k+1}
-    bottleneck_distance: int
-    prefix: dict[str, int]        # group id -> distance from origin to near_node
-    weight_sum: int
-    delay_cost: int               # (bottleneck distance - 1) * weight_sum
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.prefix
+    delay_cost: int    # (bottleneck distance - 1) * the side's weight sum
 
 
 def _positions(inst: PathInstance) -> list[int]:
@@ -81,39 +71,29 @@ def reduce_side(inst: PathInstance, side: str) \
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not groups:
         return (PackingInstance(capacity=inst.capacity, items=()),
-                SideReduction(side=side, near_node=near, bottleneck_edge=edge,
-                              bottleneck_distance=0, prefix={},
-                              weight_sum=0, delay_cost=0))
-    d_b = inst.distance(edge)
+                SideReduction(delay_cost=0))
     pos = _positions(inst)
-    prefix = {g.id: abs(pos[g.node] - pos[near]) for g in groups}
     items = tuple(PackingItem(id=g.id, size=g.size, weight=g.weight,
-                              ready=prefix[g.id] + 1) for g in groups)
+                              ready=abs(pos[g.node] - pos[near]) + 1)
+                  for g in groups)
     weight_sum = sum(g.weight for g in groups)
     return (PackingInstance(capacity=inst.capacity, items=items),
-            SideReduction(side=side, near_node=near, bottleneck_edge=edge,
-                          bottleneck_distance=d_b, prefix=prefix,
-                          weight_sum=weight_sum,
-                          delay_cost=(d_b - 1) * weight_sum))
+            SideReduction(delay_cost=(inst.distance(edge) - 1) * weight_sum))
 
 
 def fractional_lower_bound(inst: PathInstance,
                            reduced_tau: bool = False) -> Fraction:
     """Two-sided fractional lower bound on the evacuation objective.
 
-    Sums, over the non-empty sides, the fractional packing optimum of the
-    side's reduction plus its delay cost. With `reduced_tau` each side's
-    ready times are first reduced to their pair index, which gives the
-    weaker bound the factor-2 certificate is stated against.
+    Sums, over the non-empty sides, `relax.fractional_bound` of the side's
+    reduction (with the same `reduced_tau`) plus its delay cost.
     """
     total = Fraction(0)
     for side in ("left", "right"):
         pinst, red = reduce_side(inst, side)
-        if not pinst.items:
-            continue
-        target = relax.reduced_ready_times(pinst) if reduced_tau else pinst
-        fp = relax.solve_fractional_greedy(target)
-        total += relax.fractional_objective(fp, target) + red.delay_cost
+        if pinst.items:
+            total += relax.fractional_bound(pinst, reduced_tau) \
+                + red.delay_cost
     return total
 
 
@@ -204,7 +184,7 @@ def solve(inst: PathInstance) -> tuple[Schedule, int]:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Occupancy and landings of a schedule walk.
+    """Occupancy and facility arrivals of a schedule walk.
 
     `occupancy` holds snapshots only at epoch 0 and at event epochs (epochs
     with a departure or a landing); between two events nothing moves, so
@@ -212,7 +192,6 @@ class SimulationTrace:
     """
 
     occupancy: dict[int, dict[int, tuple[str, ...]]]  # event t -> node -> ids
-    arrivals: dict[tuple[int, int], tuple[str, ...]]  # (t, node) -> landed ids
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
 
@@ -292,7 +271,6 @@ def _walk(inst: PathInstance, sched: Schedule) \
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
     horizon = max((t for (t, _v) in moves), default=0)
     occupancy = {0: {v: tuple(ids) for v, ids in at.items() if ids}}
-    arrivals: dict[tuple[int, int], tuple[str, ...]] = {}
 
     departures = sorted(moves)
     # (land epoch, departure index, node, ids): ties land in departure order
@@ -334,16 +312,14 @@ def _walk(inst: PathInstance, sched: Schedule) \
         while landings and landings[0][0] == t:
             _t, _seq, u, ids = heapq.heappop(landings)
             at[u].update(dict.fromkeys(ids))
-            key = (t, u)
-            arrivals[key] = arrivals.get(key, ()) + tuple(ids)
             if u == a:
                 for gid in ids:
                     arrival_time.setdefault(gid, t)
         occupancy[t] = {v: tuple(ids) for v, ids in at.items() if ids}
         horizon = max(horizon, t)
 
-    trace = SimulationTrace(occupancy=occupancy, arrivals=arrivals,
-                            arrival_time=arrival_time, horizon=horizon)
+    trace = SimulationTrace(occupancy=occupancy, arrival_time=arrival_time,
+                            horizon=horizon)
     return trace, violations
 
 

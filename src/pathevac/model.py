@@ -76,13 +76,6 @@ class PathInstance:
     def group_by_id(self) -> dict[str, Group]:
         return {g.id: g for g in self.groups}
 
-    def groups_at(self, node: int) -> tuple[Group, ...]:
-        return tuple(g for g in self.groups if g.node == node)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(g.weight for g in self.groups)
-
 
 @dataclass(frozen=True)
 class PackingItem:
@@ -105,10 +98,6 @@ class PackingInstance:
     @property
     def total_size(self) -> int:
         return sum(it.size for it in self.items)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(it.weight for it in self.items)
 
 
 @dataclass(frozen=True)

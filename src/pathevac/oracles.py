@@ -21,10 +21,6 @@ class OracleBudgetExceeded(Exception):
     """The instance is outside the exhaustive-search budget."""
 
 
-class HorizonTooSmall(ValueError):
-    """The requested horizon cannot be proven to contain an optimum."""
-
-
 def horizon_bound(inst: PackingInstance) -> int:
     """A bin horizon guaranteed to contain some optimal packing.
 
@@ -37,20 +33,17 @@ def horizon_bound(inst: PackingInstance) -> int:
     return max(it.ready for it in inst.items) + len(inst.items)
 
 
-def exact_packing_opt(inst: PackingInstance, t_max: int | None = None) \
-        -> tuple[int, Packing]:
-    """Exact optimum of the ready-time packing problem, with a witness."""
+def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
+    """Exact optimum of the ready-time packing problem, with a witness.
+
+    Searches bins 1..horizon_bound(inst), which contain some optimum.
+    """
     m = len(inst.items)
     if m > 15:
         raise OracleBudgetExceeded(f"{m} items exceeds the 15-item budget")
     if m == 0:
         return 0, Packing(bins=())
-    bound = horizon_bound(inst)
-    if t_max is None:
-        t_max = bound
-    elif t_max < bound:
-        raise HorizonTooSmall(f"t_max {t_max} is below the safe bound {bound}; "
-                              "retry with a larger horizon")
+    t_max = horizon_bound(inst)
     if t_max > 64:
         raise OracleBudgetExceeded(f"horizon {t_max} exceeds the 64-bin budget")
     value, assignment = kernels.solve_packing_dp(
@@ -82,24 +75,18 @@ def _required_epochs(inst: PathInstance) -> int:
     return req
 
 
-def exact_dwsf_opt(inst: PathInstance, horizon: int | None = None) \
-        -> tuple[int, Schedule]:
+def exact_dwsf_opt(inst: PathInstance) -> tuple[int, Schedule]:
     """Exact minsum evacuation optimum with a witness schedule.
 
     Exhaustive-search budgets: up to 12 groups when all of them sit on one
     node adjacent to the facility, otherwise up to 5 groups on up to 4
-    nodes within a 12-epoch horizon.
+    nodes within a 12-epoch horizon. The horizon is `_required_epochs`,
+    derived from the instance.
     """
     a = inst.facility
     off = [g for g in inst.groups if g.node != a]
     if not off:
         return 0, Schedule(moves=())
-    required = _required_epochs(inst)
-    if horizon is None:
-        horizon = required
-    elif horizon < required:
-        raise HorizonTooSmall(f"horizon {horizon} is below the safe bound "
-                              f"{required}; retry with a larger horizon")
     origins = {g.node for g in off}
     if len(origins) == 1 and abs(next(iter(origins)) - a) == 1:
         if len(off) > 12:
@@ -109,6 +96,7 @@ def exact_dwsf_opt(inst: PathInstance, horizon: int | None = None) \
     if len(off) > 5 or inst.nodes > 4:
         raise OracleBudgetExceeded(f"{len(off)} groups on {inst.nodes} nodes "
                                    "exceeds the 5-group/4-node budget")
+    horizon = _required_epochs(inst)
     if horizon > 12:
         raise OracleBudgetExceeded(f"horizon {horizon} exceeds the "
                                    "12-epoch budget")
@@ -350,13 +338,14 @@ def _min_cost_flow(graph: list[list[_Arc]], s: int, t: int, need: int) \
     return flow, cost
 
 
-def exact_fractional_opt_mcf(inst: PackingInstance, t_max: int | None = None) \
-        -> Fraction:
+def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
     """Exact fractional optimum via a transportation network.
 
-    Unit-mass costs j * weight / size are scaled by lcm(sizes) to keep the
-    flow arithmetic in integers; the result is the exact rational optimum
-    (the transportation polytope has integral vertices, so the flow optimum
+    Bins run from 1 to max ready + ceil(total size / capacity): from the
+    last ready time on, that many bins hold all the mass. Unit-mass costs
+    j * weight / size are scaled by lcm(sizes) to keep the flow arithmetic
+    in integers; the result is the exact rational optimum (the
+    transportation polytope has integral vertices, so the flow optimum
     equals the linear-program optimum).
     """
     items = inst.items
@@ -364,13 +353,8 @@ def exact_fractional_opt_mcf(inst: PackingInstance, t_max: int | None = None) \
     if m == 0:
         return Fraction(0)
     total_size = inst.total_size
-    bound = max(it.ready for it in items) + \
+    t_max = max(it.ready for it in items) + \
         -(-total_size // inst.capacity)  # ceil division
-    if t_max is None:
-        t_max = bound
-    elif t_max < bound:
-        raise HorizonTooSmall(f"t_max {t_max} is below the safe bound {bound}; "
-                              "retry with a larger horizon")
     if m * t_max > 500_000:
         raise OracleBudgetExceeded(f"{m} items x {t_max} bins exceeds the "
                                    "flow-network budget")

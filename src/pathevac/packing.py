@@ -105,9 +105,14 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
     the item to place, so the heap holds exactly the eligible items. When it
     is empty the index jumps straight to the threshold at the pointer, the
     smallest among the rest. Replaying the returned trace reproduces the
-    packing.
+    packing. An item larger than the capacity fits no bin and raises
+    ValueError.
     """
     cap = inst.capacity
+    for it in inst.items:
+        if it.size > cap:
+            raise ValueError(f"item {it.id!r} of size {it.size} exceeds "
+                             f"the bin capacity {cap}")
     # positions in `ranked` stand for items: the smallest is the best
     ranked = ratio_order(inst.items)
     n = len(ranked)

@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .model import (FractionalPacking, PackingInstance, PackingItem,
-                    fraction_str)
+from .model import FractionalPacking, PackingInstance, PackingItem
 from .packing import ratio_order
 
 _ONE = Fraction(1)
@@ -150,9 +149,14 @@ def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fracti
                start=Fraction(0))
 
 
-def lower_bound_report(inst: PackingInstance, reduced: bool = False) -> dict:
-    """Fractional lower bound as a JSON-ready document."""
-    target = reduced_ready_times(inst) if reduced else inst
-    fp = solve_fractional_greedy(target)
-    value = fractional_objective(fp, target)
-    return {"fractional_lb": fraction_str(value), "reduced_tau": reduced}
+def fractional_bound(inst: PackingInstance,
+                     reduced_tau: bool = False) -> Fraction:
+    """Fractional optimum of a packing instance: a lower bound on its
+    integral optimum.
+
+    With `reduced_tau` the ready times are first reduced to their pair
+    index (`reduced_ready_times`), which gives the weaker bound the
+    factor-2 certificate is stated against.
+    """
+    target = reduced_ready_times(inst) if reduced_tau else inst
+    return fractional_objective(solve_fractional_greedy(target), target)

@@ -89,6 +89,6 @@ def ref_walk(inst: PathInstance, sched: Schedule) \
         horizon = max(horizon, t)
         t += 1
 
-    trace = SimulationTrace(occupancy=occupancy, arrivals=arrivals,
+    trace = SimulationTrace(occupancy=occupancy,
                             arrival_time=arrival_time, horizon=horizon)
     return trace, violations

@@ -133,12 +133,6 @@ def test_oracle_budget_exit_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_oracle_horizon_too_small_exit_1(fig1b_files, capsys):
-    _, inst, _ = fig1b_files
-    assert main(["oracle", "--instance", str(inst), "--horizon", "3"]) == 1
-    assert "safe bound" in capsys.readouterr().err
-
-
 def test_lowerbound_instance(fig1b_files, capsys):
     _, inst, _ = fig1b_files
     assert main(["lowerbound", "--instance", str(inst)]) == 0
@@ -156,6 +150,10 @@ def test_lowerbound_packing(abd_file, capsys):
     assert main(["lowerbound", "--packing", str(abd_file)]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "fractional_lb": "21", "reduced_tau": False}
+    assert main(["lowerbound", "--packing", str(abd_file),
+                 "--reduced-tau"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "fractional_lb": "21", "reduced_tau": True}
 
 
 # ---------------------------------------------------------------------------

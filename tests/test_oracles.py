@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute import brute_packing_opt
-from pathevac import (GenParams, Group, HorizonTooSmall,
-                      OracleBudgetExceeded, PackParams, PackingInstance,
-                      PackingItem, PathInstance, exact_dwsf_opt,
-                      exact_fractional_opt_mcf, exact_packing_opt,
-                      fractional_objective, gen_from_partition,
-                      gen_random, gen_random_packing, horizon_bound,
-                      packing_objective, schedule_objective, simulate,
-                      solve, solve_fractional_greedy, validate_packing,
-                      validate_schedule)
+from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
+                      PackingInstance, PackingItem, PathInstance,
+                      exact_dwsf_opt, exact_fractional_opt_mcf,
+                      exact_packing_opt, fractional_objective,
+                      gen_from_partition, gen_random, gen_random_packing,
+                      horizon_bound, packing_objective, schedule_objective,
+                      simulate, solve, solve_fractional_greedy,
+                      validate_packing, validate_schedule)
 from pathevac import oracles
 
 
@@ -49,16 +48,18 @@ def test_packing_opt_empty():
     assert (value, witness.bins) == (0, ())
 
 
-def test_packing_opt_budgets(abd):
+def test_packing_opt_budgets():
     wide = PackingInstance(capacity=2, items=tuple(
         PackingItem(id=f"i{k}", size=1, weight=1, ready=1)
         for k in range(16)))
     with pytest.raises(OracleBudgetExceeded, match="15-item"):
         exact_packing_opt(wide)
-    with pytest.raises(HorizonTooSmall, match="below the safe bound"):
-        exact_packing_opt(abd, t_max=2)
-    with pytest.raises(OracleBudgetExceeded, match="64-bin"):
-        exact_packing_opt(abd, t_max=65)
+    # horizon_bound = 65 + 1 bins
+    late = PackingInstance(capacity=1, items=(
+        PackingItem(id="late", size=1, weight=1, ready=65),))
+    with pytest.raises(OracleBudgetExceeded, match="horizon 66 exceeds the "
+                                                   "64-bin"):
+        exact_packing_opt(late)
 
 
 _micro = st.builds(
@@ -106,9 +107,7 @@ def test_dwsf_opt_all_at_facility():
     assert witness.moves == ()
 
 
-def test_dwsf_opt_budgets(fixtures):
-    with pytest.raises(HorizonTooSmall, match="below the safe bound"):
-        exact_dwsf_opt(fixtures["fig1b"].instance, horizon=3)
+def test_dwsf_opt_budgets():
     crowd = PathInstance(nodes=2, facility=2, capacity=1, distances=(1,),
                          groups=tuple(Group(id=f"g{k}", node=1, size=1,
                                             weight=1) for k in range(13)))
@@ -182,11 +181,10 @@ def test_fractional_mcf_frozen(abd):
     assert greedy == 21
 
 
-def test_fractional_mcf_budgets(abd):
-    with pytest.raises(HorizonTooSmall, match="below the safe bound"):
-        exact_fractional_opt_mcf(abd, t_max=2)
-    crowd = PackingInstance(capacity=2, items=tuple(
-        PackingItem(id=f"i{k}", size=1, weight=1, ready=1)
-        for k in range(11)))
-    with pytest.raises(OracleBudgetExceeded, match="flow-network"):
-        exact_fractional_opt_mcf(crowd, t_max=50_000)
+def test_fractional_mcf_budgets():
+    # one item, 500_000 + 1 bins
+    late = PackingInstance(capacity=1, items=(
+        PackingItem(id="late", size=1, weight=1, ready=500_000),))
+    with pytest.raises(OracleBudgetExceeded, match="1 items x 500001 bins "
+                                                   "exceeds the flow-network"):
+        exact_fractional_opt_mcf(late)

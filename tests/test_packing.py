@@ -43,6 +43,18 @@ def test_greedy_empty_instance():
     assert packing_objective(packing, inst) == 0
 
 
+def test_greedy_rejects_item_larger_than_capacity():
+    # such an item fits no bin: placing it would close bins forever
+    inst = PackingInstance(capacity=2, items=(
+        PackingItem(id="a", size=1, weight=1, ready=1),
+        PackingItem(id="b", size=3, weight=1, ready=1)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="item 'b' of size 3 exceeds the "
+                                         "bin capacity 2"):
+        solve_greedy(inst)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_greedy_ratio_tie_breaks_by_instance_order():
     inst = PackingInstance(capacity=2, items=(
         PackingItem(id="x", size=1, weight=1, ready=1),

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pathevac import (FractionalPacking, PackingInstance, PackingItem,
                       PackParams, exact_fractional_opt_mcf, exact_packing_opt,
-                      fractional_objective, gen_random_packing,
-                      lower_bound_report, packing_objective,
+                      fractional_bound, fractional_objective,
+                      gen_random_packing, packing_objective,
                       reduced_ready_times, solve_fractional_greedy,
                       solve_greedy, validate_fractional)
 
@@ -83,11 +83,14 @@ def test_validate_fractional_ready_time():
     assert violations and "ready time" in violations[0]
 
 
-def test_lower_bound_report_shape(abd):
-    doc = lower_bound_report(abd)
-    assert doc == {"fractional_lb": "21", "reduced_tau": False}
-    doc = lower_bound_report(abd, reduced=True)
-    assert doc == {"fractional_lb": "21", "reduced_tau": True}
+def test_fractional_bound(abd):
+    assert fractional_bound(abd) == 21
+    assert fractional_bound(abd, reduced_tau=True) == 21
+    # ready 3 lies in pair 2, so the reduced bound prices bin 2
+    late = PackingInstance(capacity=1, items=(
+        PackingItem(id="x", size=1, weight=5, ready=3),))
+    assert fractional_bound(late) == 15
+    assert fractional_bound(late, reduced_tau=True) == 10
 
 
 _pack_instances = st.builds(
