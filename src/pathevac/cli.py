@@ -69,12 +69,11 @@ def _cmd_solve(args) -> int:
 def _cmd_validate(args) -> int:
     inst = parse_instance(_read(args.instance))
     sched = parse_schedule(_read(args.schedule))
-    violations = evac.validate_schedule(inst, sched)
+    trace, violations = evac.check_schedule(inst, sched)
     if violations:
         for v in violations:
             print(v)
         return 1
-    trace = evac.simulate(inst, sched)
     objective = evac.schedule_objective(trace, inst)
     print(f"ok objective {objective}")
     if args.trace:

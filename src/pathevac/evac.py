@@ -182,18 +182,56 @@ def solve(inst: PathInstance) -> tuple[Schedule, int]:
     return report.schedule, report.objective
 
 
+def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
+    """Node -> ids at epoch 0, in instance order, for every node of the
+    path (insertion-ordered dicts used as ordered sets)."""
+    at: dict[int, dict[str, None]] = {v: {} for v in range(1, inst.nodes + 1)}
+    for g in inst.groups:
+        at[g.node][g.id] = None
+    return at
+
+
+def _snapshot(at: dict[int, dict[str, None]]) -> dict[int, tuple[str, ...]]:
+    return {v: tuple(ids) for v, ids in at.items() if ids}
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Occupancy and facility arrivals of a schedule walk.
+    """Facility arrivals of a schedule walk, plus its event log.
 
-    `occupancy` holds snapshots only at epoch 0 and at event epochs (epochs
-    with a departure or a landing); between two events nothing moves, so
-    `occupancy_at(t)` answers for any epoch from the latest snapshot.
+    `events` holds one (epoch, node, ids, landed) entry per departure
+    (landed False: the ids left the node) and per landing (landed True: the
+    ids joined the node), in the order the walk applied them. The occupancy
+    table is rebuilt from the instance's start state and this log only when
+    it is first read, so a walk holds O(moves), never a snapshot per epoch.
     """
 
-    occupancy: dict[int, dict[int, tuple[str, ...]]]  # event t -> node -> ids
+    instance: PathInstance
+    events: list[tuple[int, int, list[str], bool]]
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
+
+    @cached_property
+    def occupancy(self) -> dict[int, dict[int, tuple[str, ...]]]:
+        """Event epoch -> node -> ids at the end of that epoch.
+
+        Snapshots exist at epoch 0 and at every epoch where a group left or
+        landed; between two of them nothing moves.
+        """
+        at = _start(self.instance)
+        occupancy = {}
+        last = 0
+        for t, v, ids, landed in self.events:
+            if t != last:
+                occupancy[last] = _snapshot(at)
+                last = t
+            if landed:
+                at[v].update(dict.fromkeys(ids))
+            else:
+                for gid in ids:
+                    del at[v][gid]
+        occupancy[last] = _snapshot(at)
+        return occupancy
 
     @cached_property
     def _epochs(self) -> list[int]:
@@ -225,14 +263,14 @@ def _walk(inst: PathInstance, sched: Schedule) \
 
     Groups named in a bad move simply do not move, so one violation never
     cascades into spurious ones downstream. The walk jumps from one event
-    epoch to the next (moves sorted once, landings in a heap), so its cost
-    follows the number of moves, never the epoch values. Within an epoch,
-    departures go first in node order, then landings in departure order,
-    so a distance-1 hop lands in its own epoch and cannot leave again
+    epoch to the next (moves sorted once, landing epochs in a heap), so its
+    cost follows the number of moves, never the epoch values. Within an
+    epoch, departures go first in node order, then landings in departure
+    order, so a distance-1 hop lands in its own epoch and cannot leave again
     before the next one.
     """
     a = inst.facility
-    by_id = inst.group_by_id()
+    size_of = {g.id: g.size for g in inst.groups}
     violations: list[str] = []
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
     seen: set[tuple[int, int]] = set()
@@ -253,7 +291,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
         seen.add(key)
         kept: dict[str, None] = {}
         for gid in m.groups:
-            if gid not in by_id:
+            if gid not in size_of:
                 violations.append(f"unknown: group {gid!r} in move at time "
                                   f"{m.time}, node {m.node}")
             elif gid in kept:
@@ -265,24 +303,28 @@ def _walk(inst: PathInstance, sched: Schedule) \
             moves[key] = tuple(kept)
 
     # insertion-ordered: instance order first, then landing order
-    at: dict[int, dict[str, None]] = {v: {} for v in range(1, inst.nodes + 1)}
-    for g in inst.groups:
-        at[g.node][g.id] = None
+    at = _start(inst)
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
-    horizon = max((t for (t, _v) in moves), default=0)
-    occupancy = {0: {v: tuple(ids) for v, ids in at.items() if ids}}
+    # edge k joins nodes k and k + 1; index 0 is unused
+    dist = (0, *inst.distances)
+    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (inst.nodes - 1)))
+    events: list[tuple[int, int, list[str], bool]] = []
 
-    departures = sorted(moves)
-    # (land epoch, departure index, node, ids): ties land in departure order
-    landings: list[tuple[int, int, int, list[str]]] = []
+    departures = sorted(moves.items())
+    n = len(departures)
+    horizon = departures[-1][0][0] if departures else 0
+    # land epoch -> [(node, ids)] in departure order, and a heap of its keys
+    pending: dict[int, list[tuple[int, list[str]]]] = {}
+    land_epochs: list[int] = []
     i = 0
-    while i < len(departures) or landings:
-        t = departures[i][0] if i < len(departures) else landings[0][0]
-        if landings and landings[0][0] < t:
-            t = landings[0][0]
-        while i < len(departures) and departures[i][0] == t:
-            v = departures[i][1]
-            ids = moves[departures[i]]
+    while i < n or land_epochs:
+        t = departures[i][0][0] if i < n else land_epochs[0]
+        if land_epochs and land_epochs[0] < t:
+            t = land_epochs[0]
+        while i < n:
+            (t_dep, v), ids = departures[i]
+            if t_dep != t:
+                break
             i += 1
             if v == a:
                 violations.append(f"direction: move at the facility node {a} "
@@ -290,36 +332,41 @@ def _walk(inst: PathInstance, sched: Schedule) \
                 continue
             here = at[v]
             present = []
+            size = 0
             for gid in ids:
                 if gid in here:
+                    del here[gid]
                     present.append(gid)
+                    size += size_of[gid]
                 else:
                     violations.append(f"presence: group {gid!r} not at node "
                                       f"{v} at time {t}")
             if not present:
                 continue
             edge = v if v < a else v - 1
-            cap = inst.edge_capacity(edge)
-            size = sum(by_id[gid].size for gid in present)
-            if size > cap:
+            if size > caps[edge]:
                 violations.append(f"capacity: departure from node {v} at time "
-                                  f"{t} carries size {size} > capacity {cap}")
-            d = inst.distance(edge)
-            u = v + 1 if v < a else v - 1
-            for gid in present:
-                del here[gid]
-            heapq.heappush(landings, (t + d - 1, i, u, present))
-        while landings and landings[0][0] == t:
-            _t, _seq, u, ids = heapq.heappop(landings)
-            at[u].update(dict.fromkeys(ids))
-            if u == a:
-                for gid in ids:
-                    arrival_time.setdefault(gid, t)
-        occupancy[t] = {v: tuple(ids) for v, ids in at.items() if ids}
+                                  f"{t} carries size {size} > capacity "
+                                  f"{caps[edge]}")
+            events.append((t, v, present, False))
+            land = t + dist[edge] - 1
+            batch = pending.get(land)
+            if batch is None:
+                pending[land] = batch = []
+                heapq.heappush(land_epochs, land)
+            batch.append((v + 1 if v < a else v - 1, present))
+        if land_epochs and land_epochs[0] == t:
+            heapq.heappop(land_epochs)
+            for u, ids in pending.pop(t):
+                at[u].update(dict.fromkeys(ids))
+                events.append((t, u, ids, True))
+                if u == a:
+                    for gid in ids:
+                        arrival_time.setdefault(gid, t)
         horizon = max(horizon, t)
 
-    trace = SimulationTrace(occupancy=occupancy, arrival_time=arrival_time,
-                            horizon=horizon)
+    trace = SimulationTrace(instance=inst, events=events,
+                            arrival_time=arrival_time, horizon=horizon)
     return trace, violations
 
 
@@ -341,11 +388,18 @@ def schedule_objective(trace: SimulationTrace, inst: PathInstance) -> int:
     return total
 
 
-def validate_schedule(inst: PathInstance, sched: Schedule) -> list[str]:
-    """All violations of a schedule; empty means feasible and complete."""
+def check_schedule(inst: PathInstance, sched: Schedule) \
+        -> tuple[SimulationTrace, list[str]]:
+    """One walk of a schedule: its trace and all its violations, the
+    groups that never reach the facility included."""
     trace, violations = _walk(inst, sched)
     for g in inst.groups:
         if g.id not in trace.arrival_time:
             violations.append(f"completion: group {g.id!r} never arrives "
                               "at the facility")
-    return violations
+    return trace, violations
+
+
+def validate_schedule(inst: PathInstance, sched: Schedule) -> list[str]:
+    """All violations of a schedule; empty means feasible and complete."""
+    return check_schedule(inst, sched)[1]

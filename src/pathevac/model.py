@@ -10,9 +10,12 @@ epoch it occupies the facility node (0 for groups that start there).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from json.encoder import encode_basestring
+from operator import attrgetter
+from typing import Any
 
 
 class InstanceError(ValueError):
@@ -162,6 +165,11 @@ class FractionalPacking:
 # ---------------------------------------------------------------------------
 # validation
 
+def _is_mapping(obj: Any) -> bool:
+    # a decoded JSON object is a plain dict; the abstract check is slow
+    return type(obj) is dict or isinstance(obj, Mapping)
+
+
 def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
     # bool is an int subclass; JSON true/false must not pass as 1/0
     if not isinstance(obj, int) or isinstance(obj, bool) or obj < minimum:
@@ -177,7 +185,7 @@ def validate_instance(data: Any) -> PathInstance:
     (no edges, all groups at the facility) is valid and trivially solved.
     """
     errors: list[str] = []
-    if not isinstance(data, Mapping):
+    if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
 
     n_ok = _require_int(errors, data.get("nodes"), "nodes", 1)
@@ -200,7 +208,7 @@ def validate_instance(data: Any) -> PathInstance:
                       f"got {len(edges)}")
     else:
         for k, e in enumerate(edges, start=1):
-            if not isinstance(e, Mapping):
+            if not _is_mapping(e):
                 errors.append(f"edges[{k - 1}]: expected an object")
                 continue
             if e.get("from") != k or e.get("to") != k + 1:
@@ -223,7 +231,7 @@ def validate_instance(data: Any) -> PathInstance:
         raw_groups = []
     seen: set[str] = set()
     for idx, g in enumerate(raw_groups):
-        if not isinstance(g, Mapping):
+        if not _is_mapping(g):
             errors.append(f"groups[{idx}]: expected an object")
             continue
         gid = g.get("id")
@@ -273,7 +281,7 @@ def validate_instance(data: Any) -> PathInstance:
 def validate_packing_instance(data: Any) -> PackingInstance:
     """Check a decoded packing-instance document."""
     errors: list[str] = []
-    if not isinstance(data, Mapping):
+    if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
     cap_ok = _require_int(errors, data.get("capacity"), "capacity", 1)
     items: list[PackingItem] = []
@@ -283,7 +291,7 @@ def validate_packing_instance(data: Any) -> PackingInstance:
         raw = []
     seen: set[str] = set()
     for idx, it in enumerate(raw):
-        if not isinstance(it, Mapping):
+        if not _is_mapping(it):
             errors.append(f"items[{idx}]: expected an object")
             continue
         iid = it.get("id")
@@ -367,7 +375,7 @@ def serialize_packing(packing: Packing, objective: int) -> str:
 def parse_packing(text: str) -> tuple[Packing, int | None]:
     data = _loads(text)
     errors: list[str] = []
-    if not isinstance(data, Mapping):
+    if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
     raw = data.get("bins")
     bins: list[tuple[str, ...]] = []
@@ -390,17 +398,29 @@ def parse_packing(text: str) -> tuple[Packing, int | None]:
 
 
 def serialize_schedule(sched: Schedule) -> str:
-    moves = sorted(sched.moves, key=lambda m: (m.time, m.node))
-    return _dumps({
-        "moves": [{"time": m.time, "node": m.node, "groups": list(m.groups)}
-                  for m in moves],
-    })
+    """The canonical schedule text, the same bytes as `_dumps` of
+    {"moves": [{"time", "node", "groups"}, ...]}, written directly because
+    `json.dumps` with an indent runs the pure-Python encoder."""
+    moves = sorted(sched.moves, key=attrgetter("time", "node"))
+    if not moves:
+        return '{\n  "moves": []\n}\n'
+    parts = []
+    for m in moves:
+        if m.groups:
+            ids = ",\n        ".join(map(encode_basestring, m.groups))
+            groups = f"[\n        {ids}\n      ]"
+        else:
+            groups = "[]"
+        parts.append(f'    {{\n      "time": {m.time},\n'
+                     f'      "node": {m.node},\n'
+                     f'      "groups": {groups}\n    }}')
+    return '{\n  "moves": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
 
 
 def parse_schedule(text: str) -> Schedule:
     data = _loads(text)
     errors: list[str] = []
-    if not isinstance(data, Mapping):
+    if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
     raw = data.get("moves")
     if not isinstance(raw, list):
@@ -408,7 +428,7 @@ def parse_schedule(text: str) -> Schedule:
     moves: list[Move] = []
     seen: set[tuple[int, int]] = set()
     for idx, m in enumerate(raw):
-        if not isinstance(m, Mapping):
+        if not _is_mapping(m):
             errors.append(f"moves[{idx}]: expected an object")
             continue
         ok = _require_int(errors, m.get("time"), f"moves[{idx}].time", 1)

@@ -341,7 +341,8 @@ def _min_cost_flow(graph: list[list[_Arc]], s: int, t: int, need: int) \
 def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
     """Exact fractional optimum via a transportation network.
 
-    Bins run from 1 to max ready + ceil(total size / capacity): from the
+    Bins run from the smallest ready time to max ready + ceil(total size /
+    capacity): no item may enter a bin below every ready time, and from the
     last ready time on, that many bins hold all the mass. Unit-mass costs
     j * weight / size are scaled by lcm(sizes) to keep the flow arithmetic
     in integers; the result is the exact rational optimum (the
@@ -359,16 +360,18 @@ def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
         raise OracleBudgetExceeded(f"{m} items x {t_max} bins exceeds the "
                                    "flow-network budget")
     scale = math.lcm(*(it.size for it in items))
+    first = min(it.ready for it in items)
+    bin_node = m + 1 - first  # node of bin j is bin_node + j
     s = 0
-    sink = m + t_max + 1
+    sink = bin_node + t_max + 1
     graph: list[list[_Arc]] = [[] for _ in range(sink + 1)]
     for i, it in enumerate(items):
         _add_arc(graph, s, 1 + i, it.size, 0)
         unit = it.weight * (scale // it.size)
         for j in range(it.ready, t_max + 1):
-            _add_arc(graph, 1 + i, m + j, it.size, j * unit)
-    for j in range(1, t_max + 1):
-        _add_arc(graph, m + j, sink, inst.capacity, 0)
+            _add_arc(graph, 1 + i, bin_node + j, it.size, j * unit)
+    for j in range(first, t_max + 1):
+        _add_arc(graph, bin_node + j, sink, inst.capacity, 0)
     flow, cost = _min_cost_flow(graph, s, sink, total_size)
     if flow != total_size:
         raise ValueError("transportation network failed to route all mass")

@@ -12,11 +12,21 @@ negative), so those inputs are never fed to it.
 
 from __future__ import annotations
 
-from pathevac import PathInstance, Schedule, SimulationTrace
+from typing import NamedTuple
+
+from pathevac import PathInstance, Schedule
+
+
+class RefTrace(NamedTuple):
+    """What the reference walk records: a snapshot at every epoch."""
+
+    occupancy: dict[int, dict[int, tuple[str, ...]]]  # t -> node -> ids
+    arrival_time: dict[str, int]
+    horizon: int
 
 
 def ref_walk(inst: PathInstance, sched: Schedule) \
-        -> tuple[SimulationTrace, list[str]]:
+        -> tuple[RefTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
     Groups named in a bad move simply do not move, so one violation never
@@ -89,6 +99,6 @@ def ref_walk(inst: PathInstance, sched: Schedule) \
         horizon = max(horizon, t)
         t += 1
 
-    trace = SimulationTrace(occupancy=occupancy,
-                            arrival_time=arrival_time, horizon=horizon)
+    trace = RefTrace(occupancy=occupancy,
+                     arrival_time=arrival_time, horizon=horizon)
     return trace, violations

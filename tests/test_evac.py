@@ -8,7 +8,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       assemble_schedule, fractional_lower_bound, gen_random,
                       reduce_side, schedule_objective, simulate, solve,
                       solve_report, validate_schedule)
-from pathevac.evac import _walk
+from pathevac.evac import _walk, check_schedule
 from ref_walk import ref_walk
 
 
@@ -166,6 +166,9 @@ def test_validate_schedule_reports_completion(fixtures):
     violations = validate_schedule(inst, Schedule(moves=()))
     assert len(violations) == 4
     assert all(v.startswith("completion:") for v in violations)
+    trace, checked = check_schedule(inst, Schedule(moves=()))
+    assert checked == violations
+    assert trace.arrival_time == {} and trace.horizon == 0
 
 
 def test_objective_requires_arrival(fixtures):
@@ -186,6 +189,21 @@ time  node 1  node 2  node 3
    3  -  G22  G21,G11
    4  -  -  G21,G11,G12
    5  -  -  G21,G11,G12,G22"""
+
+
+def test_occupancy_is_built_on_first_read(fixtures):
+    fx = fixtures["fig1b"]
+    trace = simulate(fx.instance, fx.schedule)
+    assert "occupancy" not in vars(trace)
+    assert trace.occupancy == {
+        0: {1: ("G11", "G12"), 2: ("G21", "G22")},
+        1: {1: ("G12",), 2: ("G22", "G11")},
+        2: {2: ("G22", "G12"), 3: ("G21",)},
+        3: {2: ("G22",), 3: ("G21", "G11")},
+        4: {3: ("G21", "G11", "G12")},
+        5: {3: ("G21", "G11", "G12", "G22")},
+    }
+    assert "occupancy" in vars(trace)
 
 
 def test_render_table_fills_epochs_without_events():

@@ -1,4 +1,5 @@
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       parse_packing_instance, parse_schedule,
                       serialize_instance, serialize_packing,
                       serialize_packing_instance, serialize_schedule,
-                      validate_instance)
+                      validate_instance, validate_packing_instance)
 from pathevac.model import Move, Packing, Schedule
 
 
@@ -150,6 +151,44 @@ def test_schedule_round_trip_and_canonical_order():
     assert sched.moves[0] == Move(time=1, node=2, groups=("A", "C"))
     text = serialize_schedule(sched)
     assert serialize_schedule(parse_schedule(text)) == text
+
+
+_ids = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\ufeffé日')),
+    min_size=1, max_size=6)
+_moves = st.lists(st.builds(
+    Move, time=st.integers(min_value=1, max_value=10 ** 12),
+    node=st.integers(min_value=1, max_value=300),
+    groups=st.lists(_ids, max_size=4).map(tuple)), max_size=6)
+
+
+@given(moves=_moves)
+def test_schedule_writer_matches_json_dumps(moves):
+    expected = json.dumps({"moves": [
+        {"time": m.time, "node": m.node, "groups": list(m.groups)}
+        for m in sorted(moves, key=lambda m: (m.time, m.node))]},
+        indent=2, ensure_ascii=False) + "\n"
+    assert serialize_schedule(Schedule(moves=tuple(moves))) == expected
+
+
+def test_schedule_writer_edge_cases():
+    assert serialize_schedule(Schedule(moves=())) == \
+        json.dumps({"moves": []}, indent=2) + "\n"
+    # a move built in code may carry no groups; parse_schedule rejects one
+    empty = Schedule(moves=(Move(time=3, node=1, groups=()),))
+    assert serialize_schedule(empty) == json.dumps(
+        {"moves": [{"time": 3, "node": 1, "groups": []}]}, indent=2) + "\n"
+
+
+def test_validate_accepts_non_dict_mappings():
+    doc = _doc()
+    frozen = MappingProxyType({
+        **doc, "edges": [MappingProxyType(e) for e in doc["edges"]],
+        "groups": [MappingProxyType(g) for g in doc["groups"]]})
+    assert validate_instance(frozen) == validate_instance(doc)
+    packing = MappingProxyType({"capacity": 2, "items": [MappingProxyType(
+        {"id": "a", "size": 1, "weight": 1, "ready": 1})]})
+    assert validate_packing_instance(packing).items[0].id == "a"
 
 
 def test_schedule_parse_errors():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,24 @@ def test_fractional_mcf_budgets():
     with pytest.raises(OracleBudgetExceeded, match="1 items x 500001 bins "
                                                    "exceeds the flow-network"):
         exact_fractional_opt_mcf(late)
+
+
+def test_fractional_mcf_skips_bins_below_every_ready_time():
+    # 500_000 bins fit the budget; only the two from ready 499_999 are built
+    late = PackingInstance(capacity=1, items=(
+        PackingItem(id="late", size=1, weight=1, ready=499_999),))
+    start = time.perf_counter()
+    assert exact_fractional_opt_mcf(late) == 499_999
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("seed, opt", [
+    (0, Fraction(974)), (1, Fraction(2437, 3)), (2, Fraction(961)),
+    (3, Fraction(585))])
+def test_fractional_mcf_seeded_values(seed, opt):
+    # values of the network built over every bin from 1; seeds 0, 2 and 3
+    # have no item ready at bin 1
+    inst = gen_random_packing(seed, PackParams(
+        items=8, capacity=7, max_size=6, max_weight=9, max_ready=40))
+    assert exact_fractional_opt_mcf(inst) == opt
+    assert fractional_objective(solve_fractional_greedy(inst), inst) == opt
