@@ -53,7 +53,7 @@ def _cmd_solve(args) -> int:
             print(f"{side}: empty")
             continue
         obj = packing_objective(packing, pinst)
-        print(f"{side}: {len(pinst.items)} groups in {len(packing.bins)} "
+        print(f"{side}: {len(pinst.items)} groups in {max(packing.bins)} "
               f"bins, packing objective {obj}, delay cost {red.delay_cost}")
     if args.trace:
         for side, trace in (("left", report.left_trace),
@@ -83,6 +83,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.instance is not None:
+        if args.fractional:
+            raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
         doc = {"opt": opt,

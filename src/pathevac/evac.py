@@ -114,7 +114,7 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
         if packing is None:
             continue
         near = a - 1 if side == "left" else a + 1
-        for t_cross, bin_ in enumerate(packing.bins, start=1):
+        for t_cross, bin_ in packing.bins.items():
             for gid in bin_:
                 g = by_id.get(gid)
                 if g is None:

@@ -71,11 +71,6 @@ class PathInstance:
             c == self.capacity for c in self.edge_capacities
         )
 
-    def path_distance(self, i: int, j: int) -> int:
-        """Sum of edge distances between nodes i and j."""
-        lo, hi = (i, j) if i <= j else (j, i)
-        return sum(self.distances[lo - 1:hi - 1])
-
     def group_by_id(self) -> dict[str, Group]:
         return {g.id: g for g in self.groups}
 
@@ -105,17 +100,13 @@ class PackingInstance:
 
 @dataclass(frozen=True)
 class Packing:
-    """Items assigned to 1-based bins; bins[j-1] lists bin j's item ids."""
+    """Items assigned to 1-based bins.
 
-    bins: tuple[tuple[str, ...], ...]
+    bins maps the index of every occupied bin, in ascending order, to its
+    item ids; empty bins are not stored, so the last bin is max(bins).
+    """
 
-    def bin_of(self) -> dict[str, int]:
-        """Map item id -> bin index. Duplicates keep the last bin seen."""
-        out: dict[str, int] = {}
-        for j, bin_ in enumerate(self.bins, start=1):
-            for item_id in bin_:
-                out[item_id] = j
-        return out
+    bins: dict[int, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -143,23 +134,12 @@ class Schedule:
                 out.append(Move(time=t, node=v, groups=ids))
         return Schedule(moves=tuple(out))
 
-    def as_map(self) -> dict[tuple[int, int], tuple[str, ...]]:
-        return {(m.time, m.node): m.groups for m in self.moves}
-
-    @property
-    def horizon(self) -> int:
-        """Latest departure epoch; 0 for the empty schedule."""
-        return max((m.time for m in self.moves), default=0)
-
 
 @dataclass(frozen=True)
 class FractionalPacking:
     """Divisible assignment: (item id, bin, fraction of the item's size)."""
 
     entries: tuple[tuple[str, int, Fraction], ...]
-
-    def as_map(self) -> dict[tuple[str, int], Fraction]:
-        return {(i, j): f for (i, j, f) in self.entries}
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +346,23 @@ def parse_packing_instance(text: str) -> PackingInstance:
 
 
 def serialize_packing(packing: Packing, objective: int) -> str:
+    """The packing as a dense list of bins 1..max(bins), empty ones
+    included."""
+    last = max(packing.bins, default=0)
     return _dumps({
-        "bins": [list(bin_) for bin_ in packing.bins],
+        "bins": [list(packing.bins.get(j, ())) for j in range(1, last + 1)],
         "objective": objective,
     })
 
 
 def parse_packing(text: str) -> tuple[Packing, int | None]:
+    """Read a dense bin list; the empty bins are dropped."""
     data = _loads(text)
     errors: list[str] = []
     if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
     raw = data.get("bins")
-    bins: list[tuple[str, ...]] = []
+    bins: dict[int, tuple[str, ...]] = {}
     if not isinstance(raw, list):
         errors.append("bins: expected a list of lists")
     else:
@@ -387,14 +371,15 @@ def parse_packing(text: str) -> tuple[Packing, int | None]:
                     not all(isinstance(x, str) and x for x in b):
                 errors.append(f"bins[{j - 1}]: expected a list of item ids")
                 continue
-            bins.append(tuple(b))
+            if b:
+                bins[j] = tuple(b)
     objective = data.get("objective")
     if objective is not None and (not isinstance(objective, int)
                                   or isinstance(objective, bool)):
         errors.append(f"objective: expected an integer, got {objective!r}")
     if errors:
         raise InstanceError(errors)
-    return Packing(bins=tuple(bins)), objective
+    return Packing(bins=bins), objective
 
 
 def serialize_schedule(sched: Schedule) -> str:

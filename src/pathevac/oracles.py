@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from . import kernels
+from .evac import _positions
 from .model import Packing, PackingInstance, PathInstance, Schedule
 
 
@@ -42,7 +43,7 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
     if m > 15:
         raise OracleBudgetExceeded(f"{m} items exceeds the 15-item budget")
     if m == 0:
-        return 0, Packing(bins=())
+        return 0, Packing(bins={})
     t_max = horizon_bound(inst)
     if t_max > 64:
         raise OracleBudgetExceeded(f"horizon {t_max} exceeds the 64-bin budget")
@@ -51,11 +52,10 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
         [it.weight for it in inst.items],
         [it.ready for it in inst.items],
         inst.capacity, t_max)
-    last = max(assignment)
-    bins: list[list[str]] = [[] for _ in range(last)]
-    for i, b in enumerate(assignment):
-        bins[b - 1].append(inst.items[i].id)
-    return value, Packing(bins=tuple(tuple(b) for b in bins))
+    bins: dict[int, list[str]] = {}
+    for it, b in zip(inst.items, assignment):
+        bins.setdefault(b, []).append(it.id)
+    return value, Packing(bins={b: tuple(bins[b]) for b in sorted(bins)})
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +64,14 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
 def _required_epochs(inst: PathInstance) -> int:
     """Epoch horizon guaranteed to contain an optimal evacuation."""
     a = inst.facility
+    pos = _positions(inst)
     req = 0
     for lo, hi, near, edge in ((1, a - 1, a - 1, a - 1),
                                (a + 1, inst.nodes, a + 1, a)):
         side = [g for g in inst.groups if lo <= g.node <= hi]
         if not side or edge < 1 or edge >= inst.nodes:
             continue
-        taus = [inst.path_distance(g.node, near) + 1 for g in side]
+        taus = [abs(pos[g.node] - pos[near]) + 1 for g in side]
         req = max(req, max(taus) + len(side) + inst.distance(edge) - 1)
     return req
 

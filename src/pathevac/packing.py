@@ -146,9 +146,7 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
         heappop(heap)
         bins.setdefault(j, []).append(it.id)
         load += it.size
-    last_bin = j if n else 0     # the last decision is a place
-    packing = Packing(bins=tuple(
-        tuple(bins.get(b, ())) for b in range(1, last_bin + 1)))
+    packing = Packing(bins={b: tuple(ids) for b, ids in bins.items()})
     return packing, GreedyTrace(steps=tuple(steps))
 
 
@@ -157,7 +155,6 @@ def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
     by_id = inst.item_by_id()
     bins: dict[int, list[str]] = {}
     placed: set[str] = set()
-    last_bin = 0
     for step in trace.steps:
         if step.action == "place":
             if step.item is None or step.item not in by_id:
@@ -166,20 +163,18 @@ def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
                 raise ValueError(f"trace places {step.item!r} twice")
             placed.add(step.item)
             bins.setdefault(step.bin, []).append(step.item)
-            last_bin = max(last_bin, step.bin)
         elif step.action not in ("close", "jump"):
             raise ValueError(f"unknown trace action {step.action!r}")
     if placed != set(by_id):
         raise ValueError("trace does not place every item")
-    return Packing(bins=tuple(
-        tuple(bins.get(b, ())) for b in range(1, last_bin + 1)))
+    return Packing(bins={b: tuple(bins[b]) for b in sorted(bins)})
 
 
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:
     """Sum of weight * bin index over all packed items."""
     by_id = inst.item_by_id()
     total = 0
-    for j, bin_ in enumerate(packing.bins, start=1):
+    for j, bin_ in packing.bins.items():
         for item_id in bin_:
             if item_id not in by_id:
                 raise ValueError(f"unknown item {item_id!r} in bin {j}")
@@ -192,7 +187,7 @@ def validate_packing(packing: Packing, inst: PackingInstance) -> list[str]:
     by_id = inst.item_by_id()
     violations: list[str] = []
     seen: dict[str, int] = {}
-    for j, bin_ in enumerate(packing.bins, start=1):
+    for j, bin_ in packing.bins.items():
         load = 0
         for item_id in bin_:
             it = by_id.get(item_id)
@@ -231,19 +226,18 @@ def paired_view(packing: Packing, inst: PackingInstance) \
         -> tuple[tuple[PairRow, ...], int]:
     """Merge consecutive bin pairs and price pair j at j per unit weight.
 
-    The returned paired objective is a lower bound certificate target: the
-    fractional optimum under halved ready times is at least this value, and
-    the greedy objective is at most twice it.
+    One row per non-empty pair, in pair order. The returned paired
+    objective is a lower bound certificate target: the fractional optimum
+    under halved ready times is at least this value, and the greedy
+    objective is at most twice it.
     """
     by_id = inst.item_by_id()
+    pairs: dict[int, list[str]] = {}
+    for j, bin_ in packing.bins.items():
+        pairs.setdefault((j + 1) // 2, []).extend(bin_)
     rows: list[PairRow] = []
     total = 0
-    npairs = (len(packing.bins) + 1) // 2
-    for p in range(1, npairs + 1):
-        ids: list[str] = []
-        for j in (2 * p - 1, 2 * p):
-            if j <= len(packing.bins):
-                ids.extend(packing.bins[j - 1])
+    for p, ids in pairs.items():
         size = sum(by_id[i].size for i in ids)
         weight = sum(by_id[i].weight for i in ids)
         rows.append(PairRow(index=p, items=tuple(ids), size=size, weight=weight))
@@ -260,14 +254,12 @@ def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[st
     """
     by_id = inst.item_by_id()
     violations: list[str] = []
-    npairs = (len(packing.bins) + 1) // 2
-    for p in range(1, npairs + 1):
-        even = packing.bins[2 * p - 1] if 2 * p <= len(packing.bins) else ()
-        if not even:
+    for j, even in packing.bins.items():
+        if j % 2 or not even:
             continue
-        odd = packing.bins[2 * p - 2]
+        odd = packing.bins.get(j - 1, ())
         size = sum(by_id[i].size for i in odd) + sum(by_id[i].size for i in even)
         if size <= inst.capacity:
-            violations.append(f"pair {p}: bins {2 * p - 1},{2 * p} hold size "
+            violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "
                               f"{size} <= capacity {inst.capacity}")
     return violations

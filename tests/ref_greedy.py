@@ -4,7 +4,8 @@ These are `solve_greedy`, `solve_fractional_greedy`, `validate_fractional`
 and `fractional_objective` as they were before the O(n log n) rewrite in
 `pathevac.packing` and `pathevac.relax`, together with the eagerly
 formatted trace classes the greedy filled. They rescan the eligible items
-on every decision (O(n^2)) and keep every mass as a `Fraction`. They are
+on every decision (O(n^2)) and keep every mass as a `Fraction`. The greedy
+returns its dense bin tuple, empty bins included, as a `RefPacking`. They are
 deliberately left as they were, so the differential tests can compare the
 rewrites with them packing for packing, trace step for trace step, entry
 for entry and violation for violation.
@@ -14,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from pathevac.model import FractionalPacking, Packing, PackingInstance
+from pathevac.model import FractionalPacking, PackingInstance
 from pathevac.packing import eligibility_threshold
+
+
+class RefPacking(NamedTuple):
+    """Items assigned to 1-based bins; bins[j-1] lists bin j's item ids."""
+
+    bins: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class GreedyTrace:
         return "\n".join(s.render() for s in self.steps)
 
 
-def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
+def solve_greedy(inst: PackingInstance) -> tuple[RefPacking, GreedyTrace]:
     """Deterministic greedy packing.
 
     Ratio ties break toward the earlier item in instance order; comparisons
@@ -91,7 +99,7 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
             bin=j, action="place", item=it.id, eligible=len(eligible),
             detail=f"place {it.id} (ratio {it.weight}/{it.size}, "
                    f"load {load}/{inst.capacity})"))
-    packing = Packing(bins=tuple(
+    packing = RefPacking(bins=tuple(
         tuple(bins.get(b, ())) for b in range(1, last_bin + 1)))
     return packing, GreedyTrace(steps=tuple(steps))
 

@@ -113,7 +113,7 @@ def test_oracle_packing(abd_file, abd, capsys):
     assert doc["opt"] == 24
     packing, objective = parse_packing(json.dumps(doc["witness"]))
     assert objective == 24
-    assert packing.bins == (("A", "D"), ("B",))
+    assert packing.bins == {1: ("A", "D"), 2: ("B",)}
 
 
 def test_oracle_fractional(abd_file, capsys):
@@ -121,6 +121,15 @@ def test_oracle_fractional(abd_file, capsys):
                  "--fractional"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"opt": "21", "witness": None}
+
+
+def test_oracle_fractional_rejects_instance(fig1b_files, capsys):
+    # the evacuation oracle has no fractional mode
+    _, inst, _ = fig1b_files
+    assert main(["oracle", "--instance", str(inst), "--fractional"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle: --fractional needs --packing\n"
 
 
 def test_oracle_budget_exit_3(tmp_path, capsys):

@@ -51,22 +51,23 @@ def test_fractional_lower_bound_brackets_greedy(seed):
 
 def test_assemble_walks_routes_back(fixtures):
     inst = fixtures["fig1b"].instance
-    packing = Packing(bins=(("G21",), ("G22",), ("G11",), ("G12",)))
+    packing = Packing(bins={1: ("G21",), 2: ("G22",), 3: ("G11",),
+                            4: ("G12",)})
     sched = assemble_schedule(inst, packing, None)
-    assert sched.as_map() == {
-        (1, 2): ("G21",),
-        (2, 1): ("G11",),
-        (2, 2): ("G22",),
-        (3, 1): ("G12",),
-        (3, 2): ("G11",),
-        (4, 2): ("G12",),
-    }
+    assert [(m.time, m.node, m.groups) for m in sched.moves] == [
+        (1, 2, ("G21",)),
+        (2, 1, ("G11",)),
+        (2, 2, ("G22",)),
+        (3, 1, ("G12",)),
+        (3, 2, ("G11",)),
+        (4, 2, ("G12",)),
+    ]
 
 
 def test_assemble_rejects_bin_before_ready(fixtures):
     inst = fixtures["fig1b"].instance
     # G11 sits one hop from the bottleneck; bin 1 would mean departing at 0
-    packing = Packing(bins=(("G11",),))
+    packing = Packing(bins={1: ("G11",)})
     with pytest.raises(ValueError, match="cannot reach the bottleneck"):
         assemble_schedule(inst, packing, None)
 
@@ -74,7 +75,7 @@ def test_assemble_rejects_bin_before_ready(fixtures):
 def test_assemble_rejects_unknown_group(fixtures):
     inst = fixtures["fig1b"].instance
     with pytest.raises(ValueError, match="unknown group"):
-        assemble_schedule(inst, Packing(bins=(("ghost",),)), None)
+        assemble_schedule(inst, Packing(bins={1: ("ghost",)}), None)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,8 @@ def test_assemble_rejects_unknown_group(fixtures):
 def test_solve_report_frozen(fixtures):
     inst = fixtures["fig1b"].instance
     report = solve_report(inst)
-    assert report.left_packing.bins == (("G21",), ("G22",), ("G11",), ("G12",))
+    assert report.left_packing.bins == {1: ("G21",), 2: ("G22",),
+                                        3: ("G11",), 4: ("G12",)}
     assert report.right_instance.items == ()
     assert report.objective == 54
     assert report.side_objective("left") == 54
@@ -302,6 +304,26 @@ def test_solve_and_validate_bottleneck_distance_1e9():
     assert elapsed < 1.0
 
 
+def test_solve_validate_certify_non_bottleneck_distance_1e9():
+    # a reaches the bottleneck at epoch d + 1, so its bin index is d + 1;
+    # only the two occupied bins are stored
+    d = 10 ** 9
+    inst = PathInstance(nodes=3, facility=3, capacity=4, distances=(d, 1),
+                        groups=(Group(id="a", node=1, size=3, weight=5),
+                                Group(id="b", node=2, size=2, weight=1)))
+    start = time.perf_counter()
+    report = solve_report(inst)
+    violations = validate_schedule(inst, report.schedule)
+    bound = fractional_lower_bound(inst, True)
+    assert time.perf_counter() - start < 1.0
+    assert violations == []
+    assert report.left_packing.bins == {1: ("b",), d + 1: ("a",)}
+    assert report.objective == 1 * 1 + 5 * (d + 1)
+    # a's ready time d + 1 reduces to pair index d // 2 + 1
+    assert bound == 1 * 1 + 5 * (d // 2 + 1)
+    assert bound <= report.objective <= 2 * bound
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -343,10 +365,11 @@ def test_delaying_a_suffix_stays_feasible(inst, data):
     sched, objective = solve(inst)
     if not sched.moves:
         return
-    k = data.draw(st.integers(min_value=1, max_value=sched.horizon),
+    last = max(m.time for m in sched.moves)
+    k = data.draw(st.integers(min_value=1, max_value=last),
                   label="suffix start")
-    shifted_map = {(t + 1 if t >= k else t, v): groups
-                   for (t, v), groups in sched.as_map().items()}
+    shifted_map = {(m.time + 1 if m.time >= k else m.time, m.node): m.groups
+                   for m in sched.moves}
     assert len(shifted_map) == len(sched.moves)
     shifted = Schedule.from_map(shifted_map)
     assert validate_schedule(inst, shifted) == []
@@ -368,7 +391,7 @@ def _add(moves: dict, key: tuple[int, int], ids) -> None:
 def _corrupt(inst: PathInstance, sched: Schedule, data) -> Schedule:
     """One to three corruptions of a solved schedule, never producing a
     duplicate (time, node) or a group named twice in one move."""
-    moves = {k: list(ids) for k, ids in sched.as_map().items()}
+    moves = {(m.time, m.node): list(m.groups) for m in sched.moves}
     ids = [g.id for g in inst.groups] or ["ghost"]
     size = {g.id: g.size for g in inst.groups}
     draw = data.draw

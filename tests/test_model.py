@@ -10,6 +10,7 @@ from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       serialize_instance, serialize_packing,
                       serialize_packing_instance, serialize_schedule,
                       validate_instance, validate_packing_instance)
+from pathevac.evac import _positions
 from pathevac.model import Move, Packing, Schedule
 
 
@@ -101,9 +102,10 @@ def test_instance_round_trip_is_byte_stable():
 
 def test_path_distance():
     inst = validate_instance(_doc())
-    assert inst.path_distance(1, 3) == 3
-    assert inst.path_distance(3, 1) == 3
-    assert inst.path_distance(2, 2) == 0
+    pos = _positions(inst)
+    assert abs(pos[1] - pos[3]) == 3
+    assert abs(pos[3] - pos[1]) == 3
+    assert abs(pos[2] - pos[2]) == 0
 
 
 def test_parse_rejects_bad_json():
@@ -112,11 +114,20 @@ def test_parse_rejects_bad_json():
 
 
 def test_packing_round_trip():
-    packing = Packing(bins=(("A",), ("B", "D")))
+    packing = Packing(bins={1: ("A",), 2: ("B", "D")})
     text = serialize_packing(packing, 26)
     parsed, objective = parse_packing(text)
     assert parsed == packing and objective == 26
     assert serialize_packing(parsed, objective) == text
+
+
+def test_packing_file_keeps_empty_bins():
+    # the file lists bins 1..max densely; parsing drops the empty ones
+    packing = Packing(bins={2: ("A",), 5: ("B", "D")})
+    text = serialize_packing(packing, 7)
+    assert json.loads(text)["bins"] == [[], ["A"], [], [], ["B", "D"]]
+    assert parse_packing(text) == (packing, 7)
+    assert json.loads(serialize_packing(Packing(bins={}), 0))["bins"] == []
 
 
 def test_packing_parse_errors():
@@ -206,8 +217,7 @@ def test_schedule_parse_errors():
 
 def test_schedule_from_map_drops_empty_moves():
     sched = Schedule.from_map({(1, 2): ("A",), (2, 1): ()})
-    assert len(sched.moves) == 1
-    assert sched.horizon == 1
+    assert sched.moves == (Move(time=1, node=2, groups=("A",)),)
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),

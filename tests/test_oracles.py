@@ -28,7 +28,7 @@ def test_horizon_bound(abd, ready_pair):
 def test_packing_opt_frozen(abd):
     value, witness = exact_packing_opt(abd)
     assert value == 24
-    assert witness.bins == (("A", "D"), ("B",))
+    assert witness.bins == {1: ("A", "D"), 2: ("B",)}
     assert validate_packing(witness, abd) == []
     assert packing_objective(witness, abd) == 24
 
@@ -41,12 +41,12 @@ def test_packing_opt_singleton_bins():
         PackingItem(id="c", size=2, weight=2, ready=1)))
     value, witness = exact_packing_opt(inst)
     assert value == 15
-    assert all(len(b) <= 1 for b in witness.bins)
+    assert all(len(b) == 1 for b in witness.bins.values())
 
 
 def test_packing_opt_empty():
     value, witness = exact_packing_opt(PackingInstance(capacity=1, items=()))
-    assert (value, witness.bins) == (0, ())
+    assert (value, witness.bins) == (0, {})
 
 
 def test_packing_opt_budgets():
@@ -97,7 +97,8 @@ def test_dwsf_opt_right_side_long_edge():
                                 Group(id="g2", node=2, size=2, weight=1)))
     value, witness = exact_dwsf_opt(inst)
     assert value == 10
-    assert witness.as_map() == {(1, 2): ("g1",), (2, 2): ("g2",)}
+    assert [(m.time, m.node, m.groups) for m in witness.moves] == [
+        (1, 2, ("g1",)), (2, 2, ("g2",))]
 
 
 def test_dwsf_opt_all_at_facility():

@@ -21,7 +21,7 @@ def test_eligibility_threshold_is_odd_alignment():
 
 def test_greedy_frozen_ratio_case(abd):
     packing, trace = solve_greedy(abd)
-    assert packing.bins == (("A",), ("B", "D"))
+    assert packing.bins == {1: ("A",), 2: ("B", "D")}
     assert packing_objective(packing, abd) == 26
     assert validate_packing(packing, abd) == []
     # the close of bin 1 shows up in the trace
@@ -31,7 +31,7 @@ def test_greedy_frozen_ratio_case(abd):
 
 def test_greedy_frozen_ready_jump(ready_pair):
     packing, trace = solve_greedy(ready_pair)
-    assert packing.bins == (("G2",), (), ("G1",))
+    assert packing.bins == {1: ("G2",), 3: ("G1",)}
     assert packing_objective(packing, ready_pair) == 10
     assert any(s.action == "jump" for s in trace.steps)
 
@@ -39,7 +39,7 @@ def test_greedy_frozen_ready_jump(ready_pair):
 def test_greedy_empty_instance():
     inst = PackingInstance(capacity=3, items=())
     packing, trace = solve_greedy(inst)
-    assert packing.bins == () and trace.steps == ()
+    assert packing.bins == {} and trace.steps == ()
     assert packing_objective(packing, inst) == 0
 
 
@@ -63,7 +63,7 @@ def test_greedy_ratio_tie_breaks_by_instance_order():
     ))
     packing, _ = solve_greedy(inst)
     # all ratios equal: x then y fill bin 1, z follows
-    assert packing.bins == (("x", "y"), ("z",))
+    assert packing.bins == {1: ("x", "y"), 2: ("z",)}
 
 
 def test_trace_replay_reproduces_packing(abd, ready_pair):
@@ -73,7 +73,7 @@ def test_trace_replay_reproduces_packing(abd, ready_pair):
 
 
 def test_validate_packing_names_violations(abd):
-    bad = Packing(bins=(("A", "B"), ("A",), ("Z",)))
+    bad = Packing(bins={1: ("A", "B"), 2: ("A",), 3: ("Z",)})
     violations = validate_packing(bad, abd)
     text = "; ".join(violations)
     assert "capacity" in text        # A+B = 11 > 10
@@ -85,7 +85,7 @@ def test_validate_packing_names_violations(abd):
 def test_validate_packing_ready_time():
     inst = PackingInstance(capacity=4, items=(
         PackingItem(id="G1", size=3, weight=3, ready=2),))
-    violations = validate_packing(Packing(bins=(("G1",),)), inst)
+    violations = validate_packing(Packing(bins={1: ("G1",)}), inst)
     assert violations and "ready time" in violations[0]
 
 
@@ -100,7 +100,7 @@ def test_paired_view_frozen(abd):
 
 def test_pair_overflow_flags_a_violating_packing(abd):
     # A alone in bin 1 and D in bin 2 total 9 <= 10
-    bad = Packing(bins=(("A",), ("D",), ("B",)))
+    bad = Packing(bins={1: ("A",), 2: ("D",), 3: ("B",)})
     assert pair_overflow_violations(bad, abd)
 
 
@@ -121,8 +121,11 @@ def test_greedy_output_invariants(inst):
     assert validate_packing(packing, inst) == []
     assert solve_greedy(inst)[0] == packing
     assert replay_trace(trace, inst) == packing
+    # only occupied bins are stored, in ascending index order
+    assert list(packing.bins) == sorted(packing.bins)
+    assert all(packing.bins.values())
     # every item sits at or after its odd-aligned threshold
-    bin_of = packing.bin_of()
+    bin_of = {i: j for j, bin_ in packing.bins.items() for i in bin_}
     for it in inst.items:
         assert bin_of[it.id] >= eligibility_threshold(it.ready) >= it.ready
     # consecutive pairs with a used even bin overflow the capacity

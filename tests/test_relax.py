@@ -45,12 +45,9 @@ def test_fractional_greedy_frozen(abd):
     fp = solve_fractional_greedy(abd)
     assert validate_fractional(fp, abd) == []
     assert fractional_objective(fp, abd) == 21
-    entries = fp.as_map()
     # bin 1 carries all of A and five sixths of B
-    assert entries[("A", 1)] == 1
-    assert entries[("B", 1)] == Fraction(5, 6)
-    assert entries[("B", 2)] == Fraction(1, 6)
-    assert entries[("D", 2)] == 1
+    assert fp.entries == (("A", 1, 1), ("B", 1, Fraction(5, 6)),
+                          ("B", 2, Fraction(1, 6)), ("D", 2, 1))
 
 
 def test_fractional_respects_ready_times(ready_pair):
