@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import evac, instances, oracles, relax
-from .model import (InstanceError, _dumps, fraction_str, parse_instance,
+from .model import (InstanceError, _dumps, parse_instance,
                     parse_packing_instance, parse_schedule,
                     serialize_instance, serialize_packing,
                     serialize_packing_instance, serialize_schedule)
@@ -92,7 +92,7 @@ def _cmd_oracle(args) -> int:
     elif args.fractional:
         pinst = parse_packing_instance(_read(args.packing))
         value = oracles.exact_fractional_opt_mcf(pinst)
-        doc = {"opt": fraction_str(value), "witness": None}
+        doc = {"opt": str(value), "witness": None}
     else:
         pinst = parse_packing_instance(_read(args.packing))
         opt, packing = oracles.exact_packing_opt(pinst)
@@ -109,7 +109,7 @@ def _cmd_lowerbound(args) -> int:
     else:
         value = relax.fractional_bound(parse_packing_instance(
             _read(args.packing)), args.reduced_tau)
-    _write(args.output, _dumps({"fractional_lb": fraction_str(value),
+    _write(args.output, _dumps({"fractional_lb": str(value),
                                 "reduced_tau": args.reduced_tau}))
     return 0
 
@@ -177,7 +177,7 @@ def _bench_row(seed: int, args) -> dict:
     greedy = greedy_of()
     lb = bound_of()
     row = {"seed": seed, "m": m, "greedy": greedy,
-           "fractional_lb": fraction_str(lb),
+           "fractional_lb": str(lb),
            "opt": "", "ratio_vs_opt": "",
            "ratio_vs_lb": f"{float(greedy / lb):.6f}" if lb else "",
            "wall_time_s": 0.0}
@@ -342,9 +342,6 @@ def main(argv=None) -> int:
     except oracles.OracleBudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except evac.SimulationInfeasible as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (FileNotFoundError, PermissionError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1

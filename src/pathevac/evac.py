@@ -10,10 +10,8 @@ the route gives every intermediate departure with zero waiting.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from . import relax
@@ -56,8 +54,13 @@ def reduce_side(inst: PathInstance, side: str) \
 
     Item sizes and weights carry over; ready time is the prefix distance to
     the bottleneck's near node plus one. An empty side reduces to an empty
-    instance with zero delay cost.
+    instance with zero delay cost. The reduction assumes one capacity on
+    every edge, so per-edge overrides raise NonUniformCapacityError.
     """
+    if not inst.is_uniform:
+        raise NonUniformCapacityError(
+            "solver requires a uniform edge capacity; "
+            "this instance declares per-edge overrides")
     a = inst.facility
     if side == "left":
         groups = [g for g in inst.groups if g.node < a]
@@ -157,10 +160,6 @@ class SolveReport:
 
 def solve_report(inst: PathInstance) -> SolveReport:
     """Reduce, pack greedily, assemble, and simulate both sides."""
-    if not inst.is_uniform:
-        raise NonUniformCapacityError(
-            "solver requires a uniform edge capacity; "
-            "this instance declares per-edge overrides")
     left_inst, left_red = reduce_side(inst, "left")
     right_inst, right_red = reduce_side(inst, "right")
     left_packing, left_trace = solve_greedy(left_inst)
@@ -191,19 +190,14 @@ def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
     return at
 
 
-def _snapshot(at: dict[int, dict[str, None]]) -> dict[int, tuple[str, ...]]:
-    return {v: tuple(ids) for v, ids in at.items() if ids}
-
-
 @dataclass(frozen=True)
 class SimulationTrace:
     """Facility arrivals of a schedule walk, plus its event log.
 
     `events` holds one (epoch, node, ids, landed) entry per departure
     (landed False: the ids left the node) and per landing (landed True: the
-    ids joined the node), in the order the walk applied them. The occupancy
-    table is rebuilt from the instance's start state and this log only when
-    it is first read, so a walk holds O(moves), never a snapshot per epoch.
+    ids joined the node), in the order the walk applied them. A walk holds
+    O(moves), never a snapshot per epoch; `render_table` replays the log.
     """
 
     instance: PathInstance
@@ -211,48 +205,29 @@ class SimulationTrace:
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
 
-    @cached_property
-    def occupancy(self) -> dict[int, dict[int, tuple[str, ...]]]:
-        """Event epoch -> node -> ids at the end of that epoch.
+    def render_table(self) -> str:
+        """Per-epoch occupancy table, one line per epoch.
 
-        Snapshots exist at epoch 0 and at every epoch where a group left or
-        landed; between two of them nothing moves.
+        One forward sweep of the event log from the instance's start state:
+        the columns are the nodes occupied at the start or landed on later,
+        and each row is printed after its epoch's events are applied.
         """
         at = _start(self.instance)
-        occupancy = {}
-        last = 0
-        for t, v, ids, landed in self.events:
-            if t != last:
-                occupancy[last] = _snapshot(at)
-                last = t
-            if landed:
-                at[v].update(dict.fromkeys(ids))
-            else:
-                for gid in ids:
-                    del at[v][gid]
-        occupancy[last] = _snapshot(at)
-        return occupancy
-
-    @cached_property
-    def _epochs(self) -> list[int]:
-        return sorted(self.occupancy)
-
-    def occupancy_at(self, t: int) -> dict[int, tuple[str, ...]]:
-        """Node -> ids at the end of epoch t: the latest snapshot at or
-        before t, empty before epoch 0."""
-        i = bisect_right(self._epochs, t)
-        return self.occupancy[self._epochs[i - 1]] if i else {}
-
-    def render_table(self) -> str:
-        """Per-epoch occupancy table, one line per epoch."""
-        nodes = sorted({v for occ in self.occupancy.values() for v in occ})
+        events = self.events
+        nodes = sorted({v for v, ids in at.items() if ids}
+                       | {v for _t, v, _ids, landed in events if landed})
         lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
+        i = 0
         for t in range(self.horizon + 1):
-            occ = self.occupancy_at(t)
-            cells = []
-            for v in nodes:
-                ids = occ.get(v, ())
-                cells.append(",".join(ids) if ids else "-")
+            while i < len(events) and events[i][0] == t:
+                _t, v, ids, landed = events[i]
+                i += 1
+                if landed:
+                    at[v].update(dict.fromkeys(ids))
+                else:
+                    for gid in ids:
+                        del at[v][gid]
+            cells = [",".join(at[v]) if at[v] else "-" for v in nodes]
             lines.append(f"{t:>4}  " + "  ".join(cells))
         return "\n".join(lines)
 

@@ -37,6 +37,15 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _require_at_least(params: object, **least: int) -> None:
+    """Raise ValueError naming the first field of `params` below its least
+    value; a field left at None (its default) passes."""
+    for name, low in least.items():
+        value = getattr(params, name)
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for random path instances."""
@@ -53,8 +62,8 @@ class GenParams:
 
 def gen_random(seed: int, params: GenParams = GenParams()) -> PathInstance:
     """Deterministic random path instance for a (seed, params) pair."""
-    if params.nodes < 1 or params.groups < 0 or params.capacity < 1:
-        raise ValueError("nodes and capacity must be positive")
+    _require_at_least(params, nodes=1, groups=0, capacity=1, max_size=1,
+                      max_weight=1, max_distance=1)
     rng = SplitMix64(seed)
     facility = params.facility if params.facility is not None \
         else rng.randint(1, params.nodes)
@@ -95,8 +104,8 @@ class PackParams:
 def gen_random_packing(seed: int, params: PackParams = PackParams()) \
         -> PackingInstance:
     """Deterministic random packing instance for a (seed, params) pair."""
-    if params.items < 0 or params.capacity < 1 or params.max_ready < 1:
-        raise ValueError("capacity and max_ready must be positive")
+    _require_at_least(params, items=0, capacity=1, max_size=1, max_weight=1,
+                      max_ready=1)
     rng = SplitMix64(seed)
     max_size = min(params.max_size or params.capacity, params.capacity)
     width = len(str(params.items))

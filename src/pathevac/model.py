@@ -441,7 +441,3 @@ def parse_schedule(text: str) -> Schedule:
     moves.sort(key=lambda m: (m.time, m.node))
     return Schedule(moves=tuple(moves))
 
-
-def fraction_str(f: Fraction) -> str:
-    """Exact decimal-free rendering, e.g. '21' or '5/2'."""
-    return str(f)

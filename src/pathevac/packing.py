@@ -170,14 +170,21 @@ def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
     return Packing(bins={b: tuple(bins[b]) for b in sorted(bins)})
 
 
+def _require_known(by_id: dict[str, PackingItem], ids: Sequence[str],
+                   j: int) -> None:
+    """Raise ValueError naming the first id of bin j the instance lacks."""
+    for item_id in ids:
+        if item_id not in by_id:
+            raise ValueError(f"unknown item {item_id!r} in bin {j}")
+
+
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:
     """Sum of weight * bin index over all packed items."""
     by_id = inst.item_by_id()
     total = 0
     for j, bin_ in packing.bins.items():
+        _require_known(by_id, bin_, j)
         for item_id in bin_:
-            if item_id not in by_id:
-                raise ValueError(f"unknown item {item_id!r} in bin {j}")
             total += by_id[item_id].weight * j
     return total
 
@@ -234,6 +241,7 @@ def paired_view(packing: Packing, inst: PackingInstance) \
     by_id = inst.item_by_id()
     pairs: dict[int, list[str]] = {}
     for j, bin_ in packing.bins.items():
+        _require_known(by_id, bin_, j)
         pairs.setdefault((j + 1) // 2, []).extend(bin_)
     rows: list[PairRow] = []
     total = 0
@@ -258,6 +266,8 @@ def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[st
         if j % 2 or not even:
             continue
         odd = packing.bins.get(j - 1, ())
+        _require_known(by_id, odd, j - 1)
+        _require_known(by_id, even, j)
         size = sum(by_id[i].size for i in odd) + sum(by_id[i].size for i in even)
         if size <= inst.capacity:
             violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "

@@ -102,3 +102,18 @@ def ref_walk(inst: PathInstance, sched: Schedule) \
     trace = RefTrace(occupancy=occupancy,
                      arrival_time=arrival_time, horizon=horizon)
     return trace, violations
+
+
+def render(trace: RefTrace) -> str:
+    """The occupancy table of a reference trace, read from its snapshot at
+    every epoch: the table as rendered before the event-log sweep."""
+    nodes = sorted({v for occ in trace.occupancy.values() for v in occ})
+    lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
+    for t in range(trace.horizon + 1):
+        occ = trace.occupancy[t]
+        cells = []
+        for v in nodes:
+            ids = occ.get(v, ())
+            cells.append(",".join(ids) if ids else "-")
+        lines.append(f"{t:>4}  " + "  ".join(cells))
+    return "\n".join(lines)

@@ -155,6 +155,19 @@ def test_lowerbound_instance(fig1b_files, capsys):
         "fractional_lb": "97/2", "reduced_tau": True}
 
 
+def test_lowerbound_nonuniform_exits_2(tmp_path, fixtures, capsys):
+    # the reduction assumes one capacity: on fig1a it would print 32, above
+    # the objective 28 of the fixture's own feasible schedule
+    path = tmp_path / "a.json"
+    path.write_text(serialize_instance(fixtures["fig1a"].instance),
+                    encoding="utf-8")
+    for flags in ([], ["--reduced-tau"]):
+        assert main(["lowerbound", "--instance", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "uniform" in captured.err
+
+
 def test_lowerbound_packing(abd_file, capsys):
     assert main(["lowerbound", "--packing", str(abd_file)]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -194,6 +207,25 @@ def test_gen_packing(capsys):
     assert main(["gen", "--seed", "7", "--packing", "--capacity", "10"]) == 0
     pinst = parse_packing_instance(capsys.readouterr().out)
     assert pinst == instances.gen_random_packing(7)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-size", "0"], "max_size must be >= 1, got 0"),
+    (["--max-size", "-2"], "max_size must be >= 1, got -2"),
+    (["--max-distance", "0"], "max_distance must be >= 1, got 0"),
+    (["--max-weight", "0"], "max_weight must be >= 1, got 0"),
+    (["--groups", "-1"], "groups must be >= 0, got -1"),
+    (["--nodes", "0"], "nodes must be >= 1, got 0"),
+    (["--capacity", "0"], "capacity must be >= 1, got 0"),
+    (["--packing", "--items", "-1"], "items must be >= 0, got -1"),
+    (["--packing", "--max-ready", "0"], "max_ready must be >= 1, got 0"),
+    (["--packing", "--max-size", "0"], "max_size must be >= 1, got 0"),
+])
+def test_gen_names_the_out_of_range_flag(flags, message, capsys):
+    assert main(["gen", "--seed", "7", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
 
 
 def test_gen_requires_seed(capsys):

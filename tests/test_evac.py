@@ -9,7 +9,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       reduce_side, schedule_objective, simulate, solve,
                       solve_report, validate_schedule)
 from pathevac.evac import _walk, check_schedule
-from ref_walk import ref_walk
+from ref_walk import ref_walk, render
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,13 @@ def test_solve_rejects_per_edge_capacities(fixtures):
         solve(fixtures["fig1a"].instance)
 
 
+def test_fractional_lower_bound_rejects_per_edge_capacities(fixtures):
+    # the reduction assumes one capacity; on fig1a it would give 32, above
+    # the objective 28 of the fixture's own feasible schedule
+    with pytest.raises(NonUniformCapacityError, match="uniform"):
+        fractional_lower_bound(fixtures["fig1a"].instance)
+
+
 def test_solve_all_at_facility():
     inst = PathInstance(nodes=1, facility=1, capacity=2, distances=(),
                         groups=(Group(id="g", node=1, size=1, weight=4),))
@@ -126,8 +133,6 @@ def test_simulate_reference_schedule(fixtures):
     trace = simulate(fx.instance, fx.schedule)
     assert trace.arrival_time == dict(fx.arrival_times)
     assert schedule_objective(trace, fx.instance) == 52
-    occ0 = {v: set(ids) for v, ids in trace.occupancy[0].items()}
-    assert occ0 == {1: {"G11", "G12"}, 2: {"G21", "G22"}}
     # crossing the long edge takes two epochs: G21 leaves at 1, lands at 2
     assert trace.arrival_time["G21"] == 2
 
@@ -193,21 +198,6 @@ time  node 1  node 2  node 3
    5  -  -  G21,G11,G12,G22"""
 
 
-def test_occupancy_is_built_on_first_read(fixtures):
-    fx = fixtures["fig1b"]
-    trace = simulate(fx.instance, fx.schedule)
-    assert "occupancy" not in vars(trace)
-    assert trace.occupancy == {
-        0: {1: ("G11", "G12"), 2: ("G21", "G22")},
-        1: {1: ("G12",), 2: ("G22", "G11")},
-        2: {2: ("G22", "G12"), 3: ("G21",)},
-        3: {2: ("G22",), 3: ("G21", "G11")},
-        4: {3: ("G21", "G11", "G12")},
-        5: {3: ("G21", "G11", "G12", "G22")},
-    }
-    assert "occupancy" in vars(trace)
-
-
 def test_render_table_fills_epochs_without_events():
     # G2 waits at node 4 through epoch 1 and G1, G3 sit at the facility
     # throughout; epochs 1, 3, 6, 7 and 10-12 have no departure or landing
@@ -215,7 +205,6 @@ def test_render_table_fills_epochs_without_events():
                                     max_size=10, max_distance=6, facility=1))
     sched, _ = solve(inst)
     trace = simulate(inst, sched)
-    assert sorted(trace.occupancy) == [0, 2, 4, 5, 8, 9, 13]
     assert trace.render_table() == """\
 time  node 1  node 2  node 3  node 4
    0  G1,G3  -  -  G2
@@ -234,15 +223,20 @@ time  node 1  node 2  node 3  node 4
   13  G1,G3,G2  -  -  -"""
 
 
-def test_occupancy_at_holds_the_latest_snapshot(fixtures):
+def test_render_table_holds_rows_between_events(fixtures):
+    # one move at epoch 5: rows 0-4 repeat the start state, G21 leaves
+    # node 2 in row 5 and lands on node 3 in row 6
     inst = fixtures["fig1b"].instance
     trace = simulate(inst, Schedule(moves=(Move(5, 2, ("G21",)),)))
-    assert sorted(trace.occupancy) == [0, 5, 6]
-    assert trace.occupancy_at(-1) == {}
-    assert trace.occupancy_at(4) == trace.occupancy[0]
-    assert trace.occupancy_at(5) == {1: ("G11", "G12"), 2: ("G22",)}
-    assert trace.occupancy_at(99) == {1: ("G11", "G12"), 2: ("G22",),
-                                      3: ("G21",)}
+    assert trace.render_table() == """\
+time  node 1  node 2  node 3
+   0  G11,G12  G21,G22  -
+   1  G11,G12  G21,G22  -
+   2  G11,G12  G21,G22  -
+   3  G11,G12  G21,G22  -
+   4  G11,G12  G21,G22  -
+   5  G11,G12  G22  -
+   6  G11,G12  G22  G21"""
 
 
 def test_duplicate_group_in_one_move(fixtures):
@@ -350,13 +344,12 @@ def test_solver_output_feasible_and_decomposes(inst):
 @given(inst=_instances)
 def test_occupancy_conservation(inst):
     sched, _ = solve(inst)
-    trace = simulate(inst, sched)
-    for t, occ in trace.occupancy.items():
-        seen: set[str] = set()
-        for ids in occ.values():
-            for gid in ids:
-                assert gid not in seen, f"{gid} at two nodes at epoch {t}"
-                seen.add(gid)
+    rows = simulate(inst, sched).render_table().splitlines()[1:]
+    for row in rows:
+        t, *cells = row.split()
+        ids = [gid for cell in cells if cell != "-"
+               for gid in cell.split(",")]
+        assert len(ids) == len(set(ids)), f"a group at two nodes at epoch {t}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,6 +444,4 @@ def test_walk_matches_epoch_by_epoch_reference(inst, data):
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    assert set(trace.occupancy) <= set(ref_trace.occupancy)
-    for t in range(ref_trace.horizon + 1):
-        assert trace.occupancy_at(t) == ref_trace.occupancy[t]
+    assert trace.render_table() == render(ref_trace)
