@@ -10,6 +10,8 @@ the route gives every intermediate departure with zero waiting.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -112,25 +114,25 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
     a = inst.facility
     by_id = inst.group_by_id()
     pos = _positions(inst)
-    moves: dict[tuple[int, int], list[str]] = {}
+    moves: defaultdict[tuple[int, int], list[str]] = defaultdict(list)
     for side, packing in (("left", left), ("right", right)):
         if packing is None:
             continue
-        near = a - 1 if side == "left" else a + 1
+        near, step = (a - 1, 1) if side == "left" else (a + 1, -1)
         for t_cross, bin_ in packing.bins.items():
             for gid in bin_:
                 g = by_id.get(gid)
                 if g is None:
                     raise ValueError(f"packing references unknown group {gid!r}")
-                route = range(g.node, near + 1) if side == "left" \
-                    else range(g.node, near - 1, -1)
+                route = range(g.node, near + step, step)
+                # the route starts at its farthest node, so the first
+                # departure is the earliest
+                if route and t_cross - abs(pos[g.node] - pos[near]) < 1:
+                    raise ValueError(
+                        f"group {gid!r} in bin {t_cross} cannot reach the "
+                        f"bottleneck in time (ready-time violation)")
                 for v in route:
-                    t = t_cross - abs(pos[v] - pos[near])
-                    if t < 1:
-                        raise ValueError(
-                            f"group {gid!r} in bin {t_cross} cannot reach the "
-                            f"bottleneck in time (ready-time violation)")
-                    moves.setdefault((t, v), []).append(gid)
+                    moves[(t_cross - abs(pos[v] - pos[near]), v)].append(gid)
     return Schedule.from_map(moves)
 
 
@@ -196,12 +198,13 @@ class SimulationTrace:
 
     `events` holds one (epoch, node, ids, landed) entry per departure
     (landed False: the ids left the node) and per landing (landed True: the
-    ids joined the node), in the order the walk applied them. A walk holds
-    O(moves), never a snapshot per epoch; `render_table` replays the log.
+    ids joined the node), in the order the walk applied them; an entry's
+    ids are a sequence of distinct group ids. A walk holds O(moves), never
+    a snapshot per epoch; `render_table` replays the log.
     """
 
     instance: PathInstance
-    events: list[tuple[int, int, list[str], bool]]
+    events: list[tuple[int, int, Sequence[str], bool]]
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
 
@@ -239,109 +242,140 @@ def _walk(inst: PathInstance, sched: Schedule) \
     Groups named in a bad move simply do not move, so one violation never
     cascades into spurious ones downstream. The walk jumps from one event
     epoch to the next (moves sorted once, landing epochs in a heap), so its
-    cost follows the number of moves, never the epoch values. Within an
-    epoch, departures go first in node order, then landings in departure
-    order, so a distance-1 hop lands in its own epoch and cannot leave again
-    before the next one.
+    cost follows the number of moves, never the epoch values. Moves whose
+    (time, node) keys arrive ascending, as `Schedule.from_map` and
+    `parse_schedule` give them, skip the sort and the duplicate-key check.
+    Within an epoch, departures go first in node order, then landings in
+    departure order, so a distance-1 hop lands in its own epoch and cannot
+    leave again before the next one.
     """
     a = inst.facility
+    nodes = inst.nodes
     size_of = {g.id: g.size for g in inst.groups}
     violations: list[str] = []
-    moves: dict[tuple[int, int], tuple[str, ...]] = {}
-    seen: set[tuple[int, int]] = set()
-    for m in sched.moves:
-        if m.node < 1 or m.node > inst.nodes:
-            violations.append(f"unknown: node {m.node} outside the path "
-                              f"(move at time {m.time})")
+    report = violations.append
+    # (time, node, ids) of every departure that names a known group
+    departures: list[tuple[int, int, tuple[str, ...]]] = []
+    keep = departures.append
+    last_t = last_v = 0     # the last key, while the keys ascend
+    # keys of the moves on the path, built once the keys stop ascending:
+    # strictly ascending keys cannot repeat
+    seen: set[tuple[int, int]] | None = None
+    for k, m in enumerate(sched.moves):
+        t = m.time
+        v = m.node
+        ids = m.groups
+        if v < 1 or v > nodes:
+            report(f"unknown: node {v} outside the path (move at time {t})")
             continue
-        if m.time < 1:
-            violations.append(f"time: move at time {m.time}, node {m.node} "
-                              "before epoch 1")
+        if t < 1:
+            report(f"time: move at time {t}, node {v} before epoch 1")
             continue
-        key = (m.time, m.node)
-        if key in seen:
-            violations.append(f"duplicate: two moves at time {m.time}, "
-                              f"node {m.node}")
+        if seen is None and (t > last_t or t == last_t and v > last_v):
+            last_t = t
+            last_v = v
+        else:
+            if seen is None:
+                seen = {(p.time, p.node) for p in sched.moves[:k]
+                        if 1 <= p.node <= nodes and p.time >= 1}
+            key = (t, v)
+            if key in seen:
+                report(f"duplicate: two moves at time {t}, node {v}")
+                continue
+            seen.add(key)
+        if len(ids) == 1:
+            if ids[0] in size_of:
+                keep((t, v, ids))
+            else:
+                report(f"unknown: group {ids[0]!r} in move at time {t}, "
+                       f"node {v}")
             continue
-        seen.add(key)
         kept: dict[str, None] = {}
-        for gid in m.groups:
+        for gid in ids:
             if gid not in size_of:
-                violations.append(f"unknown: group {gid!r} in move at time "
-                                  f"{m.time}, node {m.node}")
+                report(f"unknown: group {gid!r} in move at time {t}, "
+                       f"node {v}")
             elif gid in kept:
-                violations.append(f"duplicate: group {gid!r} twice in move "
-                                  f"at time {m.time}, node {m.node}")
+                report(f"duplicate: group {gid!r} twice in move at time {t}, "
+                       f"node {v}")
             else:
                 kept[gid] = None
         if kept:
-            moves[key] = tuple(kept)
+            keep((t, v, ids if len(kept) == len(ids) else tuple(kept)))
+    if seen is not None:
+        departures.sort()   # the keys are distinct, so ids never compare
 
     # insertion-ordered: instance order first, then landing order
     at = _start(inst)
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
     # edge k joins nodes k and k + 1; index 0 is unused
     dist = (0, *inst.distances)
-    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (inst.nodes - 1)))
-    events: list[tuple[int, int, list[str], bool]] = []
+    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
+    events: list[tuple[int, int, Sequence[str], bool]] = []
+    log = events.append
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
-    departures = sorted(moves.items())
     n = len(departures)
-    horizon = departures[-1][0][0] if departures else 0
     # land epoch -> [(node, ids)] in departure order, and a heap of its keys
-    pending: dict[int, list[tuple[int, list[str]]]] = {}
+    pending: dict[int, list[tuple[int, Sequence[str]]]] = {}
     land_epochs: list[int] = []
     i = 0
+    t = 0   # ends as the last event epoch: the horizon
     while i < n or land_epochs:
-        t = departures[i][0][0] if i < n else land_epochs[0]
+        t = departures[i][0] if i < n else land_epochs[0]
         if land_epochs and land_epochs[0] < t:
             t = land_epochs[0]
         while i < n:
-            (t_dep, v), ids = departures[i]
+            t_dep, v, ids = departures[i]
             if t_dep != t:
                 break
             i += 1
             if v == a:
-                violations.append(f"direction: move at the facility node {a} "
-                                  f"at time {t}")
+                report(f"direction: move at the facility node {a} at time {t}")
                 continue
             here = at[v]
-            present = []
             size = 0
+            missing = ()
             for gid in ids:
                 if gid in here:
                     del here[gid]
-                    present.append(gid)
                     size += size_of[gid]
                 else:
-                    violations.append(f"presence: group {gid!r} not at node "
-                                      f"{v} at time {t}")
-            if not present:
-                continue
+                    report(f"presence: group {gid!r} not at node {v} "
+                           f"at time {t}")
+                    missing += (gid,)
+            if missing:
+                # the ids of one move are distinct
+                ids = [gid for gid in ids if gid not in missing]
+                if not ids:
+                    continue
             edge = v if v < a else v - 1
             if size > caps[edge]:
-                violations.append(f"capacity: departure from node {v} at time "
-                                  f"{t} carries size {size} > capacity "
-                                  f"{caps[edge]}")
-            events.append((t, v, present, False))
+                report(f"capacity: departure from node {v} at time {t} "
+                       f"carries size {size} > capacity {caps[edge]}")
+            log((t, v, ids, False))
             land = t + dist[edge] - 1
             batch = pending.get(land)
             if batch is None:
                 pending[land] = batch = []
-                heapq.heappush(land_epochs, land)
-            batch.append((v + 1 if v < a else v - 1, present))
+                heappush(land_epochs, land)
+            batch.append((v + 1 if v < a else v - 1, ids))
         if land_epochs and land_epochs[0] == t:
-            heapq.heappop(land_epochs)
+            heappop(land_epochs)
             for u, ids in pending.pop(t):
-                at[u].update(dict.fromkeys(ids))
-                events.append((t, u, ids, True))
+                here = at[u]
+                for gid in ids:
+                    here[gid] = None
+                log((t, u, ids, True))
                 if u == a:
+                    # a group at the facility never departs, so it lands
+                    # there at most once
                     for gid in ids:
-                        arrival_time.setdefault(gid, t)
-        horizon = max(horizon, t)
+                        arrival_time[gid] = t
 
     trace = SimulationTrace(instance=inst, events=events,
-                            arrival_time=arrival_time, horizon=horizon)
+                            arrival_time=arrival_time, horizon=t)
     return trace, violations
 
 

@@ -131,7 +131,7 @@ class Schedule:
         for (t, v) in sorted(moves):
             ids = tuple(moves[(t, v)])
             if ids:
-                out.append(Move(time=t, node=v, groups=ids))
+                out.append(Move(t, v, ids))
         return Schedule(moves=tuple(out))
 
 
@@ -305,9 +305,12 @@ def _dumps(obj: Any) -> str:
 
 
 def _loads(text: str) -> Any:
+    # besides JSONDecodeError (a ValueError), the decoder raises a bare
+    # ValueError on an integer past the int digit limit and RecursionError
+    # on deeply nested arrays or objects
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceError([f"json: {exc}"]) from exc
 
 
@@ -402,42 +405,80 @@ def serialize_schedule(sched: Schedule) -> str:
     return '{\n  "moves": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
 
 
+def _move_errors(errors: list[str], idx: int, m: Any) -> None:
+    """Append the violations of one move entry that failed the fast guard
+    of `parse_schedule`."""
+    if not _is_mapping(m):
+        errors.append(f"moves[{idx}]: expected an object")
+        return
+    ok = _require_int(errors, m.get("time"), f"moves[{idx}].time", 1)
+    ok &= _require_int(errors, m.get("node"), f"moves[{idx}].node", 1)
+    ids = m.get("groups")
+    if not isinstance(ids, list) or not ids or \
+            not all(isinstance(x, str) and x for x in ids):
+        errors.append(f"moves[{idx}].groups: expected a non-empty "
+                      "list of group ids")
+    elif ok:
+        # every other check holds, so the guard failed on a repeated id
+        errors.append(f"moves[{idx}].groups: duplicate group in one move")
+
+
 def parse_schedule(text: str) -> Schedule:
+    """Read a schedule document; raises InstanceError naming every bad
+    move entry and every repeated (time, node).
+
+    A decoded JSON document holds exact `int`, `str`, `list` and `dict`
+    values only, so one type-exact guard per move accepts every well-formed
+    entry (and rejects `true`, which is no `int` here); an entry that fails
+    it is described by `_move_errors`. The moves are sorted only when their
+    keys do not arrive ascending, as `serialize_schedule` writes them.
+    """
     data = _loads(text)
-    errors: list[str] = []
     if not _is_mapping(data):
         raise InstanceError(["document: expected a JSON object"])
     raw = data.get("moves")
     if not isinstance(raw, list):
         raise InstanceError(["moves: expected a list"])
+    errors: list[str] = []
     moves: list[Move] = []
-    seen: set[tuple[int, int]] = set()
+    append = moves.append
+    last_t = last_v = 0     # the last key, while the keys ascend
+    # keys of the accepted moves, built once the keys stop ascending:
+    # strictly ascending keys cannot repeat
+    seen: set[tuple[int, int]] | None = None
     for idx, m in enumerate(raw):
-        if not _is_mapping(m):
-            errors.append(f"moves[{idx}]: expected an object")
-            continue
-        ok = _require_int(errors, m.get("time"), f"moves[{idx}].time", 1)
-        ok &= _require_int(errors, m.get("node"), f"moves[{idx}].node", 1)
-        ids = m.get("groups")
-        if not isinstance(ids, list) or not ids or \
-                not all(isinstance(x, str) and x for x in ids):
-            errors.append(f"moves[{idx}].groups: expected a non-empty "
-                          "list of group ids")
-            ok = False
-        if not ok:
-            continue
-        if len(set(ids)) != len(ids):
-            errors.append(f"moves[{idx}].groups: duplicate group in one move")
-            continue
-        key = (m["time"], m["node"])
-        if key in seen:
-            errors.append(f"moves[{idx}]: duplicate entry for time {key[0]}, "
-                          f"node {key[1]}")
-            continue
-        seen.add(key)
-        moves.append(Move(time=m["time"], node=m["node"], groups=tuple(ids)))
+        if type(m) is dict:
+            t = m.get("time")
+            v = m.get("node")
+            ids = m.get("groups")
+            if type(t) is int and t >= 1 and type(v) is int and v >= 1 \
+                    and type(ids) is list and ids:
+                if len(ids) == 1:
+                    gid = ids[0]
+                    ok = type(gid) is str and gid != ""
+                else:
+                    ok = all(type(x) is str for x in ids) \
+                        and "" not in ids and len(set(ids)) == len(ids)
+                if ok:
+                    if seen is None and (t > last_t
+                                         or t == last_t and v > last_v):
+                        last_t = t
+                        last_v = v
+                    else:
+                        if seen is None:
+                            seen = {(mv.time, mv.node) for mv in moves}
+                        key = (t, v)
+                        if key in seen:
+                            errors.append(f"moves[{idx}]: duplicate entry "
+                                          f"for time {t}, node {v}")
+                            continue
+                        seen.add(key)
+                    append(Move(t, v, tuple(ids)))
+                    continue
+        _move_errors(errors, idx, m)
     if errors:
         raise InstanceError(errors)
-    moves.sort(key=lambda m: (m.time, m.node))
+    if seen is not None:
+        moves.sort(key=attrgetter("time", "node"))
     return Schedule(moves=tuple(moves))
 

@@ -315,6 +315,23 @@ def test_malformed_instance_exit_1(tmp_path, capsys):
     assert "facility" in err and "capacity" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"nodes": ' + "7" * 5000 + "}"],
+                         ids=["deep", "long-int"])
+@pytest.mark.parametrize("flag", ["--instance", "--schedule", "--packing"])
+def test_undecodable_json_exit_1(fig1b_files, tmp_path, capsys, flag, text):
+    _, inst, sched = fig1b_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    argv = {"--instance": ["solve", "--instance", str(bad)],
+            "--schedule": ["validate", "--instance", str(inst),
+                           "--schedule", str(bad)],
+            "--packing": ["lowerbound", "--packing", str(bad)]}[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("json: ")
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     assert main(["solve", "--instance", str(tmp_path / "nope.json")]) == 1
     assert capsys.readouterr().err

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
@@ -9,6 +9,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       reduce_side, schedule_objective, simulate, solve,
                       solve_report, validate_schedule)
 from pathevac.evac import _walk, check_schedule
+from ref_event_walk import ref_event_walk
 from ref_walk import ref_walk, render
 
 
@@ -434,7 +435,14 @@ _any_distance_instances = st.builds(
     dist=st.sampled_from((1, 3, 1000)))
 
 
-@settings(max_examples=300, deadline=None)
+# Shrinking reruns both walks on every candidate, and `ref_walk` steps
+# through every epoch of the distance-1000 instances: a failure took minutes
+# to report with shrinking on. The unshrunk counterexample is printed all
+# the same.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+@settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
 @given(inst=_any_distance_instances, data=st.data())
 def test_walk_matches_epoch_by_epoch_reference(inst, data):
     sched, _ = solve(inst)
@@ -445,3 +453,70 @@ def test_walk_matches_epoch_by_epoch_reference(inst, data):
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
     assert trace.render_table() == render(ref_trace)
+
+
+# ---------------------------------------------------------------------------
+# the walk against the event walk it replaced, on schedules built in code
+
+_DAMAGE = ("key", "twice", "early", "off", "ghost", "facility", "empty")
+
+
+def _damage(inst: PathInstance, sched: Schedule, data) -> Schedule:
+    """Zero to four kinds of damage that `Schedule.from_map` never gives (a
+    repeated (time, node), a group named twice in one move, a move before
+    epoch 1, off the path, naming no group) or that `_corrupt` gives only
+    in one-id moves, then possibly the moves in any order."""
+    moves = list(sched.moves)
+    ids = [g.id for g in inst.groups]
+    draw = data.draw
+    some_id = st.sampled_from(ids + ["ghost"])
+    epoch = st.integers(min_value=1, max_value=60)
+    for kind in draw(st.lists(st.sampled_from(_DAMAGE), max_size=4),
+                     label="damage"):
+        if kind == "key" and moves:
+            m = draw(st.sampled_from(moves))
+            moves.append(Move(m.time, m.node, (draw(some_id),)))
+        elif kind == "twice" and moves:
+            k = draw(st.integers(min_value=0, max_value=len(moves) - 1))
+            m = moves[k]
+            gid = draw(st.sampled_from(m.groups or ("ghost",)))
+            moves[k] = Move(m.time, m.node, (*m.groups, gid))
+        elif kind == "early":
+            moves.append(Move(draw(st.integers(min_value=-3, max_value=0)),
+                              draw(st.integers(min_value=1,
+                                               max_value=inst.nodes)),
+                              (draw(some_id),)))
+        elif kind == "off":
+            v = draw(st.sampled_from((-1, 0, inst.nodes + 1)))
+            moves.append(Move(draw(epoch), v, (draw(some_id),)))
+        elif kind == "ghost":
+            ghosts = draw(st.lists(st.sampled_from(("ghost", "spook")),
+                                   min_size=1, max_size=2))
+            moves.append(Move(draw(epoch), draw(st.integers(
+                min_value=1, max_value=inst.nodes)),
+                (*draw(st.lists(some_id, max_size=2)), *ghosts)))
+        elif kind == "facility":
+            moves.append(Move(draw(epoch), inst.facility,
+                              tuple(draw(st.lists(some_id, min_size=1,
+                                                  max_size=3)))))
+        elif kind == "empty":
+            moves.append(Move(draw(epoch), draw(st.integers(
+                min_value=1, max_value=inst.nodes)), ()))
+    if draw(st.booleans(), label="shuffle"):
+        moves = draw(st.permutations(moves), label="order")
+    return Schedule(moves=tuple(moves))
+
+
+@settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+@given(inst=_any_distance_instances, data=st.data())
+def test_walk_matches_event_walk_reference(inst, data):
+    sched, _ = solve(inst)
+    sched = _damage(inst, _corrupt(inst, sched, data), data)
+    trace, violations = _walk(inst, sched)
+    ref_trace, ref_violations = ref_event_walk(inst, sched)
+    assert violations == ref_violations
+    assert trace.arrival_time == ref_trace.arrival_time
+    assert trace.horizon == ref_trace.horizon
+    assert [(t, v, list(ids), landed) for t, v, ids, landed in trace.events] \
+        == ref_trace.events
+    assert trace.render_table() == ref_trace.render_table()

@@ -2,7 +2,7 @@ import json
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       GenParams, parse_instance, parse_packing,
@@ -12,6 +12,7 @@ from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       validate_instance, validate_packing_instance)
 from pathevac.evac import _positions
 from pathevac.model import Move, Packing, Schedule
+from ref_parse_schedule import ref_parse_schedule
 
 
 def _doc(**overrides):
@@ -111,6 +112,22 @@ def test_path_distance():
 def test_parse_rejects_bad_json():
     with pytest.raises(InstanceError, match="json"):
         parse_instance("{nope")
+
+
+# the decoder raises RecursionError on the first and a bare ValueError
+# (the int digit limit) on the second
+_UNDECODABLE = {"deep": "[" * 100000 + "]" * 100000,
+                "long-int": '{"moves": ' + "7" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("parse", [parse_instance, parse_schedule,
+                                   parse_packing_instance, parse_packing])
+def test_parse_wraps_every_decoder_error(parse, kind):
+    with pytest.raises(InstanceError) as err:
+        parse(_UNDECODABLE[kind])
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith("json: ")
 
 
 def test_packing_round_trip():
@@ -213,6 +230,83 @@ def test_schedule_parse_errors():
     with pytest.raises(InstanceError, match="groups"):
         parse_schedule(json.dumps({"moves": [
             {"time": 1, "node": 2, "groups": []}]}))
+
+
+# schedule documents for the reader against the one it replaced: entries
+# mostly well-formed over few (time, node) keys, so keys repeat and arrive
+# in any order, mixed with damaged ones
+_good_entry = st.fixed_dictionaries({
+    "time": st.integers(min_value=1, max_value=4),
+    "node": st.integers(min_value=1, max_value=3),
+    "groups": st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3,
+                       unique=True)})
+_junk = st.one_of(
+    st.sampled_from((True, False, 0, -1, 1.0, 2.5, None, "", "1", [], {})),
+    st.integers(min_value=10 ** 18, max_value=10 ** 30),
+    st.floats(allow_nan=False), st.text(max_size=2))
+_damaged_entry = st.fixed_dictionaries({}, optional={
+    "time": st.one_of(st.integers(min_value=1, max_value=4), _junk),
+    "node": st.one_of(st.integers(min_value=1, max_value=3), _junk),
+    "groups": st.one_of(
+        st.lists(st.one_of(st.sampled_from(("A", "B", "")), _junk),
+                 max_size=3),
+        _junk),
+    "extra": _junk})
+_twice_entry = st.fixed_dictionaries({
+    "time": st.integers(min_value=1, max_value=4),
+    "node": st.integers(min_value=1, max_value=3),
+    "groups": st.lists(st.sampled_from("AB"), min_size=2, max_size=3)})
+
+
+@st.composite
+def _one_bad_field(draw):
+    entry = draw(_good_entry)
+    key = draw(st.sampled_from(("time", "node", "groups")))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        del entry[key]
+    elif key == "groups":
+        bad = draw(st.one_of(st.just(""), _junk))
+        entry[key] = draw(st.sampled_from(([bad], [*entry[key], bad], bad)))
+    else:
+        entry[key] = draw(st.sampled_from((True, False, 0, -1, 1.0, "1")))
+    return entry
+
+
+_entries = st.lists(st.one_of(_good_entry, _good_entry, _twice_entry,
+                              _one_bad_field(), _one_bad_field(),
+                              _damaged_entry, _junk),
+                    max_size=8)
+_unique = st.lists(_good_entry, max_size=8,
+                   unique_by=lambda m: (m["time"], m["node"]))
+_schedule_docs = st.one_of(
+    st.fixed_dictionaries({"moves": st.lists(_good_entry, max_size=8)}),
+    st.fixed_dictionaries({"moves": _unique}),
+    st.fixed_dictionaries({"moves": _unique.map(
+        lambda ms: sorted(ms, key=lambda m: (m["time"], m["node"])))}),
+    st.fixed_dictionaries({"moves": _entries}),
+    st.fixed_dictionaries({"moves": _entries}),
+    st.fixed_dictionaries({"moves": _entries}),
+    st.fixed_dictionaries({}, optional={"moves": _junk}),
+    _junk)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InstanceError as exc:
+        return exc.violations
+
+
+@settings(max_examples=500)
+@given(doc=_schedule_docs)
+@example(doc={"moves": [{"time": True, "node": 1, "groups": ["A"]}]})
+@example(doc={"moves": [{"time": 1, "node": True, "groups": ["A"]}]})
+@example(doc={"moves": [{"time": 0, "node": 1, "groups": ["A"]}]})
+@example(doc={"moves": [{"time": 2, "node": 1, "groups": ["A"]},
+                        {"time": 1, "node": 3, "groups": ["B"]}]})
+def test_schedule_reader_matches_reference(doc):
+    text = json.dumps(doc)
+    assert _parsed(parse_schedule, text) == _parsed(ref_parse_schedule, text)
 
 
 def test_schedule_from_map_drops_empty_moves():
