@@ -78,9 +78,10 @@ def reduce_side(inst: PathInstance, side: str) \
         return (PackingInstance(capacity=inst.capacity, items=()),
                 SideReduction(delay_cost=0))
     pos = _positions(inst)
-    items = tuple(PackingItem(id=g.id, size=g.size, weight=g.weight,
-                              ready=abs(pos[g.node] - pos[near]) + 1)
-                  for g in groups)
+    at_near = pos[near]
+    items = tuple([PackingItem(g.id, g.size, g.weight,
+                               abs(pos[g.node] - at_near) + 1)
+                   for g in groups])
     weight_sum = sum(g.weight for g in groups)
     return (PackingInstance(capacity=inst.capacity, items=items),
             SideReduction(delay_cost=(inst.distance(edge) - 1) * weight_sum))

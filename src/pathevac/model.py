@@ -10,6 +10,7 @@ epoch it occupies the facility node (0 for groups that start there).
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,11 +159,48 @@ def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
     return True
 
 
+def _group_entry(errors: list[str], idx: int, g: Any, seen: set[str],
+                 node_max: float) -> Group | None:
+    """Check one group entry that failed the fast guard of
+    `validate_instance`: append its violations, or return its `Group` when
+    it has none (a non-dict mapping, an int subclass). Records a new valid
+    id in `seen`, as the guard does. `node_max` is infinite when `nodes`
+    is invalid."""
+    if not _is_mapping(g):
+        errors.append(f"groups[{idx}]: expected an object")
+        return None
+    gid = g.get("id")
+    if not isinstance(gid, str) or not gid:
+        errors.append(f"groups[{idx}].id: expected a non-empty string")
+        return None
+    if gid in seen:
+        errors.append(f"groups: duplicate id {gid!r}")
+        return None
+    seen.add(gid)
+    ok = _require_int(errors, g.get("node"), f"groups[{idx}].node", 1)
+    if ok and g["node"] > node_max:
+        errors.append(f"groups[{idx}].node: {g['node']} out of range "
+                      f"1..{node_max}")
+        ok = False
+    ok &= _require_int(errors, g.get("size"), f"groups[{idx}].size", 1)
+    ok &= _require_int(errors, g.get("weight"), f"groups[{idx}].weight", 1)
+    if not ok:
+        return None
+    return Group(gid, g["node"], g["size"], g["weight"])
+
+
 def validate_instance(data: Any) -> PathInstance:
     """Check a decoded instance document and build the typed instance.
 
     Raises InstanceError naming every violated invariant. A one-node path
     (no edges, all groups at the facility) is valid and trivially solved.
+
+    A decoded JSON document holds exact `int`, `str`, `list` and `dict`
+    values only, so one type-exact guard per group accepts every
+    well-formed entry (and rejects `true`, which is no `int` here); an entry
+    that fails it is described by `_group_entry`. The route capacity check
+    costs one comparison per group unless a group is larger than the
+    narrowest edge.
     """
     errors: list[str] = []
     if not _is_mapping(data):
@@ -191,9 +229,12 @@ def validate_instance(data: Any) -> PathInstance:
             if not _is_mapping(e):
                 errors.append(f"edges[{k - 1}]: expected an object")
                 continue
-            if e.get("from") != k or e.get("to") != k + 1:
+            # exact ints: JSON true and 2.0 compare equal to 1 and 2
+            src, dst = e.get("from"), e.get("to")
+            if type(src) is not int or src != k \
+                    or type(dst) is not int or dst != k + 1:
                 errors.append(f"edges[{k - 1}]: must join nodes {k} and {k + 1} "
-                              f"in order, got {e.get('from')!r}->{e.get('to')!r}")
+                              f"in order, got {src!r}->{dst!r}")
             if _require_int(errors, e.get("distance"),
                             f"edges[{k - 1}].distance", 1):
                 distances.append(e["distance"])
@@ -210,27 +251,25 @@ def validate_instance(data: Any) -> PathInstance:
         errors.append("groups: expected a list")
         raw_groups = []
     seen: set[str] = set()
+    # an invalid `nodes` bounds no group node
+    node_max = n if n_ok else math.inf
+    append = groups.append
     for idx, g in enumerate(raw_groups):
-        if not _is_mapping(g):
-            errors.append(f"groups[{idx}]: expected an object")
-            continue
-        gid = g.get("id")
-        if not isinstance(gid, str) or not gid:
-            errors.append(f"groups[{idx}].id: expected a non-empty string")
-            continue
-        if gid in seen:
-            errors.append(f"groups: duplicate id {gid!r}")
-            continue
-        seen.add(gid)
-        ok = _require_int(errors, g.get("node"), f"groups[{idx}].node", 1)
-        if ok and n_ok and g["node"] > n:
-            errors.append(f"groups[{idx}].node: {g['node']} out of range 1..{n}")
-            ok = False
-        ok &= _require_int(errors, g.get("size"), f"groups[{idx}].size", 1)
-        ok &= _require_int(errors, g.get("weight"), f"groups[{idx}].weight", 1)
-        if ok:
-            groups.append(Group(id=gid, node=g["node"],
-                                size=g["size"], weight=g["weight"]))
+        if type(g) is dict:
+            gid = g.get("id")
+            v = g.get("node")
+            size = g.get("size")
+            w = g.get("weight")
+            if type(gid) is str and gid and gid not in seen \
+                    and type(v) is int and 1 <= v <= node_max \
+                    and type(size) is int and size >= 1 \
+                    and type(w) is int and w >= 1:
+                seen.add(gid)
+                append(Group(gid, v, size, w))
+                continue
+        group = _group_entry(errors, idx, g, seen, node_max)
+        if group is not None:
+            append(group)
 
     if errors:
         raise InstanceError(errors)
@@ -246,9 +285,15 @@ def validate_instance(data: Any) -> PathInstance:
         edge_capacities=caps if any(o is not None for o in overrides) else None,
     )
 
-    # every group must fit through each edge on its way to the facility
+    # every group must fit through each edge on its way to the facility; a
+    # group no larger than the narrowest edge, or one at the facility,
+    # crosses no edge it does not fit
+    narrowest = min(caps, default=cap)
+    fac = inst.facility
     for g in inst.groups:
-        lo, hi = sorted((g.node, inst.facility))
+        if g.size <= narrowest or g.node == fac:
+            continue
+        lo, hi = sorted((g.node, fac))
         for k in range(lo, hi):
             if g.size > inst.edge_capacity(k):
                 errors.append(f"group {g.id!r}: size {g.size} exceeds capacity "

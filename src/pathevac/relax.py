@@ -37,9 +37,8 @@ def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
     """
     return PackingInstance(
         capacity=inst.capacity,
-        items=tuple(PackingItem(id=it.id, size=it.size, weight=it.weight,
-                                ready=it.ready // 2 + 1)
-                    for it in inst.items),
+        items=tuple([PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
+                     for it in inst.items]),
     )
 
 

@@ -315,6 +315,19 @@ def test_malformed_instance_exit_1(tmp_path, capsys):
     assert "facility" in err and "capacity" in err
 
 
+def test_edge_ends_not_ints_exit_1(tmp_path, capsys):
+    # JSON true and 2.0 compare equal to 1 and 2 but are no node numbers
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({
+        "nodes": 2, "facility": 2, "capacity": 1,
+        "edges": [{"from": True, "to": 2.0, "distance": 1}],
+        "groups": [{"id": "A", "node": 1, "size": 1, "weight": 1}]}),
+        encoding="utf-8")
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "edges[0]: must join nodes 1 and 2 in order, got True->2.0"]
+
+
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
                                   '{"nodes": ' + "7" * 5000 + "}"],
                          ids=["deep", "long-int"])

@@ -29,6 +29,37 @@ PACKINGS = {f"pack{seed}": ["gen", "--packing", "--seed", str(seed),
                             "--items", "9", "--max-ready", "12"]
             for seed in range(1, 7)}
 
+# rejected instance documents: every violation kind of a group entry in
+# one, and route capacity violations (checked only once every entry is
+# valid) in the other, so the message order is pinned end to end
+REJECTED = {
+    "damaged-groups": {
+        "nodes": 3, "facility": 3, "capacity": 4,
+        "edges": [{"from": 1, "to": 2, "distance": 1},
+                  {"from": 2, "to": 3, "distance": 2}],
+        "groups": [
+            {"id": "A", "node": 1, "size": 2, "weight": 1},
+            [],
+            {"id": "", "node": 1, "size": 1, "weight": 1},
+            {"id": 7, "node": 1, "size": 1, "weight": 1},
+            {"node": 1, "size": 1, "weight": 1},
+            {"id": "A", "node": 2, "size": 1, "weight": 1},
+            {"id": "B", "node": True, "size": 1, "weight": 1},
+            {"id": "C", "node": 4, "size": 1.0, "weight": 0},
+            {"id": "D", "size": -1, "weight": True},
+            {"id": "E", "node": 0, "size": 10 ** 20, "weight": "1"}]},
+    "too-big-groups": {
+        "nodes": 4, "facility": 2, "capacity": 5,
+        "edges": [{"from": 1, "to": 2, "distance": 1, "capacity": 3},
+                  {"from": 2, "to": 3, "distance": 2},
+                  {"from": 3, "to": 4, "distance": 1, "capacity": 2}],
+        "groups": [{"id": "L", "node": 1, "size": 4, "weight": 1},
+                   {"id": "R", "node": 4, "size": 5, "weight": 2},
+                   {"id": "F", "node": 2, "size": 5, "weight": 1},
+                   {"id": "S", "node": 3, "size": 4, "weight": 1},
+                   {"id": "T", "node": 4, "size": 6, "weight": 1}]},
+}
+
 # "<case> <command>" -> sha256; recorded while packings were dense tuples,
 # and unchanged by the sparse packing
 GOLDEN = {
@@ -86,6 +117,15 @@ GOLDEN = {
         "deacdc1719f81b401a0a9fdbad11811613fc1a39aba8b7d1b77c6ce66aa2b3ec",
     "pack6 lowerbound":
         "3083829d8cdd2e16910b63c4f90215994e5ef4a3aed437d265b208e9f5fe6407",
+    # the same under the per-field reader that the single-guard one replaced
+    "damaged-groups solve":
+        "51fbc439d8fc77222af057b002c8bb4880ffc3188755c93fa6c44a037d6f3669",
+    "damaged-groups lowerbound":
+        "51fbc439d8fc77222af057b002c8bb4880ffc3188755c93fa6c44a037d6f3669",
+    "too-big-groups solve":
+        "901be840a04d4bd85d74d4d45b7affd0896aac33034315ab3c8f9c88042fd12f",
+    "too-big-groups lowerbound":
+        "901be840a04d4bd85d74d4d45b7affd0896aac33034315ab3c8f9c88042fd12f",
 }
 
 
@@ -139,3 +179,13 @@ def test_some_witness_has_empty_bins(tmp_path, capsys):
         bins = json.loads(capsys.readouterr().out)["witness"]["bins"]
         empty += sum(not b for b in bins)
     assert empty
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_instance_commands(name, tmp_path, capsys):
+    inst = tmp_path / f"{name}.json"
+    inst.write_text(json.dumps(REJECTED[name]), encoding="utf-8")
+    got = {"solve": _run(capsys, ["solve", "--instance", str(inst)])[1],
+           "lowerbound": _run(capsys, ["lowerbound", "--instance",
+                                       str(inst)])[1]}
+    assert got == {cmd: GOLDEN[f"{name} {cmd}"] for cmd in got}

@@ -1,4 +1,5 @@
 import json
+import time
 from types import MappingProxyType
 
 import pytest
@@ -10,9 +11,10 @@ from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       serialize_instance, serialize_packing,
                       serialize_packing_instance, serialize_schedule,
                       validate_instance, validate_packing_instance)
-from pathevac.evac import _positions
+from pathevac.evac import _positions, fractional_lower_bound
 from pathevac.model import Move, Packing, Schedule
 from ref_parse_schedule import ref_parse_schedule
+from ref_validate_instance import ref_validate_instance
 
 
 def _doc(**overrides):
@@ -63,6 +65,18 @@ def test_validate_edge_cover():
         validate_instance(doc)
 
 
+@pytest.mark.parametrize("ends", [(True, 2), (1, 2.0), (True, 2.0),
+                                  (1.0, 2), ("1", 2)])
+def test_validate_edge_ends_must_be_ints(ends):
+    doc = _doc()
+    doc["edges"][0].update({"from": ends[0], "to": ends[1]})
+    with pytest.raises(InstanceError) as err:
+        validate_instance(doc)
+    assert err.value.violations == [
+        f"edges[0]: must join nodes 1 and 2 in order, "
+        f"got {ends[0]!r}->{ends[1]!r}"]
+
+
 def test_validate_rejects_bools():
     with pytest.raises(InstanceError, match="nodes"):
         validate_instance(_doc(nodes=True))
@@ -86,6 +100,39 @@ def test_group_behind_narrow_edge_rejected():
     doc["edges"][1]["capacity"] = 2
     with pytest.raises(InstanceError, match=r"edge \{2,3\}"):
         validate_instance(doc)
+
+
+def test_groups_over_overrides_on_different_edges():
+    # both groups start at node 1 and cross both edges; each is too large
+    # for one of them, and the messages follow the group order
+    doc = _doc(capacity=5)
+    doc["edges"][0]["capacity"] = 4
+    doc["edges"][1]["capacity"] = 2
+    doc["groups"] = [{"id": "big", "node": 1, "size": 5, "weight": 1},
+                     {"id": "mid", "node": 1, "size": 3, "weight": 1},
+                     {"id": "ok", "node": 2, "size": 2, "weight": 1}]
+    with pytest.raises(InstanceError) as err:
+        validate_instance(doc)
+    assert err.value.violations == [
+        "group 'big': size 5 exceeds capacity 4 on edge {1,2}",
+        "group 'big': size 5 exceeds capacity 2 on edge {2,3}",
+        "group 'mid': size 3 exceeds capacity 2 on edge {2,3}"]
+
+
+def test_capacity_check_costs_one_step_per_group():
+    # every group crosses every edge; the check must not walk each route
+    n = 20000
+    text = json.dumps({
+        "nodes": n, "facility": n, "capacity": 3,
+        "edges": [{"from": k, "to": k + 1, "distance": 1}
+                  for k in range(1, n)],
+        "groups": [{"id": f"g{i}", "node": 1, "size": 1 + i % 3,
+                    "weight": 1 + i % 7} for i in range(n)]})
+    start = time.perf_counter()
+    inst = parse_instance(text)
+    bound = fractional_lower_bound(inst, True)
+    assert time.perf_counter() - start < 1.0
+    assert len(inst.groups) == n and bound > 0
 
 
 def test_one_node_path_is_valid():
@@ -324,3 +371,89 @@ def test_generated_instances_round_trip(seed, nodes, groups):
     again = parse_instance(text)
     assert again == inst
     assert serialize_instance(again) == text
+
+
+# instance documents for the reader against the one it replaced: small
+# paths, about half of them clean (only sizes may exceed a capacity or an
+# override on or off a group's route), the rest damaged with bools, 0,
+# negatives, floats, huge ints, strings, missing keys, bad ids and non-dict
+# entries; edge `from`/`to` stay exact ints, where the old reader let
+# `true` and `2.0` pass
+_bad_int = st.sampled_from((True, False, 0, -1, 1.0, 2.5, 10 ** 20, "1",
+                            None))
+
+
+@st.composite
+def _instance_docs(draw):
+    damaged = draw(st.booleans())
+
+    def hurt(odds):
+        return damaged and draw(st.integers(min_value=1, max_value=odds)) == 1
+
+    def num(lo, hi):
+        return draw(_bad_int) if hurt(6) else \
+            draw(st.integers(min_value=lo, max_value=hi))
+
+    def entry(obj):
+        if hurt(6):
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        return MappingProxyType(obj) if draw(
+            st.integers(min_value=1, max_value=8)) == 1 else obj
+
+    n = draw(st.integers(min_value=1, max_value=5))
+    edges = []
+    for k in range(1, n + (draw(st.sampled_from((-1, 1))) if hurt(8)
+                           else 0)):
+        edge = {"from": k, "to": k + 1, "distance": num(1, 3)}
+        if hurt(10):
+            edge[draw(st.sampled_from(("from", "to")))] = \
+                draw(st.integers(min_value=-1, max_value=6))
+        if draw(st.booleans()):
+            edge["capacity"] = num(1, 4)
+        edges.append(entry(edge))
+    groups = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        if hurt(8):
+            groups.append(draw(st.one_of(_bad_int, st.just([]))))
+            continue
+        gid = draw(st.sampled_from(("", 1, None, True))) if hurt(8) else \
+            draw(st.sampled_from("ABCDEFG"))
+        # past `nodes` now and then, whether it is valid or not
+        groups.append(entry({"id": gid,
+                             "node": num(1, n + 1 if damaged else n),
+                             "size": num(1, 5), "weight": num(1, 3)}))
+    if not damaged:
+        seen = set()
+        groups = [g for g in groups
+                  if not (g["id"] in seen or seen.add(g["id"]))]
+    doc = {"nodes": draw(_bad_int) if hurt(8) else n,
+           "facility": num(1, n + 1 if damaged else n),
+           "capacity": num(1, 4), "edges": edges, "groups": groups}
+    if hurt(10):
+        doc[draw(st.sampled_from(("edges", "groups")))] = draw(_bad_int)
+    return entry(doc)
+
+
+def _validated(validate, doc):
+    # repr, so a `True` kept where an int belongs does not compare as 1
+    try:
+        return repr(validate(doc))
+    except InstanceError as exc:
+        return exc.violations
+
+
+@settings(max_examples=600)
+@given(doc=_instance_docs())
+@example(doc=_doc(groups=[{"id": "A", "node": True, "size": 1,
+                           "weight": 1}]))
+@example(doc=_doc(groups=[{"id": "A", "node": 1, "size": True,
+                           "weight": 1}]))
+@example(doc=_doc(groups=[{"id": "A", "node": 1, "size": 1,
+                           "weight": True}]))
+@example(doc=_doc(nodes=True, groups=[{"id": "A", "node": 4, "size": 1,
+                                       "weight": 1}]))
+@example(doc=_doc(edges=[{"from": 1, "to": 2, "distance": 1},
+                         {"from": 2, "to": 3, "distance": 2, "capacity": 1}]))
+def test_instance_reader_matches_reference(doc):
+    assert _validated(validate_instance, doc) == \
+        _validated(ref_validate_instance, doc)
