@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except oracles.OracleBudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, PermissionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from pathevac import (GenParams, PackParams, PackingInstance, PackingItem,
                       reduced_ready_times, schedule_objective, simulate,
                       solve_fractional_greedy, solve_greedy, solve_report,
                       validate_packing, validate_schedule)
+from pathevac.evac import check_schedule
 
 _CACHE: dict[str, object] = {}
 
@@ -157,10 +158,12 @@ def test_criterion_5_feasibility_and_identity(announce):
     start = time.perf_counter()
     bad = 0
     for inst, report in _feasibility_family():
-        feasible = validate_schedule(inst, report.schedule) == []
-        identity = report.objective == (report.side_objective("left")
-                                        + report.side_objective("right"))
-        if not (feasible and identity):
+        # one walk: the schedule is feasible and achieves the objective
+        # that solve_report took from the per-side sum
+        trace, violations = check_schedule(inst, report.schedule)
+        sides = report.side_objective("left") + report.side_objective("right")
+        if violations or not (schedule_objective(trace, inst)
+                              == report.objective == sides):
             bad += 1
     elapsed = time.perf_counter() - start
     ok = bad == 0

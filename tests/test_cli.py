@@ -350,6 +350,19 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--instance", "--schedule", "--output"])
+def test_directory_path_exit_1(fig1b_files, tmp_path, capsys, flag):
+    _, inst, _ = fig1b_files
+    argv = {"--instance": ["solve", "--instance", str(tmp_path)],
+            "--schedule": ["validate", "--instance", str(inst),
+                           "--schedule", str(tmp_path)],
+            "--output": ["solve", "--instance", str(inst),
+                         "--output", str(tmp_path)]}[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(tmp_path) in err[0]
+
+
 def test_stdin_dash(fig1b_files, monkeypatch, capsys):
     fx, _, _ = fig1b_files
     monkeypatch.setattr(sys, "stdin",

@@ -6,8 +6,9 @@ from hypothesis import Phase, given, settings, strategies as st
 from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
-                      reduce_side, schedule_objective, simulate, solve,
-                      solve_report, validate_schedule)
+                      pair_overflow_violations, reduce_side,
+                      schedule_objective, simulate, solve, solve_report,
+                      validate_packing, validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
 from ref_walk import ref_walk, render
@@ -336,9 +337,10 @@ _instances = st.builds(
 @given(inst=_instances)
 def test_solver_output_feasible_and_decomposes(inst):
     report = solve_report(inst)
-    assert validate_schedule(inst, report.schedule) == []
-    assert report.objective == (report.side_objective("left")
-                                + report.side_objective("right"))
+    trace, violations = check_schedule(inst, report.schedule)
+    assert violations == []
+    assert schedule_objective(trace, inst) == report.objective \
+        == report.side_objective("left") + report.side_objective("right")
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,6 +371,38 @@ def test_delaying_a_suffix_stays_feasible(inst, data):
     assert validate_schedule(inst, shifted) == []
     later = schedule_objective(simulate(inst, shifted), inst)
     assert later >= objective
+
+
+# ---------------------------------------------------------------------------
+# scale: solve_report prices without walking, so the walk here is the check
+
+_SCALE_SHAPES = {
+    "dense": GenParams(nodes=5, groups=10_000, capacity=60, max_size=6,
+                       max_weight=20, facility=3),
+    "facility-at-1": GenParams(nodes=5, groups=10_000, capacity=10,
+                               max_weight=20, max_distance=3, facility=1),
+    # seed 11 draws facility 4: groups on both sides and at the facility
+    "drawn-facility": GenParams(nodes=6, groups=10_000, capacity=6,
+                                max_weight=20, max_distance=3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SCALE_SHAPES))
+def test_solve_at_ten_thousand_groups(shape):
+    inst = gen_random(11, _SCALE_SHAPES[shape])
+    report = solve_report(inst)
+    trace, violations = check_schedule(inst, report.schedule)
+    assert violations == []
+    assert schedule_objective(trace, inst) == report.objective
+    for packing, pinst in ((report.left_packing, report.left_instance),
+                           (report.right_packing, report.right_instance)):
+        assert pair_overflow_violations(packing, pinst) == []
+        assert validate_packing(packing, pinst) == []
+    lb = fractional_lower_bound(inst, True)
+    assert lb <= report.objective <= 2 * lb
+    if shape == "drawn-facility":
+        assert 1 < inst.facility < inst.nodes
+        assert any(g.node == inst.facility for g in inst.groups)
 
 
 # ---------------------------------------------------------------------------
