@@ -43,6 +43,10 @@ def _write(path: str | None, text: str) -> None:
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     report = evac.solve_report(inst)
+    # a file is written before the report, so a path that cannot be
+    # written leaves nothing on stdout
+    if args.output not in (None, "-"):
+        _write(args.output, serialize_schedule(report.schedule))
     print(f"objective {report.objective}")
     for side, packing, pinst, red in (
             ("left", report.left_packing, report.left_instance,
@@ -61,7 +65,7 @@ def _cmd_solve(args) -> int:
             if trace.steps:
                 print(f"--- {side} greedy trace")
                 print(trace.render())
-    if args.output is not None:
+    if args.output == "-":
         _write(args.output, serialize_schedule(report.schedule))
     return 0
 

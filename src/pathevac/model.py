@@ -159,48 +159,20 @@ def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
     return True
 
 
-def _group_entry(errors: list[str], idx: int, g: Any, seen: set[str],
-                 node_max: float) -> Group | None:
-    """Check one group entry that failed the fast guard of
-    `validate_instance`: append its violations, or return its `Group` when
-    it has none (a non-dict mapping, an int subclass). Records a new valid
-    id in `seen`, as the guard does. `node_max` is infinite when `nodes`
-    is invalid."""
-    if not _is_mapping(g):
-        errors.append(f"groups[{idx}]: expected an object")
-        return None
-    gid = g.get("id")
-    if not isinstance(gid, str) or not gid:
-        errors.append(f"groups[{idx}].id: expected a non-empty string")
-        return None
-    if gid in seen:
-        errors.append(f"groups: duplicate id {gid!r}")
-        return None
-    seen.add(gid)
-    ok = _require_int(errors, g.get("node"), f"groups[{idx}].node", 1)
-    if ok and g["node"] > node_max:
-        errors.append(f"groups[{idx}].node: {g['node']} out of range "
-                      f"1..{node_max}")
-        ok = False
-    ok &= _require_int(errors, g.get("size"), f"groups[{idx}].size", 1)
-    ok &= _require_int(errors, g.get("weight"), f"groups[{idx}].weight", 1)
-    if not ok:
-        return None
-    return Group(gid, g["node"], g["size"], g["weight"])
-
-
 def validate_instance(data: Any) -> PathInstance:
     """Check a decoded instance document and build the typed instance.
 
     Raises InstanceError naming every violated invariant. A one-node path
     (no edges, all groups at the facility) is valid and trivially solved.
 
-    A decoded JSON document holds exact `int`, `str`, `list` and `dict`
-    values only, so one type-exact guard per group accepts every
-    well-formed entry (and rejects `true`, which is no `int` here); an entry
-    that fails it is described by `_group_entry`. The route capacity check
-    costs one comparison per group unless a group is larger than the
-    narrowest edge.
+    Each group entry is checked in one pass, one test per field, and a
+    field that fails its test appends its violation there. A decoded JSON
+    document holds exact `int`, `str`, `list` and `dict` values only, so
+    the integer fields get type-exact tests (JSON `true` is no `int`
+    here). A value that fails one is judged again by `_require_int`, so
+    an `int` subclass other than `bool` still passes, as a non-dict
+    `Mapping` does for an entry. The route capacity check costs one
+    comparison per group unless a group is larger than the narrowest edge.
     """
     errors: list[str] = []
     if not _is_mapping(data):
@@ -255,21 +227,33 @@ def validate_instance(data: Any) -> PathInstance:
     node_max = n if n_ok else math.inf
     append = groups.append
     for idx, g in enumerate(raw_groups):
-        if type(g) is dict:
-            gid = g.get("id")
-            v = g.get("node")
-            size = g.get("size")
-            w = g.get("weight")
-            if type(gid) is str and gid and gid not in seen \
-                    and type(v) is int and 1 <= v <= node_max \
-                    and type(size) is int and size >= 1 \
-                    and type(w) is int and w >= 1:
-                seen.add(gid)
-                append(Group(gid, v, size, w))
-                continue
-        group = _group_entry(errors, idx, g, seen, node_max)
-        if group is not None:
-            append(group)
+        if type(g) is not dict and not isinstance(g, Mapping):
+            errors.append(f"groups[{idx}]: expected an object")
+            continue
+        gid = g.get("id")
+        if not isinstance(gid, str) or not gid:
+            errors.append(f"groups[{idx}].id: expected a non-empty string")
+            continue
+        if gid in seen:
+            errors.append(f"groups: duplicate id {gid!r}")
+            continue
+        seen.add(gid)
+        v = g.get("node")
+        size = g.get("size")
+        w = g.get("weight")
+        ok = True
+        if type(v) is not int or v < 1:
+            ok = _require_int(errors, v, f"groups[{idx}].node", 1)
+        if ok and v > node_max:
+            errors.append(f"groups[{idx}].node: {v} out of range "
+                          f"1..{node_max}")
+            ok = False
+        if type(size) is not int or size < 1:
+            ok &= _require_int(errors, size, f"groups[{idx}].size", 1)
+        if type(w) is not int or w < 1:
+            ok &= _require_int(errors, w, f"groups[{idx}].weight", 1)
+        if ok:
+            append(Group(gid, v, size, w))
 
     if errors:
         raise InstanceError(errors)
@@ -450,33 +434,16 @@ def serialize_schedule(sched: Schedule) -> str:
     return '{\n  "moves": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
 
 
-def _move_errors(errors: list[str], idx: int, m: Any) -> None:
-    """Append the violations of one move entry that failed the fast guard
-    of `parse_schedule`."""
-    if not _is_mapping(m):
-        errors.append(f"moves[{idx}]: expected an object")
-        return
-    ok = _require_int(errors, m.get("time"), f"moves[{idx}].time", 1)
-    ok &= _require_int(errors, m.get("node"), f"moves[{idx}].node", 1)
-    ids = m.get("groups")
-    if not isinstance(ids, list) or not ids or \
-            not all(isinstance(x, str) and x for x in ids):
-        errors.append(f"moves[{idx}].groups: expected a non-empty "
-                      "list of group ids")
-    elif ok:
-        # every other check holds, so the guard failed on a repeated id
-        errors.append(f"moves[{idx}].groups: duplicate group in one move")
-
-
 def parse_schedule(text: str) -> Schedule:
     """Read a schedule document; raises InstanceError naming every bad
     move entry and every repeated (time, node).
 
-    A decoded JSON document holds exact `int`, `str`, `list` and `dict`
-    values only, so one type-exact guard per move accepts every well-formed
-    entry (and rejects `true`, which is no `int` here); an entry that fails
-    it is described by `_move_errors`. The moves are sorted only when their
-    keys do not arrive ascending, as `serialize_schedule` writes them.
+    Each move entry is checked in one pass, one type-exact test per field
+    (a decoded JSON document holds exact `int`, `str`, `list` and `dict`
+    values only, and JSON `true` is no `int` here), and a field that fails
+    its test appends its violation there. A move with a bad time or node
+    is not checked for repeated ids or keys. The moves are sorted only when
+    their keys do not arrive ascending, as `serialize_schedule` writes them.
     """
     data = _loads(text)
     if not _is_mapping(data):
@@ -492,35 +459,42 @@ def parse_schedule(text: str) -> Schedule:
     # strictly ascending keys cannot repeat
     seen: set[tuple[int, int]] | None = None
     for idx, m in enumerate(raw):
-        if type(m) is dict:
-            t = m.get("time")
-            v = m.get("node")
-            ids = m.get("groups")
-            if type(t) is int and t >= 1 and type(v) is int and v >= 1 \
-                    and type(ids) is list and ids:
-                if len(ids) == 1:
-                    gid = ids[0]
-                    ok = type(gid) is str and gid != ""
-                else:
-                    ok = all(type(x) is str for x in ids) \
-                        and "" not in ids and len(set(ids)) == len(ids)
-                if ok:
-                    if seen is None and (t > last_t
-                                         or t == last_t and v > last_v):
-                        last_t = t
-                        last_v = v
-                    else:
-                        if seen is None:
-                            seen = {(mv.time, mv.node) for mv in moves}
-                        key = (t, v)
-                        if key in seen:
-                            errors.append(f"moves[{idx}]: duplicate entry "
-                                          f"for time {t}, node {v}")
-                            continue
-                        seen.add(key)
-                    append(Move(t, v, tuple(ids)))
-                    continue
-        _move_errors(errors, idx, m)
+        if type(m) is not dict:
+            errors.append(f"moves[{idx}]: expected an object")
+            continue
+        t = m.get("time")
+        v = m.get("node")
+        ids = m.get("groups")
+        ok = True
+        if type(t) is not int or t < 1:
+            ok = _require_int(errors, t, f"moves[{idx}].time", 1)
+        if type(v) is not int or v < 1:
+            ok &= _require_int(errors, v, f"moves[{idx}].node", 1)
+        # one id needs neither the scan nor the set
+        if type(ids) is not list or not ids or not (
+                type(ids[0]) is str and ids[0] if len(ids) == 1 else
+                all(type(x) is str for x in ids) and "" not in ids):
+            errors.append(f"moves[{idx}].groups: expected a non-empty "
+                          "list of group ids")
+            continue
+        if not ok:
+            continue
+        if len(ids) > 1 and len(set(ids)) != len(ids):
+            errors.append(f"moves[{idx}].groups: duplicate group in one move")
+            continue
+        if seen is None and (t > last_t or t == last_t and v > last_v):
+            last_t = t
+            last_v = v
+        else:
+            if seen is None:
+                seen = {(mv.time, mv.node) for mv in moves}
+            key = (t, v)
+            if key in seen:
+                errors.append(f"moves[{idx}]: duplicate entry "
+                              f"for time {t}, node {v}")
+                continue
+            seen.add(key)
+        append(Move(t, v, tuple(ids)))
     if errors:
         raise InstanceError(errors)
     if seen is not None:

@@ -45,6 +45,10 @@ def test_solve_writes_feasible_schedule(fig1b_files, tmp_path, capsys):
     assert lines[2] == "right: empty"
     sched = parse_schedule(out.read_text(encoding="utf-8"))
     assert validate_schedule(fx.instance, sched) == []
+    # to stdout, the schedule follows the report
+    assert main(["solve", "--instance", str(inst), "--output", "-"]) == 0
+    assert capsys.readouterr().out == \
+        "\n".join(lines) + "\n" + out.read_text(encoding="utf-8")
 
 
 def test_solve_trace_flag(fig1b_files, capsys):
@@ -359,8 +363,22 @@ def test_directory_path_exit_1(fig1b_files, tmp_path, capsys, flag):
             "--output": ["solve", "--instance", str(inst),
                          "--output", str(tmp_path)]}[flag]
     assert main(argv) == 1
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    err = err.splitlines()
     assert len(err) == 1 and str(tmp_path) in err[0]
+    if flag == "--output":
+        # no report on stdout for a schedule that was never written
+        assert out == ""
+
+
+def test_output_missing_parent_exit_1(fig1b_files, tmp_path, capsys):
+    _, inst, _ = fig1b_files
+    target = tmp_path / "nope" / "sched.json"
+    assert main(["solve", "--instance", str(inst),
+                 "--output", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and str(target) in err
+    assert not target.parent.exists()
 
 
 def test_stdin_dash(fig1b_files, monkeypatch, capsys):
