@@ -10,15 +10,14 @@ the route gives every intermediate departure with zero waiting.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 from . import relax
-from .model import (Packing, PackingInstance, PackingItem, PathInstance,
-                    Schedule)
+from .model import (Move, Packing, PackingInstance, PackingItem,
+                    PathInstance, Schedule)
 from .packing import GreedyTrace, packing_objective, solve_greedy
 
 
@@ -108,33 +107,67 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
     """Expand per-side packings into a full move list.
 
     An item in bin T' crosses the bottleneck at epoch T', so it departs
-    node v on its route at T' minus the distance from v to the near node.
-    A bin index below the item's ready time would mean a departure before
-    epoch 1 and is rejected.
+    node v on its route at T' minus the distance from v to the near node,
+    with no waiting. On one side, a (time, node) key therefore belongs to
+    one bin, and the move there is the part of that bin that has reached
+    the node: its items whose route starts at that node or farther out,
+    in bin order. Each bin's route is walked once, from its farthest
+    origin to the near node, and the ids change only where another origin
+    joins. An id whose group has no route on the side (it sits at the
+    facility or on the other side) never moves. A bin index below an
+    item's ready time would mean a departure before epoch 1 and is
+    rejected.
     """
     a = inst.facility
-    by_id = inst.group_by_id()
+    node_of = {g.id: g.node for g in inst.groups}
     pos = _positions(inst)
-    moves: defaultdict[tuple[int, int], list[str]] = defaultdict(list)
-    for side, packing in (("left", left), ("right", right)):
+    # (time, node, ids) of every move
+    moves: list[tuple[int, int, tuple[str, ...]]] = []
+    append = moves.append
+    for packing, step in ((left, 1), (right, -1)):
         if packing is None:
             continue
-        near, step = (a - 1, 1) if side == "left" else (a + 1, -1)
+        # routes run toward the facility and end at the near node, which
+        # lies off the path when the side has no node
+        near = a - step
+        side = range(1, a) if step == 1 else range(a + 1, inst.nodes + 1)
+        # distance from each node of the side to the near node
+        lag = {v: abs(pos[v] - pos[near]) for v in side}
         for t_cross, bin_ in packing.bins.items():
+            starts = []     # the origin of each item, in bin order
             for gid in bin_:
-                g = by_id.get(gid)
-                if g is None:
+                o = node_of.get(gid)
+                if o is None:
                     raise ValueError(f"packing references unknown group {gid!r}")
-                route = range(g.node, near + step, step)
-                # the route starts at its farthest node, so the first
-                # departure is the earliest
-                if route and t_cross - abs(pos[g.node] - pos[near]) < 1:
+                if o in lag and lag[o] >= t_cross:
                     raise ValueError(
                         f"group {gid!r} in bin {t_cross} cannot reach the "
                         f"bottleneck in time (ready-time violation)")
-                for v in route:
-                    moves[(t_cross - abs(pos[v] - pos[near]), v)].append(gid)
-    return Schedule.from_map(moves)
+                starts.append(o)
+            origins = set(starts)
+            if len(origins) == 1:
+                # one origin: every move takes the whole bin, and an origin
+                # off the side gives an empty route
+                far, = origins
+                for v in range(far, a, step):
+                    append((t_cross - lag[v], v, bin_))
+                continue
+            # the origins on the side, farthest first
+            joins = sorted([o for o in origins if o in lag],
+                           reverse=step == -1)
+            whole = len(joins) == len(origins)     # no id is foreign
+            for o, end in zip(joins, [*joins[1:], a]):
+                if whole and end == a:
+                    ids = bin_
+                else:
+                    # the items whose origin is o or farther out
+                    ids = tuple([gid for gid, s in zip(bin_, starts)
+                                 if (o - s) * step >= 0])
+                for v in range(o, end, step):
+                    append((t_cross - lag[v], v, ids))
+    # the keys are distinct, so the sort never compares ids
+    moves.sort()
+    return Schedule(moves=tuple(starmap(Move, moves)))
 
 
 @dataclass(frozen=True)
@@ -252,7 +285,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
     cascades into spurious ones downstream. The walk jumps from one event
     epoch to the next (moves sorted once, landing epochs in a heap), so its
     cost follows the number of moves, never the epoch values. Moves whose
-    (time, node) keys arrive ascending, as `Schedule.from_map` and
+    (time, node) keys arrive ascending, as `assemble_schedule` and
     `parse_schedule` give them, skip the sort and the duplicate-key check.
     Within an epoch, departures go first in node order, then landings in
     departure order, so a distance-1 hop lands in its own epoch and cannot

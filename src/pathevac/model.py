@@ -30,7 +30,7 @@ class InstanceError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     """An indivisible evacuee group sitting at a node of the path."""
 
@@ -72,11 +72,8 @@ class PathInstance:
             c == self.capacity for c in self.edge_capacities
         )
 
-    def group_by_id(self) -> dict[str, Group]:
-        return {g.id: g for g in self.groups}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackingItem:
     """One item to be packed into a sequence of capacitated bins."""
 
@@ -110,7 +107,7 @@ class Packing:
     bins: dict[int, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """All departures from one node at one epoch, toward the facility."""
 

@@ -7,6 +7,9 @@ bins included. They walk every bin index up to the last one. They are
 deliberately left as they were, so the differential tests can compare the
 sparse versions in `pathevac.packing` and `pathevac.evac` with them value
 for value, violation for violation, row for row and move for move.
+`assemble_schedule` also keeps the assembly that collected every route
+step in a (time, node) map, as `pathevac.evac` did before it built each
+move from its bin.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
     epoch 1 and is rejected.
     """
     a = inst.facility
-    by_id = inst.group_by_id()
+    by_id = {g.id: g for g in inst.groups}
     pos = _positions(inst)
     moves: dict[tuple[int, int], list[str]] = {}
     for side, packing in (("left", left), ("right", right)):

@@ -33,7 +33,7 @@ def ref_walk(inst: PathInstance, sched: Schedule) \
     cascades into spurious ones downstream.
     """
     a = inst.facility
-    by_id = inst.group_by_id()
+    by_id = {g.id: g for g in inst.groups}
     violations: list[str] = []
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
     for m in sched.moves:

@@ -66,6 +66,24 @@ def test_assemble_walks_routes_back(fixtures):
     ]
 
 
+def test_assemble_moves_the_part_of_a_bin_that_has_reached_a_node():
+    # right side of a facility at node 1; node 2 is the near node
+    inst = PathInstance(
+        nodes=4, facility=1, capacity=10, distances=(1, 2, 1),
+        groups=(Group("A", 4, 2, 1), Group("B", 3, 3, 1),
+                Group("C", 4, 1, 1), Group("D", 2, 4, 1)))
+    # bin 5 holds origins 3 (B) and 4 (A, C), in no origin order
+    packing = Packing(bins={2: ("D",), 5: ("B", "A", "C")})
+    sched = assemble_schedule(inst, None, packing)
+    assert [(m.time, m.node, m.groups) for m in sched.moves] == [
+        (2, 2, ("D",)),
+        (2, 4, ("A", "C")),
+        (3, 3, ("B", "A", "C")),
+        (5, 2, ("B", "A", "C")),
+    ]
+    assert validate_schedule(inst, sched) == []
+
+
 def test_assemble_rejects_bin_before_ready(fixtures):
     inst = fixtures["fig1b"].instance
     # G11 sits one hop from the bottleneck; bin 1 would mean departing at 0

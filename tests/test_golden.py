@@ -9,10 +9,13 @@ see which.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from pathevac.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # instance name -> the CLI arguments that write it
 INSTANCES = {
@@ -189,3 +192,23 @@ def test_rejected_instance_commands(name, tmp_path, capsys):
            "lowerbound": _run(capsys, ["lowerbound", "--instance",
                                        str(inst)])[1]}
     assert got == {cmd: GOLDEN[f"{name} {cmd}"] for cmd in got}
+
+
+# workload -> digest of the benchmark's checked outputs at seed 7
+BENCH_DIGESTS = {
+    "dense": "aed7127ae6ade292",
+    "sprawl": "7e2d3fef80f7622e",
+    "long-edge": "1b8bf11a56b50277",
+    "oracle": "2f0c3bbc53386f36",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+def test_benchmark_digests(name, monkeypatch):
+    """One pass of each benchmark workload over its seed-7 pool; `run`
+    returns the record and writes no file."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    record = run.run(name, seed=7, seconds=0, trace=False)
+    assert (record["digest"], record["result"]["failed"]) \
+        == (BENCH_DIGESTS[name], 0)

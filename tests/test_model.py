@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from types import MappingProxyType
@@ -12,7 +13,7 @@ from pathevac import (Group, InstanceError, PathInstance, gen_random,
                       serialize_packing_instance, serialize_schedule,
                       validate_instance, validate_packing_instance)
 from pathevac.evac import _positions, fractional_lower_bound
-from pathevac.model import Move, Packing, Schedule
+from pathevac.model import Move, Packing, PackingItem, Schedule
 from ref_parse_schedule import ref_parse_schedule
 from ref_validate_instance import ref_validate_instance
 
@@ -371,6 +372,39 @@ def test_schedule_reader_matches_reference(doc):
 def test_schedule_from_map_drops_empty_moves():
     sched = Schedule.from_map({(1, 2): ("A",), (2, 1): ()})
     assert sched.moves == (Move(time=1, node=2, groups=("A",)),)
+
+
+@pytest.mark.parametrize("value, change", [
+    (Move(3, 2, ("A", "B")), {"time": 2}),
+    (Group("A", 2, 3, 4), {"node": 1}),
+    (PackingItem("A", 3, 4, 2), {"ready": 1}),
+])
+def test_slotted_value_types_keep_their_contract(value, change):
+    cls = type(value)
+    names = {Move: ("time", "node", "groups"),
+             Group: ("id", "node", "size", "weight"),
+             PackingItem: ("id", "size", "weight", "ready")}[cls]
+    assert tuple(f.name for f in dataclasses.fields(value)) == names
+    values = tuple(getattr(value, name) for name in names)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
+    # a name that is no field has no slot; the frozen `__setattr__` of a
+    # slotted class raises TypeError for it on Python 3.11
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value.extra = 1
+    assert tuple(getattr(value, name) for name in names) == values
+    assert not hasattr(value, "__dict__")
+    # `perfbench/workloads.corrupt` shifts moves with `replace`
+    changed = dataclasses.replace(value, **change)
+    assert changed == cls(**{**dict(zip(names, values)), **change})
+    assert changed != value
+    same = cls(*values)
+    assert same == value and same is not value
+    assert hash(same) == hash(value) == hash(values)
+    assert value != values
+    assert repr(value) == cls.__name__ + "(" + ", ".join(
+        f"{name}={v!r}" for name, v in zip(names, values)) + ")"
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),

@@ -11,14 +11,25 @@ rows for the non-empty pairs, and the same schedule, or fail with the
 same error. The one difference: on an unknown id, where the dense
 `paired_view` and `pair_overflow_violations` raise a bare KeyError, the
 sparse ones raise the ValueError `packing_objective` raises.
+
+The schedule assembly is compared on paths built so that one side, or
+each side, reduces to the packing instance: on the right of a facility at
+node 1, on the left of a facility at node n, and on both sides at once.
+Every case also hands each side a foreign packing, one whose ids sit at
+the facility or on the other side and so never move: the whole packing
+to the empty side of a facility at either end of the path, and, on the
+two-sided path, bins that mix both sides' ids with a group at the
+facility.
 """
 
-from hypothesis import given, settings, strategies as st
+from dataclasses import replace
+
+from hypothesis import example, given, settings, strategies as st
 
 import ref_greedy
 import ref_packing
-from pathevac import (Group, Packing, PackingInstance, PathInstance,
-                      assemble_schedule, packing_objective,
+from pathevac import (Group, Packing, PackingInstance, PackingItem,
+                      PathInstance, assemble_schedule, packing_objective,
                       pair_overflow_violations, paired_view, reduce_side,
                       solve_greedy, validate_packing)
 from test_greedy_reference import packing_instances
@@ -52,6 +63,38 @@ def _right_side(inst: PackingInstance) -> PathInstance:
     return path
 
 
+def _left_side(inst: PackingInstance) -> PathInstance:
+    """`_right_side` read from the other end: the facility is node n and
+    the path's left side reduces to `inst`."""
+    right = _right_side(inst)
+    n = right.nodes
+    path = replace(right, facility=n, distances=right.distances[::-1],
+                   groups=tuple(replace(g, node=n + 1 - g.node)
+                                for g in right.groups))
+    assert reduce_side(path, "left")[0] == inst
+    return path
+
+
+def _two_sided(inst: PackingInstance) -> PathInstance:
+    """`_right_side`'s groups, ids prefixed "R", right of the facility,
+    and their mirror image, ids prefixed "L", left of it; group "F" sits
+    at the facility."""
+    right = _right_side(inst)
+    m = right.nodes - 1                 # the nodes of one side
+    path = PathInstance(
+        nodes=2 * m + 1, facility=m + 1, capacity=inst.capacity,
+        distances=right.distances[::-1] + right.distances,
+        groups=(*(replace(g, id="L" + g.id, node=m + 2 - g.node)
+                  for g in right.groups),
+                Group(id="F", node=m + 1, size=1, weight=1),
+                *(replace(g, id="R" + g.id, node=g.node + m)
+                  for g in right.groups)))
+    for side, prefix in (("left", "L"), ("right", "R")):
+        assert reduce_side(path, side)[0].items == tuple(
+            replace(it, id=prefix + it.id) for it in inst.items)
+    return path
+
+
 def _same(new: tuple, old: tuple, packing: Packing) -> None:
     """Where the dense helper raises a bare KeyError on an unknown id, the
     sparse one raises ValueError("unknown item <id> in bin <j>") for a bin
@@ -79,9 +122,34 @@ def _check(packing: Packing, dense: tuple, inst: PackingInstance) -> None:
         rows, total = old[1]
         old = "ok", (tuple(r for r in rows if r.items), total)
     _same(_outcome(paired_view, packing, inst), old, packing)
-    path = _right_side(inst)
-    assert _outcome(assemble_schedule, path, None, packing) == \
-        _outcome(ref_packing.assemble_schedule, path, None, ref)
+    _check_assembly(dense, inst)
+
+
+def _check_assembly(dense: tuple, inst: PackingInstance) -> None:
+    """`assemble_schedule` against the dense reference, one side at a
+    time, both sides at once, and with foreign packings."""
+    right = _right_side(inst)
+    left = _left_side(inst)
+    two = _two_sided(inst)
+    lbins = tuple(tuple("L" + i for i in bin_) for bin_ in dense)
+    rbins = tuple(tuple("R" + i for i in bin_) for bin_ in dense)
+    cases = (
+        (right, None, dense), (left, dense, None),
+        # foreign: every id sits on the other side of the facility, and
+        # the side named lies off the path
+        (right, dense, None), (left, None, dense),
+        (two, lbins, rbins),
+        # foreign ids in every bin, bins holding only foreign ids among them
+        (two, tuple(lb + ("F",) + rb for lb, rb in zip(lbins, rbins)),
+         tuple(rb + lb + ("F",) for lb, rb in zip(lbins, rbins))))
+    for path, lbin, rbin in cases:
+        new = _outcome(assemble_schedule, path,
+                       None if lbin is None else _sparse(lbin),
+                       None if rbin is None else _sparse(rbin))
+        old = _outcome(ref_packing.assemble_schedule, path,
+                       None if lbin is None else ref_greedy.RefPacking(lbin),
+                       None if rbin is None else ref_greedy.RefPacking(rbin))
+        assert new == old
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,9 +164,8 @@ def test_greedy_packings_match_dense_reference(inst):
 _DAMAGE = ("unknown", "duplicate", "merge", "early", "move", "empty", "gap")
 
 
-def _damage(bins: list[list[str]], inst: PackingInstance, data) -> None:
+def _damage(bins: list[list[str]], inst: PackingInstance, draw) -> None:
     """Apply one damage to a dense bin list in place."""
-    draw = data.draw
     ids = [i for bin_ in bins for i in bin_]
     ready = {it.id: it.ready for it in inst.items}
 
@@ -140,11 +207,33 @@ def _damage(bins: list[list[str]], inst: PackingInstance, data) -> None:
                                                           max_value=5)))]
 
 
-@settings(max_examples=400, deadline=None)
-@given(inst=packing_instances(), data=st.data())
-def test_damaged_packings_match_dense_reference(inst, data):
+@st.composite
+def damaged_packings(draw):
+    """A packing instance and its greedy dense bins after one to four
+    damages."""
+    inst = draw(packing_instances())
     bins = [list(bin_) for bin_ in ref_greedy.solve_greedy(inst)[0].bins]
-    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-        _damage(bins, inst, data)
-    dense = tuple(tuple(bin_) for bin_ in bins)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        _damage(bins, inst, draw)
+    return inst, tuple(tuple(bin_) for bin_ in bins)
+
+
+# ready times 1, 3 and 2: three origins on a side; every case also runs
+# the foreign packings and a facility at node n with a right packing
+_ABC = PackingInstance(capacity=10, items=(
+    PackingItem(id="A", size=2, weight=1, ready=1),
+    PackingItem(id="B", size=3, weight=2, ready=3),
+    PackingItem(id="C", size=1, weight=3, ready=2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=damaged_packings())
+# a bin whose items come from three origins, in no origin order
+@example(case=(_ABC, ((), (), ("C", "A", "B"))))
+# an id twice in one bin: with one origin, and with several
+@example(case=(_ABC, (("A", "A"), (), ("B", "C", "B"))))
+# several origins, an unknown id and a bin before its ready time
+@example(case=(_ABC, (("C",), ("A", "ghost"), ("B",))))
+def test_damaged_packings_match_dense_reference(case):
+    inst, dense = case
     _check(_sparse(dense), dense, inst)
