@@ -9,11 +9,12 @@ the route gives every intermediate departure with zero waiting.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, starmap
+from operator import itemgetter
 
 from . import relax
 from .model import (Move, Packing, PackingInstance, PackingItem,
@@ -236,19 +237,32 @@ def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Facility arrivals of a schedule walk, plus its event log.
+    """Facility arrivals of a schedule walk, plus its departure log.
 
-    `events` holds one (epoch, node, ids, landed) entry per departure
-    (landed False: the ids left the node) and per landing (landed True: the
-    ids joined the node), in the order the walk applied them; an entry's
-    ids are a sequence of distinct group ids. A walk holds O(moves), never
-    a snapshot per epoch; `render_table` replays the log.
+    `departures` holds one (epoch, node, ids, landing epoch, landing node)
+    entry per departure, in (epoch, node) order; an entry's ids are the
+    distinct group ids that left the node. `events` is derived from that
+    log the first time it is read: one (epoch, node, ids, landed) entry per
+    departure (landed False: the ids left the node) and per landing (landed
+    True: the ids joined the node), each epoch's departures in node order
+    and then its landings in departure order. A walk holds O(moves), never
+    a snapshot per epoch; `render_table` replays `events`.
     """
 
     instance: PathInstance
-    events: list[tuple[int, int, Sequence[str], bool]]
+    departures: list[tuple[int, int, Sequence[str], int, int]]
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
+
+    @cached_property
+    def events(self) -> list[tuple[int, int, Sequence[str], bool]]:
+        """The event log, derived from `departures` on first read."""
+        deps = self.departures
+        # (epoch, landed, departure index): False sorts before True
+        order = sorted([key for k, (t, _v, _ids, land, _u) in enumerate(deps)
+                        for key in ((t, False, k), (land, True, k))])
+        return [(e, deps[k][4] if landed else deps[k][1], deps[k][2], landed)
+                for e, landed, k in order]
 
     def render_table(self) -> str:
         """Per-epoch occupancy table, one line per epoch.
@@ -281,144 +295,139 @@ def _walk(inst: PathInstance, sched: Schedule) \
         -> tuple[SimulationTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
+    One pass over the moves in (time, node) order. Each group carries the
+    node it is at or headed to and the first epoch it may leave: a group
+    that departs at t over an edge of length d lands at t + d - 1 and may
+    leave again from t + d on, so a distance-1 hop lands in its own epoch
+    and cannot leave before the next one. Presence, capacity, direction,
+    arrivals and the horizon all follow from that state, at a couple of
+    dict operations per named group; the cost follows the number of moves,
+    never the epoch values. Moves whose keys arrive ascending, as
+    `assemble_schedule` and `parse_schedule` give them, are walked as they
+    come; a pass that meets a descending key stops there, and the walk
+    starts over on the moves in a stable (time, node) sort.
+
     Groups named in a bad move simply do not move, so one violation never
-    cascades into spurious ones downstream. The walk jumps from one event
-    epoch to the next (moves sorted once, landing epochs in a heap), so its
-    cost follows the number of moves, never the epoch values. Moves whose
-    (time, node) keys arrive ascending, as `assemble_schedule` and
-    `parse_schedule` give them, skip the sort and the duplicate-key check.
-    Within an epoch, departures go first in node order, then landings in
-    departure order, so a distance-1 hop lands in its own epoch and cannot
-    leave again before the next one.
+    cascades into spurious ones downstream. The checks of a move on its
+    own (off the path, before epoch 1, a repeated key, an unknown or
+    doubled id) are reported first, in input order; presence, direction and
+    capacity follow in walk order.
     """
+    walked = _walk_ordered(inst, enumerate(sched.moves))
+    if walked is None:
+        walked = _walk_ordered(inst, sorted(
+            enumerate(sched.moves), key=lambda km: (km[1].time, km[1].node)))
+    return walked
+
+
+def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
+        -> tuple[SimulationTrace, list[str]] | None:
+    """`_walk` over (input index, move) pairs; None as soon as the keys of
+    the moves on the path stop ascending."""
     a = inst.facility
     nodes = inst.nodes
     size_of = {g.id: g.size for g in inst.groups}
+    # group id -> (the node it is at or headed to, the first epoch it may
+    # leave)
+    state = {g.id: (g.node, 0) for g in inst.groups}
+    early: list[tuple[int, str]] = []   # (input index, violation)
     violations: list[str] = []
     report = violations.append
-    # (time, node, ids) of every departure that names a known group
-    departures: list[tuple[int, int, tuple[str, ...]]] = []
-    keep = departures.append
-    last_t = last_v = 0     # the last key, while the keys ascend
-    # keys of the moves on the path, built once the keys stop ascending:
-    # strictly ascending keys cannot repeat
-    seen: set[tuple[int, int]] | None = None
-    for k, m in enumerate(sched.moves):
-        t = m.time
-        v = m.node
-        ids = m.groups
-        if v < 1 or v > nodes:
-            report(f"unknown: node {v} outside the path (move at time {t})")
-            continue
-        if t < 1:
-            report(f"time: move at time {t}, node {v} before epoch 1")
-            continue
-        if seen is None and (t > last_t or t == last_t and v > last_v):
-            last_t = t
-            last_v = v
-        else:
-            if seen is None:
-                seen = {(p.time, p.node) for p in sched.moves[:k]
-                        if 1 <= p.node <= nodes and p.time >= 1}
-            key = (t, v)
-            if key in seen:
-                report(f"duplicate: two moves at time {t}, node {v}")
-                continue
-            seen.add(key)
-        if len(ids) == 1:
-            if ids[0] in size_of:
-                keep((t, v, ids))
-            else:
-                report(f"unknown: group {ids[0]!r} in move at time {t}, "
-                       f"node {v}")
-            continue
-        kept: dict[str, None] = {}
-        for gid in ids:
-            if gid not in size_of:
-                report(f"unknown: group {gid!r} in move at time {t}, "
-                       f"node {v}")
-            elif gid in kept:
-                report(f"duplicate: group {gid!r} twice in move at time {t}, "
-                       f"node {v}")
-            else:
-                kept[gid] = None
-        if kept:
-            keep((t, v, ids if len(kept) == len(ids) else tuple(kept)))
-    if seen is not None:
-        departures.sort()   # the keys are distinct, so ids never compare
-
-    # insertion-ordered: instance order first, then landing order
-    at = _start(inst)
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
     # edge k joins nodes k and k + 1; index 0 is unused
     dist = (0, *inst.distances)
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
-    events: list[tuple[int, int, Sequence[str], bool]] = []
-    log = events.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    n = len(departures)
-    # land epoch -> [(node, ids)] in departure order, and a heap of its keys
-    pending: dict[int, list[tuple[int, Sequence[str]]]] = {}
-    land_epochs: list[int] = []
-    i = 0
-    t = 0   # ends as the last event epoch: the horizon
-    while i < n or land_epochs:
-        t = departures[i][0] if i < n else land_epochs[0]
-        if land_epochs and land_epochs[0] < t:
-            t = land_epochs[0]
-        while i < n:
-            t_dep, v, ids = departures[i]
-            if t_dep != t:
-                break
-            i += 1
-            if v == a:
-                report(f"direction: move at the facility node {a} at time {t}")
-                continue
-            here = at[v]
-            size = 0
-            missing = ()
+    departures: list[tuple[int, int, Sequence[str], int, int]] = []
+    log = departures.append
+    last_t = last_v = 0     # the last key on the path
+    named_t = 0             # the epoch of the last move naming a group
+    top = 0                 # the latest landing epoch
+    for k, m in ordered:
+        t = m.time
+        v = m.node
+        ids = m.groups
+        if v < 1 or v > nodes:
+            early.append((k, f"unknown: node {v} outside the path "
+                             f"(move at time {t})"))
+            continue
+        if t < 1:
+            early.append((k, f"time: move at time {t}, node {v} "
+                             "before epoch 1"))
+            continue
+        if t > last_t or t == last_t and v > last_v:
+            last_t = t
+            last_v = v
+        elif t == last_t and v == last_v:
+            early.append((k, f"duplicate: two moves at time {t}, node {v}"))
+            continue
+        else:
+            return None
+        if len(ids) > 1 and len(set(ids)) != len(ids):
+            kept: dict[str, None] = {}
             for gid in ids:
-                if gid in here:
-                    del here[gid]
-                    size += size_of[gid]
+                if gid not in size_of:
+                    early.append((k, f"unknown: group {gid!r} in move at "
+                                     f"time {t}, node {v}"))
+                elif gid in kept:
+                    early.append((k, f"duplicate: group {gid!r} twice in "
+                                     f"move at time {t}, node {v}"))
                 else:
-                    report(f"presence: group {gid!r} not at node {v} "
-                           f"at time {t}")
-                    missing += (gid,)
-            if missing:
-                # the ids of one move are distinct
-                ids = [gid for gid in ids if gid not in missing]
-                if not ids:
-                    continue
-            edge = v if v < a else v - 1
-            if size > caps[edge]:
-                report(f"capacity: departure from node {v} at time {t} "
-                       f"carries size {size} > capacity {caps[edge]}")
-            log((t, v, ids, False))
-            land = t + dist[edge] - 1
-            batch = pending.get(land)
-            if batch is None:
-                pending[land] = batch = []
-                heappush(land_epochs, land)
-            batch.append((v + 1 if v < a else v - 1, ids))
-        if land_epochs and land_epochs[0] == t:
-            heappop(land_epochs)
-            for u, ids in pending.pop(t):
-                here = at[u]
-                for gid in ids:
-                    here[gid] = None
-                log((t, u, ids, True))
-                if u == a:
-                    # a group at the facility never departs, so it lands
-                    # there at most once
-                    for gid in ids:
-                        arrival_time[gid] = t
+                    kept[gid] = None
+            ids = tuple(kept)
+        if v == a:
+            named = False
+            for gid in ids:
+                if gid in size_of:
+                    named = True
+                else:
+                    early.append((k, f"unknown: group {gid!r} in move at "
+                                     f"time {t}, node {v}"))
+            if named:
+                named_t = t
+                report(f"direction: move at the facility node {a} at time {t}")
+            continue
+        edge = v if v < a else v - 1
+        land = t + dist[edge] - 1
+        u = v + 1 if v < a else v - 1
+        there = (u, land + 1)
+        size = 0
+        stay = ()   # the named ids that do not leave
+        for gid in ids:
+            s = state.get(gid)
+            if s is None:
+                early.append((k, f"unknown: group {gid!r} in move at time "
+                                 f"{t}, node {v}"))
+                stay += (gid,)
+                continue
+            named_t = t
+            if s[0] == v and s[1] <= t:
+                state[gid] = there
+                size += size_of[gid]
+            else:
+                report(f"presence: group {gid!r} not at node {v} at time {t}")
+                stay += (gid,)
+        if len(stay) == len(ids):   # nothing leaves, or the move is empty
+            continue
+        if stay:
+            # the ids are distinct here
+            ids = [gid for gid in ids if gid not in stay]
+        if size > caps[edge]:
+            report(f"capacity: departure from node {v} at time {t} "
+                   f"carries size {size} > capacity {caps[edge]}")
+        log((t, v, ids, land, u))
+        if land > top:
+            top = land
+        if u == a:
+            # a group at the facility never departs, so it lands there at
+            # most once
+            for gid in ids:
+                arrival_time[gid] = land
 
-    trace = SimulationTrace(instance=inst, events=events,
-                            arrival_time=arrival_time, horizon=t)
-    return trace, violations
+    early.sort(key=itemgetter(0))
+    trace = SimulationTrace(instance=inst, departures=departures,
+                            arrival_time=arrival_time,
+                            horizon=max(named_t, top))
+    return trace, [msg for _k, msg in early] + violations
 
 
 def simulate(inst: PathInstance, sched: Schedule) -> SimulationTrace:

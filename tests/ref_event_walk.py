@@ -8,18 +8,36 @@ the differential tests can compare the two walks violation for violation,
 on any schedule built in code: unordered moves, repeated (time, node)
 keys, groups named twice, moves before epoch 1 or off the path, unknown
 groups and moves at the facility.
+
+Only the packaging of its result differs from that walk: a
+`SimulationTrace` now derives its event log from a departure log, so the
+reference returns its own event log in a `RefEventTrace`, which renders its
+table by the same sweep.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 from pathevac.evac import SimulationTrace, _start
 from pathevac.model import PathInstance, Schedule
 
 
+@dataclass(frozen=True)
+class RefEventTrace:
+    """What the reference walk records: its event log, as it built it."""
+
+    instance: PathInstance
+    events: list[tuple[int, int, list[str], bool]]
+    arrival_time: dict[str, int]
+    horizon: int
+
+    render_table = SimulationTrace.render_table
+
+
 def ref_event_walk(inst: PathInstance, sched: Schedule) \
-        -> tuple[SimulationTrace, list[str]]:
+        -> tuple[RefEventTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
     Groups named in a bad move simply do not move, so one violation never
@@ -126,6 +144,6 @@ def ref_event_walk(inst: PathInstance, sched: Schedule) \
                         arrival_time.setdefault(gid, t)
         horizon = max(horizon, t)
 
-    trace = SimulationTrace(instance=inst, events=events,
-                            arrival_time=arrival_time, horizon=horizon)
+    trace = RefEventTrace(instance=inst, events=events,
+                          arrival_time=arrival_time, horizon=horizon)
     return trace, violations

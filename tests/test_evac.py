@@ -276,6 +276,59 @@ def test_two_moves_at_one_time_and_node(fixtures):
     assert trace.arrival_time == {"G21": 2}
 
 
+def test_event_log_is_built_only_when_read(fixtures):
+    # edges up to 1000 epochs long, so landings trail their departures
+    long_edge = gen_random(5, GenParams(nodes=4, groups=20, capacity=10,
+                                        max_size=10, max_distance=1000,
+                                        facility=1))
+    fx = fixtures["fig1b"]
+    for inst, sched in ((fx.instance, fx.schedule),
+                        (long_edge, solve(long_edge)[0])):
+        checked, _ = check_schedule(inst, sched)
+        trace = simulate(inst, sched)
+        assert "events" not in vars(checked)
+        assert "events" not in vars(trace)
+        ref_trace, _ = ref_event_walk(inst, sched)
+        assert [(t, v, list(ids), landed)
+                for t, v, ids, landed in trace.events] == ref_trace.events
+        assert "events" in vars(trace)
+
+
+def test_out_of_order_violations_keep_their_order(fixtures):
+    # the checks of a move on its own (off the path, before epoch 1, a
+    # repeated key, an unknown or doubled id) are reported first, in input
+    # order; then presence, direction and capacity in (time, node) order
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(
+        Move(5, 2, ("G12", "G22")),
+        Move(2, 2, ("G11",)),
+        Move(1, 1, ("G11",)),
+        Move(2, 2, ("G12",)),
+        Move(1, 9, ("G21",)),
+        Move(3, 3, ("G21",)),
+        Move(1, 2, ("G21", "ghost", "G21")),
+        Move(0, 1, ("G12",)),
+        Move(4, 1, ("G12",)),
+        Move(3, 1, ("G22",)),
+    ))
+    trace, violations = _walk(inst, sched)
+    ref_trace, ref_violations = ref_event_walk(inst, sched)
+    assert violations == ref_violations == [
+        "duplicate: two moves at time 2, node 2",
+        "unknown: node 9 outside the path (move at time 1)",
+        "unknown: group 'ghost' in move at time 1, node 2",
+        "duplicate: group 'G21' twice in move at time 1, node 2",
+        "time: move at time 0, node 1 before epoch 1",
+        "presence: group 'G22' not at node 1 at time 3",
+        "direction: move at the facility node 3 at time 3",
+        "capacity: departure from node 2 at time 5 carries size 5 > "
+        "capacity 3",
+    ]
+    assert trace.arrival_time == ref_trace.arrival_time \
+        == {"G21": 2, "G11": 3, "G12": 6, "G22": 6}
+    assert trace.horizon == ref_trace.horizon == 6
+
+
 def test_move_before_epoch_1(fixtures):
     inst = fixtures["fig1b"].instance
     sched = Schedule(moves=(Move(0, 2, ("G21",)), Move(-3, 1, ("G11",))))

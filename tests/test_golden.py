@@ -129,7 +129,25 @@ GOLDEN = {
         "901be840a04d4bd85d74d4d45b7affd0896aac33034315ab3c8f9c88042fd12f",
     "too-big-groups lowerbound":
         "901be840a04d4bd85d74d4d45b7affd0896aac33034315ab3c8f9c88042fd12f",
+    # recorded under the walk with per-node occupancy and a landing heap
+    "damaged-moves validate":
+        "a12d6466640591914c0d916115fa220247a4f6a1c2aa0f6384e343111fbc932f",
 }
+
+# a schedule for fig1b that the reader accepts, with its moves out of
+# order and every violation kind the walk reports on such a document: a
+# node off the path, an unknown group, a departure that finds its group
+# elsewhere, a move at the facility, an overfull departure and a group that
+# never arrives (the reader itself rejects a move before epoch 1, a
+# repeated key and a group named twice in one move)
+DAMAGED_SCHEDULE = {"moves": [
+    {"time": 5, "node": 2, "groups": ["G12", "G22"]},
+    {"time": 1, "node": 9, "groups": ["G21"]},
+    {"time": 4, "node": 1, "groups": ["G12"]},
+    {"time": 3, "node": 3, "groups": ["G21"]},
+    {"time": 2, "node": 2, "groups": ["ghost", "G21"]},
+    {"time": 3, "node": 1, "groups": ["G22"]},
+]}
 
 
 def _run(capsys, argv, written=None) -> tuple[str, str]:
@@ -192,6 +210,21 @@ def test_rejected_instance_commands(name, tmp_path, capsys):
            "lowerbound": _run(capsys, ["lowerbound", "--instance",
                                        str(inst)])[1]}
     assert got == {cmd: GOLDEN[f"{name} {cmd}"] for cmd in got}
+
+
+def test_damaged_schedule_validate(tmp_path, capsys):
+    inst = str(_write_input(tmp_path, capsys, "fig1b", INSTANCES["fig1b"]))
+    sched = tmp_path / "damaged-moves.json"
+    sched.write_text(json.dumps(DAMAGED_SCHEDULE), encoding="utf-8")
+    argv = ["validate", "--instance", inst, "--schedule", str(sched),
+            "--trace"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    out, digest = _run(capsys, argv)
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "unknown", "unknown", "presence", "direction", "capacity",
+        "completion"]
+    assert digest == GOLDEN["damaged-moves validate"]
 
 
 # workload -> digest of the benchmark's checked outputs at seed 7
