@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, starmap
 from operator import itemgetter
 
@@ -241,12 +240,8 @@ class SimulationTrace:
 
     `departures` holds one (epoch, node, ids, landing epoch, landing node)
     entry per departure, in (epoch, node) order; an entry's ids are the
-    distinct group ids that left the node. `events` is derived from that
-    log the first time it is read: one (epoch, node, ids, landed) entry per
-    departure (landed False: the ids left the node) and per landing (landed
-    True: the ids joined the node), each epoch's departures in node order
-    and then its landings in departure order. A walk holds O(moves), never
-    a snapshot per epoch; `render_table` replays `events`.
+    distinct group ids that left the node. A walk holds O(moves), never a
+    snapshot per epoch; `render_table` sweeps the log.
     """
 
     instance: PathInstance
@@ -254,38 +249,32 @@ class SimulationTrace:
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
 
-    @cached_property
-    def events(self) -> list[tuple[int, int, Sequence[str], bool]]:
-        """The event log, derived from `departures` on first read."""
-        deps = self.departures
-        # (epoch, landed, departure index): False sorts before True
-        order = sorted([key for k, (t, _v, _ids, land, _u) in enumerate(deps)
-                        for key in ((t, False, k), (land, True, k))])
-        return [(e, deps[k][4] if landed else deps[k][1], deps[k][2], landed)
-                for e, landed, k in order]
-
     def render_table(self) -> str:
         """Per-epoch occupancy table, one line per epoch.
 
-        One forward sweep of the event log from the instance's start state:
-        the columns are the nodes occupied at the start or landed on later,
-        and each row is printed after its epoch's events are applied.
+        One forward sweep of the departure log from the instance's start
+        state. At each epoch, that epoch's departures leave their nodes in
+        log order, then the departures landing in it join their landing
+        nodes in log order; each row is printed after both. The columns are
+        the nodes occupied at the start or landed on later.
         """
         at = _start(self.instance)
-        events = self.events
+        deps = self.departures
+        # a stable sort: the departures landing in one epoch keep log order
+        lands = sorted(deps, key=itemgetter(3))
         nodes = sorted({v for v, ids in at.items() if ids}
-                       | {v for _t, v, _ids, landed in events if landed})
+                       | {dep[4] for dep in deps})
         lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
-        i = 0
+        i = j = 0
         for t in range(self.horizon + 1):
-            while i < len(events) and events[i][0] == t:
-                _t, v, ids, landed = events[i]
+            while i < len(deps) and deps[i][0] == t:
+                here = at[deps[i][1]]
+                for gid in deps[i][2]:
+                    del here[gid]
                 i += 1
-                if landed:
-                    at[v].update(dict.fromkeys(ids))
-                else:
-                    for gid in ids:
-                        del at[v][gid]
+            while j < len(lands) and lands[j][3] == t:
+                at[lands[j][4]].update(dict.fromkeys(lands[j][2]))
+                j += 1
             cells = [",".join(at[v]) if at[v] else "-" for v in nodes]
             lines.append(f"{t:>4}  " + "  ".join(cells))
         return "\n".join(lines)

@@ -156,6 +156,18 @@ def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
     return True
 
 
+def _bad_text(text: str) -> bool:
+    """True for a string UTF-8 cannot encode: a JSON "\\ud800" escape
+    decodes to a lone surrogate. An ASCII string needs one test."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def validate_instance(data: Any) -> PathInstance:
     """Check a decoded instance document and build the typed instance.
 
@@ -231,6 +243,10 @@ def validate_instance(data: Any) -> PathInstance:
         if not isinstance(gid, str) or not gid:
             errors.append(f"groups[{idx}].id: expected a non-empty string")
             continue
+        if _bad_text(gid):
+            errors.append(f"groups[{idx}].id: expected UTF-8 text, "
+                          f"got {gid!r}")
+            continue
         if gid in seen:
             errors.append(f"groups: duplicate id {gid!r}")
             continue
@@ -303,6 +319,9 @@ def validate_packing_instance(data: Any) -> PackingInstance:
         iid = it.get("id")
         if not isinstance(iid, str) or not iid:
             errors.append(f"items[{idx}].id: expected a non-empty string")
+            continue
+        if _bad_text(iid):
+            errors.append(f"items[{idx}].id: expected UTF-8 text, got {iid!r}")
             continue
         if iid in seen:
             errors.append(f"items: duplicate id {iid!r}")

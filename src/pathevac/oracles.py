@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from . import kernels
-from .evac import _positions
 from .model import Packing, PackingInstance, PathInstance, Schedule
 
 
@@ -64,7 +63,8 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
 def _required_epochs(inst: PathInstance) -> int:
     """Epoch horizon guaranteed to contain an optimal evacuation."""
     a = inst.facility
-    pos = _positions(inst)
+    # pos[v]: the distance from node 1 to node v
+    pos = [0, *itertools.accumulate(inst.distances, initial=0)]
     req = 0
     for lo, hi, near, edge in ((1, a - 1, a - 1, a - 1),
                                (a + 1, inst.nodes, a + 1, a)):

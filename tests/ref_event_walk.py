@@ -9,10 +9,10 @@ on any schedule built in code: unordered moves, repeated (time, node)
 keys, groups named twice, moves before epoch 1 or off the path, unknown
 groups and moves at the facility.
 
-Only the packaging of its result differs from that walk: a
-`SimulationTrace` now derives its event log from a departure log, so the
-reference returns its own event log in a `RefEventTrace`, which renders its
-table by the same sweep.
+Only the packaging of its result differs from that walk: the reference
+returns its event log in a `RefEventTrace`, which carries the renderer that
+swept that log before `SimulationTrace.render_table` swept the departure
+log instead, so the table differential compares the two renderers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from pathevac.evac import SimulationTrace, _start
+from pathevac.evac import _start
 from pathevac.model import PathInstance, Schedule
 
 
@@ -33,7 +33,31 @@ class RefEventTrace:
     arrival_time: dict[str, int]
     horizon: int
 
-    render_table = SimulationTrace.render_table
+    def render_table(self) -> str:
+        """Per-epoch occupancy table, one line per epoch.
+
+        One forward sweep of the event log from the instance's start state:
+        the columns are the nodes occupied at the start or landed on later,
+        and each row is printed after its epoch's events are applied.
+        """
+        at = _start(self.instance)
+        events = self.events
+        nodes = sorted({v for v, ids in at.items() if ids}
+                       | {v for _t, v, _ids, landed in events if landed})
+        lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
+        i = 0
+        for t in range(self.horizon + 1):
+            while i < len(events) and events[i][0] == t:
+                _t, v, ids, landed = events[i]
+                i += 1
+                if landed:
+                    at[v].update(dict.fromkeys(ids))
+                else:
+                    for gid in ids:
+                        del at[v][gid]
+            cells = [",".join(at[v]) if at[v] else "-" for v in nodes]
+            lines.append(f"{t:>4}  " + "  ".join(cells))
+        return "\n".join(lines)
 
 
 def ref_event_walk(inst: PathInstance, sched: Schedule) \

@@ -202,6 +202,14 @@ def test_gen_partition(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_gen_partition_rejects_a_non_integer(capsys):
+    assert main(["gen", "--partition", "1,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "partition: invalid literal for int() with base 10: 'x'"]
+
+
 def test_gen_packing(capsys):
     assert main(["gen", "--seed", "7", "--packing"]) == 0
     pinst = parse_packing_instance(capsys.readouterr().out)
@@ -257,6 +265,13 @@ def test_bench_packing_csv(capsys):
     assert rows[5]["seed"] == "max"
     assert float(rows[5]["ratio_vs_opt"]) == max(
         float(r["ratio_vs_opt"]) for r in rows[:5])
+
+
+def test_bench_marks_an_over_budget_oracle(capsys):
+    assert main(["bench", "--count", "1", "--items", "16",
+                 "--with-oracle"]) == 0
+    row = _bench_rows(capsys.readouterr().out)[0]
+    assert row["opt"] == "budget_exceeded" and row["ratio_vs_opt"] == ""
 
 
 def test_bench_evac_csv(capsys):
@@ -347,6 +362,29 @@ def test_undecodable_json_exit_1(fig1b_files, tmp_path, capsys, flag, text):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("json: ")
+
+
+@pytest.mark.parametrize("argv, doc, entry", [
+    (["solve", "--instance"],
+     {"nodes": 2, "facility": 2, "capacity": 3,
+      "edges": [{"from": 1, "to": 2, "distance": 1}],
+      "groups": [{"id": "\ud800", "node": 1, "size": 1, "weight": 1}]},
+     "groups"),
+    (["oracle", "--packing"],
+     {"capacity": 3,
+      "items": [{"id": "\ud800", "size": 1, "weight": 1, "ready": 1}]},
+     "items"),
+], ids=["solve", "oracle"])
+def test_id_utf8_cannot_encode_exit_1(tmp_path, capsys, argv, doc, entry):
+    # json.dumps escapes the lone surrogate, and the reader decodes it back
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    target = tmp_path / "out.json"
+    assert main([*argv, str(path), "--output", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not target.exists()
+    assert err.splitlines() == [
+        f"{entry}[0].id: expected UTF-8 text, got '\\ud800'"]
 
 
 def test_missing_file_exit_1(tmp_path, capsys):

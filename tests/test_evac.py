@@ -1,4 +1,5 @@
 import time
+from operator import itemgetter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -276,7 +277,20 @@ def test_two_moves_at_one_time_and_node(fixtures):
     assert trace.arrival_time == {"G21": 2}
 
 
-def test_event_log_is_built_only_when_read(fixtures):
+def _assert_same_events(trace, ref_trace) -> None:
+    """The departure log against the reference's departure events, the log
+    in landing order against its landing events, and the two renderers."""
+    deps = trace.departures
+    assert [(t, v, list(ids)) for t, v, ids, _land, _u in deps] \
+        == [(t, v, ids) for t, v, ids, landed in ref_trace.events
+            if not landed]
+    assert [(land, u, list(ids)) for _t, _v, ids, land, u
+            in sorted(deps, key=itemgetter(3))] \
+        == [(t, v, ids) for t, v, ids, landed in ref_trace.events if landed]
+    assert trace.render_table() == ref_trace.render_table()
+
+
+def test_departure_log_matches_event_walk_reference(fixtures):
     # edges up to 1000 epochs long, so landings trail their departures
     long_edge = gen_random(5, GenParams(nodes=4, groups=20, capacity=10,
                                         max_size=10, max_distance=1000,
@@ -284,14 +298,9 @@ def test_event_log_is_built_only_when_read(fixtures):
     fx = fixtures["fig1b"]
     for inst, sched in ((fx.instance, fx.schedule),
                         (long_edge, solve(long_edge)[0])):
-        checked, _ = check_schedule(inst, sched)
-        trace = simulate(inst, sched)
-        assert "events" not in vars(checked)
-        assert "events" not in vars(trace)
         ref_trace, _ = ref_event_walk(inst, sched)
-        assert [(t, v, list(ids), landed)
-                for t, v, ids, landed in trace.events] == ref_trace.events
-        assert "events" in vars(trace)
+        _assert_same_events(check_schedule(inst, sched)[0], ref_trace)
+        _assert_same_events(simulate(inst, sched), ref_trace)
 
 
 def test_out_of_order_violations_keep_their_order(fixtures):
@@ -622,6 +631,4 @@ def test_walk_matches_event_walk_reference(inst, data):
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    assert [(t, v, list(ids), landed) for t, v, ids, landed in trace.events] \
-        == ref_trace.events
-    assert trace.render_table() == ref_trace.render_table()
+    _assert_same_events(trace, ref_trace)

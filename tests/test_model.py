@@ -208,6 +208,57 @@ def test_packing_parse_errors():
         parse_packing(json.dumps({"bins": [["A"]], "objective": "x"}))
 
 
+_ITEM = {"id": "a", "size": 1, "weight": 1, "ready": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "document: expected a JSON object"),
+    ({"capacity": 3, "items": {}}, "items: expected a list"),
+    ({"capacity": 3, "items": [1]}, "items[0]: expected an object"),
+    ({"capacity": 3, "items": [{**_ITEM, "id": ""}]},
+     "items[0].id: expected a non-empty string"),
+    ({"capacity": 3, "items": [_ITEM, _ITEM]}, "items: duplicate id 'a'"),
+    ({"capacity": 3, "items": [{**_ITEM, "id": "\ud800"}]},
+     "items[0].id: expected UTF-8 text, got '\\ud800'"),
+], ids=["document", "items", "item", "id", "duplicate", "surrogate"])
+def test_packing_instance_rejections(doc, message):
+    with pytest.raises(InstanceError) as err:
+        parse_packing_instance(json.dumps(doc))
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "document: expected a JSON object"),
+    ({"bins": {}}, "bins: expected a list of lists"),
+], ids=["document", "bins"])
+def test_packing_rejections(doc, message):
+    with pytest.raises(InstanceError) as err:
+        parse_packing(json.dumps(doc))
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "document: expected a JSON object"),
+    (_doc(edges=[1, {"from": 2, "to": 3, "distance": 2}]),
+     "edges[0]: expected an object"),
+    (_doc(groups=[{"id": "\ud800", "node": 1, "size": 1, "weight": 1}]),
+     "groups[0].id: expected UTF-8 text, got '\\ud800'"),
+], ids=["document", "edge", "surrogate"])
+def test_instance_rejections(doc, message):
+    with pytest.raises(InstanceError) as err:
+        validate_instance(doc)
+    assert err.value.violations == [message]
+
+
+def test_non_ascii_ids_are_accepted():
+    inst = validate_instance(_doc(groups=[
+        {"id": "Gé", "node": 1, "size": 1, "weight": 1}]))
+    assert inst.groups[0].id == "Gé"
+    pinst = parse_packing_instance(json.dumps(
+        {"capacity": 3, "items": [{**_ITEM, "id": "ü"}]}))
+    assert pinst.items[0].id == "ü"
+
+
 def test_packing_instance_round_trip():
     text = json.dumps({
         "capacity": 4,

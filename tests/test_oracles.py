@@ -1,3 +1,5 @@
+import ast
+import inspect
 import time
 from fractions import Fraction
 
@@ -14,6 +16,17 @@ from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       simulate, solve, solve_fractional_greedy,
                       validate_packing, validate_schedule)
 from pathevac import oracles
+
+
+def test_oracles_import_nothing_from_the_solvers():
+    # the oracles certify the greedy solvers, so they share no code with
+    # them: within the package, they read the data model and the exact DP
+    tree = ast.parse(inspect.getsource(oracles))
+    local = {alias.name if node.module is None else node.module
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names}
+    assert local == {"kernels", "model"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathevac import (PackingInstance, PackingItem, eligibility_threshold,
+from pathevac import (GreedyTrace, PackingInstance, PackingItem,
+                      eligibility_threshold,
                       fractional_objective, gen_random_packing, PackParams,
                       packing_objective, pair_overflow_violations,
                       paired_view, reduced_ready_times, replay_trace,
@@ -70,6 +71,22 @@ def test_trace_replay_reproduces_packing(abd, ready_pair):
     for inst in (abd, ready_pair):
         packing, trace = solve_greedy(inst)
         assert replay_trace(trace, inst) == packing
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda steps: (steps[0]._replace(item="zz"), *steps[1:]),
+     "trace places unknown item 'zz'"),
+    (lambda steps: (steps[0], *steps), "trace places 'A' twice"),
+    (lambda steps: (steps[0]._replace(action="bogus"), *steps[1:]),
+     "unknown trace action 'bogus'"),
+    (lambda steps: steps[:1], "trace does not place every item"),
+], ids=["unknown", "twice", "action", "unplaced"])
+def test_trace_replay_rejects_a_damaged_trace(abd, damage, message):
+    _, trace = solve_greedy(abd)
+    assert trace.steps[0].item == "A"
+    with pytest.raises(ValueError) as err:
+        replay_trace(GreedyTrace(steps=damage(trace.steps)), abd)
+    assert str(err.value) == message
 
 
 def test_validate_packing_names_violations(abd):
