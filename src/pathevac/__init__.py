@@ -28,8 +28,7 @@ from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       horizon_bound)
 from .packing import (GreedyTrace, eligibility_threshold, packing_objective,
-                      pair_overflow_violations, paired_view, replay_trace,
-                      solve_greedy, validate_packing)
+                      pair_overflow_violations, solve_greedy)
 from .relax import (fractional_bound, fractional_objective,
                     reduced_ready_times, solve_fractional_greedy,
                     validate_fractional)
@@ -45,9 +44,8 @@ __all__ = [
     "parse_packing", "serialize_packing",
     "parse_schedule", "serialize_schedule",
     # packing
-    "eligibility_threshold", "solve_greedy", "replay_trace", "GreedyTrace",
-    "packing_objective", "validate_packing", "paired_view",
-    "pair_overflow_violations",
+    "eligibility_threshold", "solve_greedy", "GreedyTrace",
+    "packing_objective", "pair_overflow_violations",
     # relaxation
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
     "validate_fractional", "fractional_bound",

@@ -140,6 +140,8 @@ def _gen_params(args, **extra) -> instances.GenParams:
 
 def _cmd_gen(args) -> int:
     if args.partition is not None:
+        if args.packing:
+            raise InstanceError(["gen: --packing does not apply to --partition"])
         inst = instances.gen_from_partition(_parse_partition(args.partition))
         _write(args.output, serialize_instance(inst))
         return 0
@@ -201,6 +203,8 @@ _BENCH_COLUMNS = ["seed", "m", "greedy", "fractional_lb", "opt",
 
 
 def _cmd_bench(args) -> int:
+    if args.count < 0:
+        raise InstanceError([f"count must be >= 0, got {args.count}"])
     seeds = list(range(args.seed_start, args.seed_start + args.count))
     rows = [_bench_row(s, args) for s in seeds]
     buf = io.StringIO()

@@ -1,0 +1,96 @@
+"""Packing checkers that no command runs, kept for the tests: feasibility
+(`validate_packing`), the paired objective of the factor-2 argument
+(`paired_view`), and a greedy trace re-executed to its packing
+(`replay_trace`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from pathevac.model import Packing, PackingInstance
+from pathevac.packing import GreedyTrace, _require_known
+
+
+def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
+    """Re-execute a trace. The result must equal the original packing."""
+    by_id = inst.item_by_id()
+    bins: dict[int, list[str]] = {}
+    placed: set[str] = set()
+    for step in trace.steps:
+        if step.action == "place":
+            if step.item is None or step.item not in by_id:
+                raise ValueError(f"trace places unknown item {step.item!r}")
+            if step.item in placed:
+                raise ValueError(f"trace places {step.item!r} twice")
+            placed.add(step.item)
+            bins.setdefault(step.bin, []).append(step.item)
+        elif step.action not in ("close", "jump"):
+            raise ValueError(f"unknown trace action {step.action!r}")
+    if placed != set(by_id):
+        raise ValueError("trace does not place every item")
+    return Packing(bins={b: tuple(bins[b]) for b in sorted(bins)})
+
+
+def validate_packing(packing: Packing, inst: PackingInstance) -> list[str]:
+    """All constraint violations of a packing; empty means feasible."""
+    by_id = inst.item_by_id()
+    violations: list[str] = []
+    seen: dict[str, int] = {}
+    for j, bin_ in packing.bins.items():
+        load = 0
+        for item_id in bin_:
+            it = by_id.get(item_id)
+            if it is None:
+                violations.append(f"unknown item: bin {j} references {item_id!r}")
+                continue
+            if item_id in seen:
+                violations.append(f"duplicate: item {item_id!r} appears in "
+                                  f"bins {seen[item_id]} and {j}")
+                continue
+            seen[item_id] = j
+            load += it.size
+            if j < it.ready:
+                violations.append(f"ready time: item {item_id!r} in bin {j} "
+                                  f"before ready time {it.ready}")
+        if load > inst.capacity:
+            violations.append(f"capacity: bin {j} holds size {load} > "
+                              f"{inst.capacity}")
+    for it in inst.items:
+        if it.id not in seen:
+            violations.append(f"missing: item {it.id!r} unassigned")
+    return violations
+
+
+@dataclass(frozen=True)
+class PairRow:
+    """Bins 2j-1 and 2j merged; the basis of the factor-2 argument."""
+
+    index: int                 # pair index j
+    items: tuple[str, ...]     # contents of both bins, first bin first
+    size: int
+    weight: int
+
+
+def paired_view(packing: Packing, inst: PackingInstance) \
+        -> tuple[tuple[PairRow, ...], int]:
+    """Merge consecutive bin pairs and price pair j at j per unit weight.
+
+    One row per non-empty pair, in pair order. The returned paired
+    objective is a lower bound certificate target: the fractional optimum
+    under halved ready times is at least this value, and the greedy
+    objective is at most twice it.
+    """
+    by_id = inst.item_by_id()
+    pairs: dict[int, list[str]] = {}
+    for j, bin_ in packing.bins.items():
+        _require_known(by_id, bin_, j)
+        pairs.setdefault((j + 1) // 2, []).extend(bin_)
+    rows: list[PairRow] = []
+    total = 0
+    for p, ids in pairs.items():
+        size = sum(by_id[i].size for i in ids)
+        weight = sum(by_id[i].weight for i in ids)
+        rows.append(PairRow(index=p, items=tuple(ids), size=size, weight=weight))
+        total += p * weight
+    return tuple(rows), total

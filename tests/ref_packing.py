@@ -1,12 +1,12 @@
 """The dense packing helpers, kept as test-only references.
 
-These are `packing_objective`, `validate_packing`, `paired_view`,
-`pair_overflow_violations` and `assemble_schedule` as they were while a
-packing was a dense tuple of bins, bins[j-1] holding bin j's items, empty
-bins included. They walk every bin index up to the last one. They are
-deliberately left as they were, so the differential tests can compare the
-sparse versions in `pathevac.packing` and `pathevac.evac` with them value
-for value, violation for violation, row for row and move for move.
+These are `packing_objective`, `pair_overflow_violations` and
+`assemble_schedule` as they were while a packing was a dense tuple of
+bins, bins[j-1] holding bin j's items, empty bins included. They walk
+every bin index up to the last one. They are deliberately left as they
+were, so the differential tests can compare the sparse versions in
+`pathevac.packing` and `pathevac.evac` with them value for value,
+violation for violation and move for move.
 `assemble_schedule` also keeps the assembly that collected every route
 step in a (time, node) map, as `pathevac.evac` did before it built each
 move from its bin.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from pathevac.evac import _positions
 from pathevac.model import PackingInstance, PathInstance, Schedule
-from pathevac.packing import PairRow
 from ref_greedy import RefPacking as Packing
 
 
@@ -30,60 +29,6 @@ def packing_objective(packing: Packing, inst: PackingInstance) -> int:
                 raise ValueError(f"unknown item {item_id!r} in bin {j}")
             total += by_id[item_id].weight * j
     return total
-
-
-def validate_packing(packing: Packing, inst: PackingInstance) -> list[str]:
-    """All constraint violations of a packing; empty means feasible."""
-    by_id = inst.item_by_id()
-    violations: list[str] = []
-    seen: dict[str, int] = {}
-    for j, bin_ in enumerate(packing.bins, start=1):
-        load = 0
-        for item_id in bin_:
-            it = by_id.get(item_id)
-            if it is None:
-                violations.append(f"unknown item: bin {j} references {item_id!r}")
-                continue
-            if item_id in seen:
-                violations.append(f"duplicate: item {item_id!r} appears in "
-                                  f"bins {seen[item_id]} and {j}")
-                continue
-            seen[item_id] = j
-            load += it.size
-            if j < it.ready:
-                violations.append(f"ready time: item {item_id!r} in bin {j} "
-                                  f"before ready time {it.ready}")
-        if load > inst.capacity:
-            violations.append(f"capacity: bin {j} holds size {load} > "
-                              f"{inst.capacity}")
-    for it in inst.items:
-        if it.id not in seen:
-            violations.append(f"missing: item {it.id!r} unassigned")
-    return violations
-
-
-def paired_view(packing: Packing, inst: PackingInstance) \
-        -> tuple[tuple[PairRow, ...], int]:
-    """Merge consecutive bin pairs and price pair j at j per unit weight.
-
-    The returned paired objective is a lower bound certificate target: the
-    fractional optimum under halved ready times is at least this value, and
-    the greedy objective is at most twice it.
-    """
-    by_id = inst.item_by_id()
-    rows: list[PairRow] = []
-    total = 0
-    npairs = (len(packing.bins) + 1) // 2
-    for p in range(1, npairs + 1):
-        ids: list[str] = []
-        for j in (2 * p - 1, 2 * p):
-            if j <= len(packing.bins):
-                ids.extend(packing.bins[j - 1])
-        size = sum(by_id[i].size for i in ids)
-        weight = sum(by_id[i].weight for i in ids)
-        rows.append(PairRow(index=p, items=tuple(ids), size=size, weight=weight))
-        total += p * weight
-    return tuple(rows), total
 
 
 def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[str]:

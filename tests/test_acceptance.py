@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from brute import has_equal_split
+from checkers import validate_packing
 from pathevac import (GenParams, PackParams, PackingInstance, PackingItem,
                       SplitMix64, bundled_examples, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
@@ -21,7 +22,7 @@ from pathevac import (GenParams, PackParams, PackingInstance, PackingItem,
                       pair_overflow_violations, reduce_side,
                       reduced_ready_times, schedule_objective, simulate,
                       solve_fractional_greedy, solve_greedy, solve_report,
-                      validate_packing, validate_schedule)
+                      validate_schedule)
 from pathevac.evac import check_schedule
 
 _CACHE: dict[str, object] = {}

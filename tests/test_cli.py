@@ -240,6 +240,25 @@ def test_gen_names_the_out_of_range_flag(flags, message, capsys):
     assert captured.err.strip() == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--count", "-3"], "count must be >= 0, got -3"),
+    (["gen", "--partition", "2,2", "--packing"],
+     "gen: --packing does not apply to --partition"),
+], ids=["bench-count", "gen-partition-packing"])
+def test_a_flag_that_would_be_ignored_is_rejected(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_bench_count_zero_writes_only_the_header_and_max_row(capsys):
+    assert main(["bench", "--count", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed,m,greedy,fractional_lb,opt,ratio_vs_opt,ratio_vs_lb,"
+        "wall_time_s", "max,,,,,,,0"]
+
+
 def test_gen_requires_seed(capsys):
     assert main(["gen"]) == 1
     assert "--seed is required" in capsys.readouterr().err

@@ -4,12 +4,13 @@ from operator import itemgetter
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from checkers import validate_packing
 from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
                       pair_overflow_violations, reduce_side,
                       schedule_objective, simulate, solve, solve_report,
-                      validate_packing, validate_schedule)
+                      validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
 from ref_walk import ref_walk, render

@@ -86,9 +86,9 @@ def test_greedy_matches_reference(inst):
     assert packing.bins == {j: bin_ for j, bin_ in
                             enumerate(ref_packing.bins, start=1) if bin_}
     assert max(packing.bins, default=0) == len(ref_packing.bins)
-    assert [(s.bin, s.action, s.item, s.eligible, s.detail, s.render())
+    assert [(s.bin, s.action, s.item, s.detail, s.render())
             for s in trace.steps] == \
-        [(s.bin, s.action, s.item, s.eligible, s.detail, s.render())
+        [(s.bin, s.action, s.item, s.detail, s.render())
          for s in ref_trace.steps]
     assert trace.render() == ref_trace.render()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute import brute_packing_opt
+from checkers import validate_packing
 from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       PackingInstance, PackingItem, PathInstance,
                       exact_dwsf_opt, exact_fractional_opt_mcf,
@@ -14,7 +15,7 @@ from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       gen_from_partition, gen_random, gen_random_packing,
                       horizon_bound, packing_objective, schedule_objective,
                       simulate, solve, solve_fractional_greedy,
-                      validate_packing, validate_schedule)
+                      validate_schedule)
 from pathevac import oracles
 
 

@@ -3,12 +3,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from checkers import paired_view, replay_trace, validate_packing
 from pathevac import (GreedyTrace, PackingInstance, PackingItem,
                       eligibility_threshold,
                       fractional_objective, gen_random_packing, PackParams,
                       packing_objective, pair_overflow_violations,
-                      paired_view, reduced_ready_times, replay_trace,
-                      solve_fractional_greedy, solve_greedy, validate_packing)
+                      reduced_ready_times, solve_fractional_greedy,
+                      solve_greedy)
 from pathevac.model import Packing
 
 

@@ -1,16 +1,15 @@
 """Differential tests: the sparse packing helpers against the dense ones.
 
-`ref_packing` keeps `packing_objective`, `validate_packing`, `paired_view`,
-`pair_overflow_violations` and `assemble_schedule` as they were while a
-packing listed every bin up to the last, empty ones included. On greedy
-packings and on damaged ones (unknown and duplicate ids, over-full bins,
-bins before an item's ready time, emptied bins, runs of empty bins and
-far-away bin indices) both versions must give the same objective, the same
-violations in the same order, the same paired objective with the same
-rows for the non-empty pairs, and the same schedule, or fail with the
-same error. The one difference: on an unknown id, where the dense
-`paired_view` and `pair_overflow_violations` raise a bare KeyError, the
-sparse ones raise the ValueError `packing_objective` raises.
+`ref_packing` keeps `packing_objective`, `pair_overflow_violations` and
+`assemble_schedule` as they were while a packing listed every bin up to
+the last, empty ones included. On greedy packings and on damaged ones
+(unknown and duplicate ids, over-full bins, bins before an item's ready
+time, emptied bins, runs of empty bins and far-away bin indices) both
+versions must give the same objective, the same violations in the same
+order and the same schedule, or fail with the same error. The one
+difference: on an unknown id, where the dense `pair_overflow_violations`
+raises a bare KeyError, the sparse one raises the ValueError
+`packing_objective` raises.
 
 The schedule assembly is compared on paths built so that one side, or
 each side, reduces to the packing instance: on the right of a facility at
@@ -30,8 +29,7 @@ import ref_greedy
 import ref_packing
 from pathevac import (Group, Packing, PackingInstance, PackingItem,
                       PathInstance, assemble_schedule, packing_objective,
-                      pair_overflow_violations, paired_view, reduce_side,
-                      solve_greedy, validate_packing)
+                      pair_overflow_violations, reduce_side, solve_greedy)
 from test_greedy_reference import packing_instances
 
 
@@ -113,15 +111,9 @@ def _same(new: tuple, old: tuple, packing: Packing) -> None:
 def _check(packing: Packing, dense: tuple, inst: PackingInstance) -> None:
     ref = ref_greedy.RefPacking(bins=dense)
     for new, old in ((packing_objective, ref_packing.packing_objective),
-                     (validate_packing, ref_packing.validate_packing),
                      (pair_overflow_violations,
                       ref_packing.pair_overflow_violations)):
         _same(_outcome(new, packing, inst), _outcome(old, ref, inst), packing)
-    old = _outcome(ref_packing.paired_view, ref, inst)
-    if old[0] == "ok":
-        rows, total = old[1]
-        old = "ok", (tuple(r for r in rows if r.items), total)
-    _same(_outcome(paired_view, packing, inst), old, packing)
     _check_assembly(dense, inst)
 
 
