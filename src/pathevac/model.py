@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 
@@ -118,7 +118,12 @@ class Move:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A full evacuation plan as a canonically ordered move list."""
+    """A full evacuation plan as a move list.
+
+    Nothing enforces an order. `from_map`, `evac.assemble_schedule` and
+    `parse_schedule` return the moves in canonical (time, node) order;
+    `serialize_schedule` and the simulator's walk accept any order.
+    """
 
     moves: tuple[Move, ...]
 
@@ -359,22 +364,34 @@ def _loads(text: str) -> Any:
         raise InstanceError([f"json: {exc}"]) from exc
 
 
+def _array(entries: list[str]) -> str:
+    """A list of rendered entries as `_dumps` writes it at depth 1."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entries) + "\n  ]"
+
+
 def serialize_instance(inst: PathInstance) -> str:
+    """The canonical instance text, the same bytes as `_dumps` of
+    {"nodes", "facility", "capacity", "edges", "groups"}, written directly
+    for the reason `serialize_schedule` is. An edge capacity equal to the
+    uniform one is omitted."""
+    cap = inst.capacity
+    caps = inst.edge_capacities
     edges = []
     for k in range(1, inst.nodes):
-        e: dict[str, Any] = {"from": k, "to": k + 1, "distance": inst.distance(k)}
-        if inst.edge_capacities is not None \
-                and inst.edge_capacities[k - 1] != inst.capacity:
-            e["capacity"] = inst.edge_capacities[k - 1]
-        edges.append(e)
-    return _dumps({
-        "nodes": inst.nodes,
-        "facility": inst.facility,
-        "capacity": inst.capacity,
-        "edges": edges,
-        "groups": [{"id": g.id, "node": g.node, "size": g.size,
-                    "weight": g.weight} for g in inst.groups],
-    })
+        head = (f'    {{\n      "from": {k},\n      "to": {k + 1},\n'
+                f'      "distance": {inst.distances[k - 1]}')
+        if caps is not None and caps[k - 1] != cap:
+            edges.append(f'{head},\n      "capacity": {caps[k - 1]}\n    }}')
+        else:
+            edges.append(head + "\n    }")
+    groups = [f'    {{\n      "id": {encode_basestring(g.id)},\n'
+              f'      "node": {g.node},\n      "size": {g.size},\n'
+              f'      "weight": {g.weight}\n    }}' for g in inst.groups]
+    return (f'{{\n  "nodes": {inst.nodes},\n  "facility": {inst.facility},\n'
+            f'  "capacity": {cap},\n  "edges": {_array(edges)},\n'
+            f'  "groups": {_array(groups)}\n}}\n')
 
 
 def parse_instance(text: str) -> PathInstance:
@@ -403,51 +420,45 @@ def serialize_packing(packing: Packing, objective: int) -> str:
     })
 
 
-def parse_packing(text: str) -> tuple[Packing, int | None]:
-    """Read a dense bin list; the empty bins are dropped."""
-    data = _loads(text)
-    errors: list[str] = []
-    if not _is_mapping(data):
-        raise InstanceError(["document: expected a JSON object"])
-    raw = data.get("bins")
-    bins: dict[int, tuple[str, ...]] = {}
-    if not isinstance(raw, list):
-        errors.append("bins: expected a list of lists")
-    else:
-        for j, b in enumerate(raw, start=1):
-            if not isinstance(b, list) or \
-                    not all(isinstance(x, str) and x for x in b):
-                errors.append(f"bins[{j - 1}]: expected a list of item ids")
-                continue
-            if b:
-                bins[j] = tuple(b)
-    objective = data.get("objective")
-    if objective is not None and (not isinstance(objective, int)
-                                  or isinstance(objective, bool)):
-        errors.append(f"objective: expected an integer, got {objective!r}")
-    if errors:
-        raise InstanceError(errors)
-    return Packing(bins=bins), objective
-
-
 def serialize_schedule(sched: Schedule) -> str:
     """The canonical schedule text, the same bytes as `_dumps` of
-    {"moves": [{"time", "node", "groups"}, ...]}, written directly because
-    `json.dumps` with an indent runs the pure-Python encoder."""
-    moves = sorted(sched.moves, key=attrgetter("time", "node"))
-    if not moves:
-        return '{\n  "moves": []\n}\n'
-    parts = []
-    for m in moves:
-        if m.groups:
-            ids = ",\n        ".join(map(encode_basestring, m.groups))
-            groups = f"[\n        {ids}\n      ]"
+    {"moves": [{"time", "node", "groups"}, ...]} with the moves in stable
+    (time, node) order, written directly because `json.dumps` with an
+    indent runs the pure-Python encoder.
+
+    Each distinct group list is rendered once, and every later move that
+    carries it reuses the text: `assemble_schedule` gives every move along
+    a bin's route the same tuple. The moves are rendered in the order
+    given. When their keys strictly ascend, as `assemble_schedule` and
+    `parse_schedule` return them, that is the output order and nothing is
+    sorted; otherwise one stable sort by key puts the rendered moves in
+    order, equal keys kept as given.
+    """
+    rendered: dict[tuple[str, ...], str] = {}
+    texts: list[str] = []
+    append = texts.append
+    ordered = True
+    last_t = last_v = -math.inf
+    for m in sched.moves:
+        t = m.time
+        v = m.node
+        if t > last_t or t == last_t and v > last_v:
+            last_t = t
+            last_v = v
         else:
-            groups = "[]"
-        parts.append(f'    {{\n      "time": {m.time},\n'
-                     f'      "node": {m.node},\n'
-                     f'      "groups": {groups}\n    }}')
-    return '{\n  "moves": [\n' + ",\n".join(parts) + "\n  ]\n}\n"
+            ordered = False
+        ids = m.groups
+        groups = rendered.get(ids)
+        if groups is None:
+            groups = rendered[ids] = ("[\n        " + ",\n        ".join(
+                map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
+        append(f'    {{\n      "time": {t},\n      "node": {v},\n'
+               f'      "groups": {groups}\n    }}')
+    if not ordered:
+        keys = map(attrgetter("time", "node"), sched.moves)
+        texts = [text for _, text in sorted(zip(keys, texts),
+                                            key=itemgetter(0))]
+    return '{\n  "moves": ' + _array(texts) + "\n}\n"
 
 
 def parse_schedule(text: str) -> Schedule:

@@ -1,14 +1,16 @@
 """Packing checkers that no command runs, kept for the tests: feasibility
 (`validate_packing`), the paired objective of the factor-2 argument
-(`paired_view`), and a greedy trace re-executed to its packing
-(`replay_trace`).
+(`paired_view`), a greedy trace re-executed to its packing
+(`replay_trace`), and the reader of the packing file that
+`oracle --packing` writes as its witness (`parse_packing`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pathevac.model import Packing, PackingInstance
+from pathevac.model import (InstanceError, Packing, PackingInstance,
+                            _is_mapping, _loads)
 from pathevac.packing import GreedyTrace, _require_known
 
 
@@ -94,3 +96,30 @@ def paired_view(packing: Packing, inst: PackingInstance) \
         rows.append(PairRow(index=p, items=tuple(ids), size=size, weight=weight))
         total += p * weight
     return tuple(rows), total
+
+
+def parse_packing(text: str) -> tuple[Packing, int | None]:
+    """Read a dense bin list; the empty bins are dropped."""
+    data = _loads(text)
+    errors: list[str] = []
+    if not _is_mapping(data):
+        raise InstanceError(["document: expected a JSON object"])
+    raw = data.get("bins")
+    bins: dict[int, tuple[str, ...]] = {}
+    if not isinstance(raw, list):
+        errors.append("bins: expected a list of lists")
+    else:
+        for j, b in enumerate(raw, start=1):
+            if not isinstance(b, list) or \
+                    not all(isinstance(x, str) and x for x in b):
+                errors.append(f"bins[{j - 1}]: expected a list of item ids")
+                continue
+            if b:
+                bins[j] = tuple(b)
+    objective = data.get("objective")
+    if objective is not None and (not isinstance(objective, int)
+                                  or isinstance(objective, bool)):
+        errors.append(f"objective: expected an integer, got {objective!r}")
+    if errors:
+        raise InstanceError(errors)
+    return Packing(bins=bins), objective

@@ -5,12 +5,13 @@ import sys
 
 import pytest
 
-from pathevac import (Schedule, instances, parse_instance, parse_packing,
+from pathevac import (Schedule, instances, parse_instance,
                       parse_packing_instance, parse_schedule,
                       schedule_objective, serialize_instance,
                       serialize_packing_instance, serialize_schedule,
                       simulate, validate_schedule)
 from pathevac.cli import main
+from checkers import parse_packing
 
 
 @pytest.fixture

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathevac import (Group, InstanceError, PathInstance, gen_random,
-                      GenParams, parse_instance, parse_packing,
+                      GenParams, gen_from_partition, model, parse_instance,
                       parse_packing_instance, parse_schedule,
                       serialize_instance, serialize_packing,
                       serialize_packing_instance, serialize_schedule,
                       validate_instance, validate_packing_instance)
-from pathevac.evac import _positions, fractional_lower_bound
+from pathevac.evac import _positions, fractional_lower_bound, solve
 from pathevac.model import Move, Packing, PackingItem, Schedule
+from checkers import parse_packing
 from ref_parse_schedule import ref_parse_schedule
+from ref_serialize_instance import ref_serialize_instance
+from ref_serialize_schedule import ref_serialize_schedule
 from ref_validate_instance import ref_validate_instance
 
 
@@ -287,15 +290,44 @@ def test_schedule_round_trip_and_canonical_order():
 
 
 _ids = st.text(alphabet=st.one_of(
-    st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\ufeffé日')),
+    st.characters(),
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\ufeffé日\U0001f600')),
     min_size=1, max_size=6)
-_moves = st.lists(st.builds(
-    Move, time=st.integers(min_value=1, max_value=10 ** 12),
-    node=st.integers(min_value=1, max_value=300),
-    groups=st.lists(_ids, max_size=4).map(tuple)), max_size=6)
+_group_lists = st.lists(_ids, max_size=4).map(tuple)
 
 
-@given(moves=_moves)
+@st.composite
+def _moves(draw, max_size=6):
+    """Moves whose group tuples mostly come from a small pool, as the moves
+    along a bin's route share theirs: a pool entry drawn twice is the same
+    tuple, a copy of one an equal but distinct tuple. Keys are often small
+    enough to repeat, and the list comes sorted or in any order."""
+    pool = draw(st.lists(_group_lists, min_size=1, max_size=3))
+    groups = st.one_of(st.sampled_from(pool),
+                       st.sampled_from(pool).map(lambda ids: tuple(list(ids))),
+                       _group_lists)
+    moves = draw(st.lists(st.builds(
+        Move,
+        time=st.integers(min_value=0, max_value=3)
+        | st.integers(min_value=0, max_value=10 ** 12),
+        node=st.integers(min_value=1, max_value=3)
+        | st.integers(min_value=1, max_value=300),
+        groups=groups), max_size=max_size))
+    if draw(st.booleans()):
+        moves.sort(key=lambda m: (m.time, m.node))
+    return moves
+
+
+_AB = ("A", "B")
+
+
+@settings(max_examples=200)
+@given(moves=_moves(max_size=30))
+@example(moves=[Move(1, 2, _AB), Move(1, 2, ("C",)), Move(2, 1, _AB)])
+@example(moves=[Move(2, 1, _AB), Move(1, 2, _AB), Move(1, 2, ("A", "B"))])
+@example(moves=[Move(0, 1, ()), Move(0, 1, ()), Move(3, 1, _AB)])
+@example(moves=[Move(1, 1, ('"\\', "\x00\u2028", "\U0001f600")),
+                Move(2, 1, ('"\\', "\x00\u2028", "\U0001f600"))])
 def test_schedule_writer_matches_json_dumps(moves):
     expected = json.dumps({"moves": [
         {"time": m.time, "node": m.node, "groups": list(m.groups)}
@@ -311,6 +343,56 @@ def test_schedule_writer_edge_cases():
     empty = Schedule(moves=(Move(time=3, node=1, groups=()),))
     assert serialize_schedule(empty) == json.dumps(
         {"moves": [{"time": 3, "node": 1, "groups": []}]}, indent=2) + "\n"
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       nodes=st.integers(min_value=1, max_value=12),
+       groups=st.integers(min_value=0, max_value=25),
+       capacity=st.integers(min_value=1, max_value=8),
+       max_distance=st.integers(min_value=1, max_value=4))
+def test_schedule_writer_matches_reference_on_solver_schedules(
+        seed, nodes, groups, capacity, max_distance):
+    inst = gen_random(seed, GenParams(nodes=nodes, groups=groups,
+                                      capacity=capacity,
+                                      max_distance=max_distance))
+    sched, _ = solve(inst)
+    text = ref_serialize_schedule(sched)
+    assert serialize_schedule(sched) == text
+    # the parsed copy carries equal but distinct tuples; the reversed one
+    # takes the sort
+    assert serialize_schedule(parse_schedule(text)) == text
+    assert serialize_schedule(Schedule(moves=sched.moves[::-1])) == text
+
+
+def test_schedule_writer_renders_each_group_list_once(monkeypatch):
+    encoded = []
+    monkeypatch.setattr(model, "encode_basestring",
+                        lambda gid: encoded.append(gid) or f'"{gid}"')
+    sched = Schedule(moves=(Move(1, 1, _AB), Move(1, 2, ("C",)),
+                            Move(2, 2, _AB), Move(3, 1, tuple(list(_AB)))))
+    serialize_schedule(sched)
+    assert encoded == ["A", "B", "C"]
+
+
+def test_schedule_writer_sorts_only_out_of_order_moves(monkeypatch):
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(model, "sorted", counting_sorted, raising=False)
+    ordered = (Move(1, 2, ("A",)), Move(2, 1, ("B",)), Move(2, 3, ("C",)))
+    text = serialize_schedule(Schedule(moves=ordered))
+    assert sorts == []
+    # a descending key and a repeated one each take one stable sort
+    assert serialize_schedule(Schedule(moves=ordered[::-1])) == text
+    assert len(sorts) == 1
+    repeated = ordered + (Move(2, 3, ("D",)),)
+    assert serialize_schedule(Schedule(moves=repeated)) == \
+        ref_serialize_schedule(Schedule(moves=repeated))
+    assert len(sorts) == 2
 
 
 def test_validate_accepts_non_dict_mappings():
@@ -468,6 +550,48 @@ def test_generated_instances_round_trip(seed, nodes, groups):
     again = parse_instance(text)
     assert again == inst
     assert serialize_instance(again) == text
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       nodes=st.integers(min_value=1, max_value=10),
+       groups=st.integers(min_value=0, max_value=12),
+       capacity=st.integers(min_value=1, max_value=8),
+       max_distance=st.integers(min_value=1, max_value=10 ** 6),
+       overrides=st.lists(st.integers(min_value=0, max_value=2),
+                          max_size=9))
+def test_instance_writer_matches_reference(seed, nodes, groups, capacity,
+                                           max_distance, overrides):
+    inst = gen_random(seed, GenParams(nodes=nodes, groups=groups,
+                                      capacity=capacity,
+                                      max_distance=max_distance))
+    assert serialize_instance(inst) == ref_serialize_instance(inst)
+    # per-edge overrides, some equal to the uniform capacity
+    if overrides and nodes > 1:
+        caps = tuple(capacity + overrides[k % len(overrides)]
+                     for k in range(nodes - 1))
+        inst = dataclasses.replace(inst, edge_capacities=caps)
+        assert serialize_instance(inst) == ref_serialize_instance(inst)
+
+
+def test_instance_writer_matches_reference_on_special_instances(fixtures):
+    one_node = PathInstance(nodes=1, facility=1, capacity=2, distances=(),
+                            groups=(Group("A", 1, 1, 1),))
+    no_groups = PathInstance(nodes=3, facility=2, capacity=2,
+                             distances=(1, 5), groups=())
+    escaped = PathInstance(
+        nodes=2, facility=2, capacity=9, distances=(1,), groups=tuple(
+            Group(gid, 1, 1, 1) for gid in ('"q"', "back\\slash", "\x00\x1f",
+                                            "\u2028\u2029", "é日",
+                                            "\U0001f600")))
+    cases = [*(fx.instance for fx in fixtures.values()),
+             gen_from_partition([3, 1, 4, 1, 5]), one_node, no_groups, escaped]
+    for inst in cases:
+        assert serialize_instance(inst) == ref_serialize_instance(inst)
+    # fig1a's first edge override equals the uniform capacity: omitted
+    edges = json.loads(serialize_instance(fixtures["fig1a"].instance))["edges"]
+    assert [e.get("capacity") for e in edges] == [None, 4]
+    assert '"edges": [],' in serialize_instance(one_node)
+    assert serialize_instance(no_groups).endswith('"groups": []\n}\n')
 
 
 # instance documents for the reader against the one it replaced: small
