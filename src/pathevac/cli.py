@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 
 from . import evac, instances, oracles, relax
 from .model import (InstanceError, _dumps, parse_instance,
                     parse_packing_instance, parse_schedule,
-                    serialize_instance, serialize_packing,
-                    serialize_packing_instance, serialize_schedule)
+                    serialize_instance, serialize_packing_instance,
+                    serialize_schedule)
 from .packing import packing_objective, solve_greedy
 
 
@@ -91,8 +90,12 @@ def _cmd_oracle(args) -> int:
             raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
-        doc = {"opt": opt,
-               "witness": json.loads(serialize_schedule(schedule))}
+        # the documents `serialize_schedule` and `serialize_packing` write;
+        # the oracle's moves come from `Schedule.from_map`, in (time, node)
+        # order
+        doc = {"opt": opt, "witness": {"moves": [
+            {"time": m.time, "node": m.node, "groups": list(m.groups)}
+            for m in schedule.moves]}}
     elif args.fractional:
         pinst = parse_packing_instance(_read(args.packing))
         value = oracles.exact_fractional_opt_mcf(pinst)
@@ -100,8 +103,11 @@ def _cmd_oracle(args) -> int:
     else:
         pinst = parse_packing_instance(_read(args.packing))
         opt, packing = oracles.exact_packing_opt(pinst)
-        doc = {"opt": opt,
-               "witness": json.loads(serialize_packing(packing, opt))}
+        bins = packing.bins
+        doc = {"opt": opt, "witness": {
+            "bins": [list(bins.get(j, ()))
+                     for j in range(1, max(bins, default=0) + 1)],
+            "objective": opt}}
     _write(args.output, _dumps(doc))
     return 0
 

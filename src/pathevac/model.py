@@ -30,7 +30,14 @@ class InstanceError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True, slots=True)
+# The value types built once per group, item or move (`Group`, `PackingItem`,
+# `Move`) are frozen, slotted dataclasses whose `__init__` is written by hand:
+# it fills each slot through the slot's own member descriptor, bound once
+# after the class, where the generated one calls `object.__setattr__` per
+# field. Everything else (the fields, the frozen `__setattr__`, equality,
+# hash, repr and `dataclasses.replace`) is the dataclass's own.
+
+@dataclass(frozen=True, slots=True, init=False)
 class Group:
     """An indivisible evacuee group sitting at a node of the path."""
 
@@ -38,6 +45,18 @@ class Group:
     node: int    # origin node, 1-based
     size: int    # head count; moves as one block against edge capacity
     weight: int  # cost multiplier on the arrival epoch
+
+    def __init__(self, id: str, node: int, size: int, weight: int) -> None:
+        _group_id(self, id)
+        _group_node(self, node)
+        _group_size(self, size)
+        _group_weight(self, weight)
+
+
+_group_id = Group.id.__set__
+_group_node = Group.node.__set__
+_group_size = Group.size.__set__
+_group_weight = Group.weight.__set__
 
 
 @dataclass(frozen=True)
@@ -73,7 +92,7 @@ class PathInstance:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PackingItem:
     """One item to be packed into a sequence of capacitated bins."""
 
@@ -81,6 +100,18 @@ class PackingItem:
     size: int
     weight: int
     ready: int  # earliest bin index the item may occupy, >= 1
+
+    def __init__(self, id: str, size: int, weight: int, ready: int) -> None:
+        _item_id(self, id)
+        _item_size(self, size)
+        _item_weight(self, weight)
+        _item_ready(self, ready)
+
+
+_item_id = PackingItem.id.__set__
+_item_size = PackingItem.size.__set__
+_item_weight = PackingItem.weight.__set__
+_item_ready = PackingItem.ready.__set__
 
 
 @dataclass(frozen=True)
@@ -107,13 +138,23 @@ class Packing:
     bins: dict[int, tuple[str, ...]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Move:
     """All departures from one node at one epoch, toward the facility."""
 
     time: int
     node: int
     groups: tuple[str, ...]
+
+    def __init__(self, time: int, node: int, groups: tuple[str, ...]) -> None:
+        _move_time(self, time)
+        _move_node(self, node)
+        _move_groups(self, groups)
+
+
+_move_time = Move.time.__set__
+_move_node = Move.node.__set__
+_move_groups = Move.groups.__set__
 
 
 @dataclass(frozen=True)
@@ -399,11 +440,14 @@ def parse_instance(text: str) -> PathInstance:
 
 
 def serialize_packing_instance(inst: PackingInstance) -> str:
-    return _dumps({
-        "capacity": inst.capacity,
-        "items": [{"id": it.id, "size": it.size, "weight": it.weight,
-                   "ready": it.ready} for it in inst.items],
-    })
+    """The canonical packing-instance text, the same bytes as `_dumps` of
+    {"capacity", "items": [{"id", "size", "weight", "ready"}, ...]},
+    written directly for the reason `serialize_schedule` is."""
+    items = [f'    {{\n      "id": {encode_basestring(it.id)},\n'
+             f'      "size": {it.size},\n      "weight": {it.weight},\n'
+             f'      "ready": {it.ready}\n    }}' for it in inst.items]
+    return (f'{{\n  "capacity": {inst.capacity},\n'
+            f'  "items": {_array(items)}\n}}\n')
 
 
 def parse_packing_instance(text: str) -> PackingInstance:
@@ -412,12 +456,16 @@ def parse_packing_instance(text: str) -> PackingInstance:
 
 def serialize_packing(packing: Packing, objective: int) -> str:
     """The packing as a dense list of bins 1..max(bins), empty ones
-    included."""
-    last = max(packing.bins, default=0)
-    return _dumps({
-        "bins": [list(packing.bins.get(j, ())) for j in range(1, last + 1)],
-        "objective": objective,
-    })
+    included: the same bytes as `_dumps` of {"bins", "objective"}, written
+    directly for the reason `serialize_schedule` is."""
+    bins = packing.bins
+    rendered = []
+    for j in range(1, max(bins, default=0) + 1):
+        ids = bins.get(j)
+        rendered.append("    [\n      " + ",\n      ".join(
+            map(encode_basestring, ids)) + "\n    ]" if ids else "    []")
+    return (f'{{\n  "bins": {_array(rendered)},\n'
+            f'  "objective": {objective}\n}}\n')
 
 
 def serialize_schedule(sched: Schedule) -> str:

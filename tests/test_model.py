@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import inspect
 import json
+import pickle
 import time
 from types import MappingProxyType
 
@@ -7,18 +10,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathevac import (Group, InstanceError, PathInstance, gen_random,
-                      GenParams, gen_from_partition, model, parse_instance,
+                      GenParams, PackParams, gen_from_partition,
+                      gen_random_packing, model, parse_instance,
                       parse_packing_instance, parse_schedule,
                       serialize_instance, serialize_packing,
                       serialize_packing_instance, serialize_schedule,
                       validate_instance, validate_packing_instance)
 from pathevac.evac import _positions, fractional_lower_bound, solve
-from pathevac.model import Move, Packing, PackingItem, Schedule
+from pathevac.model import (Move, Packing, PackingInstance, PackingItem,
+                            Schedule)
+from pathevac.packing import solve_greedy
 from checkers import parse_packing
 from ref_parse_schedule import ref_parse_schedule
 from ref_serialize_instance import ref_serialize_instance
+from ref_serialize_packing import (ref_serialize_packing,
+                                   ref_serialize_packing_instance)
 from ref_serialize_schedule import ref_serialize_schedule
 from ref_validate_instance import ref_validate_instance
+import ref_value_types
 
 
 def _doc(**overrides):
@@ -511,6 +520,9 @@ def test_schedule_from_map_drops_empty_moves():
     (Move(3, 2, ("A", "B")), {"time": 2}),
     (Group("A", 2, 3, 4), {"node": 1}),
     (PackingItem("A", 3, 4, 2), {"ready": 1}),
+    (Move(10 ** 12, 300, ()), {"groups": ("\u2028", "\U0001f600")}),
+    (Group('"é"', 1, 2 ** 70, 1), {"id": "G"}),
+    (PackingItem("\x00", 1, 1, 10 ** 9), {"weight": -1}),
 ])
 def test_slotted_value_types_keep_their_contract(value, change):
     cls = type(value)
@@ -538,6 +550,55 @@ def test_slotted_value_types_keep_their_contract(value, change):
     assert value != values
     assert repr(value) == cls.__name__ + "(" + ", ".join(
         f"{name}={v!r}" for name, v in zip(names, values)) + ")"
+    # the hand-written `__init__` takes the fields, in order, and no more
+    assert tuple(inspect.signature(cls).parameters) == names
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, 1)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names, values)), extra=1)
+    for again in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(again) is cls and again == value
+
+
+_FIELD_VALUES = {"id": _ids, "groups": _group_lists}  # the rest are ints
+_ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), types=st.sampled_from([
+    (Move, ref_value_types.Move), (Group, ref_value_types.Group),
+    (PackingItem, ref_value_types.PackingItem)]))
+def test_value_types_match_reference(data, types):
+    cls, ref = types
+    fields = [(f.name, f.type) for f in dataclasses.fields(ref)]
+    assert [(f.name, f.type) for f in dataclasses.fields(cls)] == fields
+    assert cls.__slots__ == ref.__slots__
+    assert cls.__match_args__ == ref.__match_args__
+    names = [name for name, _ in fields]
+    values = data.draw(st.tuples(*(_FIELD_VALUES.get(name, _ints)
+                                   for name in names)))
+    kwargs = dict(zip(names, values))
+    expected = ref(*values)
+    assert ref(**kwargs) == expected
+    name = data.draw(st.sampled_from(names))
+    change = {name: data.draw(_FIELD_VALUES.get(name, _ints))}
+    expected_changed = dataclasses.replace(expected, **change)
+    built = (cls(*values), cls(**kwargs))
+    assert built[0] == built[1] and built[0] is not built[1]
+    for value in built:
+        assert type(value) is cls
+        assert all(getattr(value, n) is v for n, v in zip(names, values))
+        assert hash(value) == hash(expected)
+        assert repr(value) == repr(expected)
+        changed = dataclasses.replace(value, **change)
+        assert type(changed) is cls
+        assert all(getattr(changed, n) is getattr(expected_changed, n)
+                   for n in names)
+        assert hash(changed) == hash(expected_changed)
+        assert repr(changed) == repr(expected_changed)
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
@@ -592,6 +653,47 @@ def test_instance_writer_matches_reference_on_special_instances(fixtures):
     assert [e.get("capacity") for e in edges] == [None, 4]
     assert '"edges": [],' in serialize_instance(one_node)
     assert serialize_instance(no_groups).endswith('"groups": []\n}\n')
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       items=st.integers(min_value=0, max_value=30),
+       capacity=st.integers(min_value=1, max_value=10 ** 6),
+       max_ready=st.integers(min_value=1, max_value=100))
+def test_packing_writers_match_reference(seed, items, capacity, max_ready):
+    inst = gen_random_packing(seed, PackParams(
+        items=items, capacity=capacity, max_size=min(capacity, 9),
+        max_ready=max_ready))
+    assert serialize_packing_instance(inst) \
+        == ref_serialize_packing_instance(inst)
+    packing, _ = solve_greedy(inst)
+    assert serialize_packing(packing, seed) \
+        == ref_serialize_packing(packing, seed)
+
+
+@settings(max_examples=200)
+@given(bins=st.dictionaries(st.integers(min_value=1, max_value=12),
+                            _group_lists, max_size=6),
+       objective=st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+@example(bins={}, objective=0)
+@example(bins={3: ("A",), 1: (), 5: ("B", "C")}, objective=7)
+def test_packing_writer_matches_reference(bins, objective):
+    # bins built in code: any order, empty tuples, gaps, none at all
+    packing = Packing(bins=bins)
+    assert serialize_packing(packing, objective) \
+        == ref_serialize_packing(packing, objective)
+
+
+def test_packing_instance_writer_matches_reference_on_special_instances():
+    empty = PackingInstance(capacity=3, items=())
+    escaped = PackingInstance(capacity=9, items=tuple(
+        PackingItem(iid, 1, 1, 1) for iid in ('"q"', "back\\slash",
+                                              "\x00\x1f", "\u2028\u2029",
+                                              "é日", "\U0001f600")))
+    for inst in (empty, escaped):
+        assert serialize_packing_instance(inst) \
+            == ref_serialize_packing_instance(inst)
+    assert serialize_packing_instance(empty).endswith('"items": []\n}\n')
 
 
 # instance documents for the reader against the one it replaced: small
