@@ -21,9 +21,9 @@ from .instances import (GenParams, PackParams, SplitMix64, bundled_examples,
 from .model import (FractionalPacking, Group, InstanceError, Move, Packing,
                     PackingInstance, PackingItem, PathInstance, Schedule,
                     parse_instance, parse_packing_instance, parse_schedule,
-                    serialize_instance, serialize_packing,
-                    serialize_packing_instance, serialize_schedule,
-                    validate_instance, validate_packing_instance)
+                    serialize_instance, serialize_packing_instance,
+                    serialize_schedule, validate_instance,
+                    validate_packing_instance)
 from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       horizon_bound)
@@ -41,7 +41,6 @@ __all__ = [
     "validate_instance", "validate_packing_instance",
     "parse_instance", "serialize_instance",
     "parse_packing_instance", "serialize_packing_instance",
-    "serialize_packing",
     "parse_schedule", "serialize_schedule",
     # packing
     "eligibility_threshold", "solve_greedy", "GreedyTrace",

@@ -90,9 +90,8 @@ def _cmd_oracle(args) -> int:
             raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
-        # the documents `serialize_schedule` and `serialize_packing` write;
-        # the oracle's moves come from `Schedule.from_map`, in (time, node)
-        # order
+        # the document `serialize_schedule` writes; the oracle's moves come
+        # from `Schedule.from_map`, in (time, node) order
         doc = {"opt": opt, "witness": {"moves": [
             {"time": m.time, "node": m.node, "groups": list(m.groups)}
             for m in schedule.moves]}}
@@ -103,6 +102,8 @@ def _cmd_oracle(args) -> int:
     else:
         pinst = parse_packing_instance(_read(args.packing))
         opt, packing = oracles.exact_packing_opt(pinst)
+        # the one writer of the packing document: bins 1 to the last one,
+        # empty bins included
         bins = packing.bins
         doc = {"opt": opt, "witness": {
             "bins": [list(bins.get(j, ()))

@@ -102,8 +102,8 @@ def fractional_lower_bound(inst: PathInstance,
     return total
 
 
-def assemble_schedule(inst: PathInstance, left: Packing | None,
-                      right: Packing | None) -> Schedule:
+def assemble_schedule(inst: PathInstance, left: Packing,
+                      right: Packing) -> Schedule:
     """Expand per-side packings into a full move list.
 
     An item in bin T' crosses the bottleneck at epoch T', so it departs
@@ -125,8 +125,6 @@ def assemble_schedule(inst: PathInstance, left: Packing | None,
     moves: list[tuple[int, int, tuple[str, ...]]] = []
     append = moves.append
     for packing, step in ((left, 1), (right, -1)):
-        if packing is None:
-            continue
         # routes run toward the facility and end at the near node, which
         # lies off the path when the side has no node
         near = a - step

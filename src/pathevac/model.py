@@ -181,9 +181,11 @@ class Schedule:
 
 @dataclass(frozen=True)
 class FractionalPacking:
-    """Divisible assignment: (item id, bin, fraction of the item's size)."""
+    """Divisible assignment: (item id, bin, mass), the mass being the part
+    of the item's size in that bin; an int from the pour, or a `Fraction`
+    where a hand-built packing splits a size unevenly."""
 
-    entries: tuple[tuple[str, int, Fraction], ...]
+    entries: tuple[tuple[str, int, int | Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +454,6 @@ def serialize_packing_instance(inst: PackingInstance) -> str:
 
 def parse_packing_instance(text: str) -> PackingInstance:
     return validate_packing_instance(_loads(text))
-
-
-def serialize_packing(packing: Packing, objective: int) -> str:
-    """The packing as a dense list of bins 1..max(bins), empty ones
-    included: the same bytes as `_dumps` of {"bins", "objective"}, written
-    directly for the reason `serialize_schedule` is."""
-    bins = packing.bins
-    rendered = []
-    for j in range(1, max(bins, default=0) + 1):
-        ids = bins.get(j)
-        rendered.append("    [\n      " + ",\n      ".join(
-            map(encode_basestring, ids)) + "\n    ]" if ids else "    []")
-    return (f'{{\n  "bins": {_array(rendered)},\n'
-            f'  "objective": {objective}\n}}\n')
 
 
 def serialize_schedule(sched: Schedule) -> str:

@@ -11,8 +11,9 @@ reduced instance, and doubling pair indices recovers bin indices.
 
 The fractional greedy ranks items by the integral greedy's rule (exact
 reduced weight/size ratio, then instance order) and runs in O(n log n) in
-the number of items. Masses are integers wherever they are exact; a
-`Fraction` appears only in an entry's fraction and in the objective.
+the number of items. An entry carries the mass poured into its bin, an
+integer, so validation adds integers and a `Fraction` appears only in the
+objective, one per item size.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from heapq import heappop, heappush
 
 from .model import FractionalPacking, PackingInstance, PackingItem
 from .packing import ratio_order
-
-_ONE = Fraction(1)
 
 
 def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
@@ -53,10 +52,10 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
     greedy never defers ready mass), so swapping equal mass between them
     keeps feasibility and does not increase cost.
 
-    Sizes and the capacity are integers, so every poured mass is one too:
-    items enter a heap of ratio ranks when the bin index reaches their ready
-    time, the index jumps to the next ready time when the heap is empty, and
-    a `Fraction` is built only for each emitted entry.
+    Sizes and the capacity are integers, so every poured mass is one too,
+    and each entry carries it as it is: items enter a heap of ratio ranks
+    when the bin index reaches their ready time, and the index jumps to the
+    next ready time when the heap is empty.
     """
     # positions in `ranked` stand for items: the smallest is the best
     ranked = ratio_order(inst.items)
@@ -66,7 +65,7 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
     remaining = [it.size for it in ranked]
     p = 0
     heap: list[int] = []
-    entries: list[tuple[str, int, Fraction]] = []
+    entries: list[tuple[str, int, int]] = []
     j = 1
     while p < n or heap:
         while p < n and ready[by_ready[p]] <= j:
@@ -80,8 +79,7 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
             k = heap[0]
             it = ranked[k]
             take = min(remaining[k], space)
-            entries.append((it.id, j, _ONE if take == it.size
-                            else Fraction(take, it.size)))
+            entries.append((it.id, j, take))
             remaining[k] -= take
             space -= take
             if not remaining[k]:
@@ -93,35 +91,33 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
 def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[str]:
     """All constraint violations of a fractional packing; empty means feasible.
 
-    Per-item and per-bin masses (fraction times size) add up as ints while
-    they are whole and fall back to `Fraction` otherwise.
+    Per-item and per-bin masses add up as they come: ints from the pour,
+    `Fraction`s only where a hand-built packing splits a mass. Messages
+    show a mass as its fraction of the item's size.
     """
     by_id = inst.item_by_id()
     violations: list[str] = []
     assigned: dict[str, int | Fraction] = {it.id: 0 for it in inst.items}
     loads: dict[int, int | Fraction] = {}
-    for item_id, j, frac in fp.entries:
+    for item_id, j, mass in fp.entries:
         it = by_id.get(item_id)
         if it is None:
             violations.append(f"unknown item: {item_id!r}")
             continue
-        num, den = frac.as_integer_ratio()
-        if num <= 0 or num > den:
-            violations.append(f"fraction: item {item_id!r} carries {frac} "
-                              "outside (0, 1]")
+        if mass <= 0 or mass > it.size:
+            violations.append(f"fraction: item {item_id!r} carries "
+                              f"{Fraction(mass, it.size)} outside (0, 1]")
             continue
         if j < it.ready:
             violations.append(f"ready time: item {item_id!r} has mass in bin "
                               f"{j} before ready time {it.ready}")
-        mass = num * it.size
-        mass = mass // den if mass % den == 0 else Fraction(mass, den)
         assigned[item_id] += mass
         loads[j] = loads.get(j, 0) + mass
     for item_id, mass in assigned.items():
         size = by_id[item_id].size
         if mass != size:
             violations.append(f"conservation: item {item_id!r} assigns total "
-                              f"fraction {Fraction(mass) / size}, expected 1")
+                              f"fraction {Fraction(mass, size)}, expected 1")
     for j, load in sorted(loads.items()):
         if load > inst.capacity:
             violations.append(f"capacity: bin {j} holds size {load} > "
@@ -132,19 +128,19 @@ def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[st
 def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fraction:
     """Exact objective of a feasible fractional packing.
 
-    Rejects infeasible input, naming the violated constraint. The sum
-    j * weight * fraction is kept as one integer numerator per fraction
-    denominator, so only the few distinct denominators meet as `Fraction`s.
+    Rejects infeasible input, naming the violated constraint. An entry
+    costs j * weight * mass / size, so the sum is kept as one numerator per
+    item size and only the distinct sizes meet as `Fraction`s.
     """
     violations = validate_fractional(fp, inst)
     if violations:
         raise ValueError(f"infeasible fractional packing: {violations[0]}")
-    weight = {it.id: it.weight for it in inst.items}
-    by_den: dict[int, int] = {}
-    for i, j, frac in fp.entries:
-        num, den = frac.as_integer_ratio()
-        by_den[den] = by_den.get(den, 0) + j * weight[i] * num
-    return sum((Fraction(num, den) for den, num in by_den.items()),
+    by_id = inst.item_by_id()
+    by_size: dict[int, int | Fraction] = {}
+    for i, j, mass in fp.entries:
+        it = by_id[i]
+        by_size[it.size] = by_size.get(it.size, 0) + j * it.weight * mass
+    return sum((Fraction(num, size) for size, num in by_size.items()),
                start=Fraction(0))
 
 

@@ -1,10 +1,14 @@
 """The packing writers before they were written directly, kept as test-only
-references.
+code.
 
-These are `pathevac.model.serialize_packing_instance` and
-`serialize_packing` as they were when they built the document and handed
-it to `json.dumps(indent=2)`. They are deliberately left as they were, so
-the tests can require the same text from the two forms of each writer.
+`ref_serialize_packing_instance` is `pathevac.model.serialize_packing_instance`
+as it was when it built the document and handed it to
+`json.dumps(indent=2)`; it is deliberately left as it was, so the tests can
+require the same text from the two forms of the writer.
+`ref_serialize_packing` writes the packing document (bins 1 to the last
+one, empty bins included) that only the `oracle --packing` witness holds
+in the package; the round-trip tests of `checkers.parse_packing` write
+their input with it.
 """
 
 from __future__ import annotations

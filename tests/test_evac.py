@@ -57,7 +57,7 @@ def test_assemble_walks_routes_back(fixtures):
     inst = fixtures["fig1b"].instance
     packing = Packing(bins={1: ("G21",), 2: ("G22",), 3: ("G11",),
                             4: ("G12",)})
-    sched = assemble_schedule(inst, packing, None)
+    sched = assemble_schedule(inst, packing, Packing(bins={}))
     assert [(m.time, m.node, m.groups) for m in sched.moves] == [
         (1, 2, ("G21",)),
         (2, 1, ("G11",)),
@@ -76,7 +76,7 @@ def test_assemble_moves_the_part_of_a_bin_that_has_reached_a_node():
                 Group("C", 4, 1, 1), Group("D", 2, 4, 1)))
     # bin 5 holds origins 3 (B) and 4 (A, C), in no origin order
     packing = Packing(bins={2: ("D",), 5: ("B", "A", "C")})
-    sched = assemble_schedule(inst, None, packing)
+    sched = assemble_schedule(inst, Packing(bins={}), packing)
     assert [(m.time, m.node, m.groups) for m in sched.moves] == [
         (2, 2, ("D",)),
         (2, 4, ("A", "C")),
@@ -91,13 +91,14 @@ def test_assemble_rejects_bin_before_ready(fixtures):
     # G11 sits one hop from the bottleneck; bin 1 would mean departing at 0
     packing = Packing(bins={1: ("G11",)})
     with pytest.raises(ValueError, match="cannot reach the bottleneck"):
-        assemble_schedule(inst, packing, None)
+        assemble_schedule(inst, packing, Packing(bins={}))
 
 
 def test_assemble_rejects_unknown_group(fixtures):
     inst = fixtures["fig1b"].instance
     with pytest.raises(ValueError, match="unknown group"):
-        assemble_schedule(inst, Packing(bins={1: ("ghost",)}), None)
+        assemble_schedule(inst, Packing(bins={1: ("ghost",)}),
+                          Packing(bins={}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Differential tests: the O(n log n) greedies against the list scans.
 
 `ref_greedy` keeps the greedy packer, the fractional greedy and the
-fractional validation as they were before the heap rewrite. Both versions
-must agree packing for packing (the reference's dense bins with the empty
-ones dropped), trace step for trace step (rendered text included), entry
-for entry and violation for violation.
+fractional validation as they were before the heap rewrite, and
+`ref_fractional` keeps the heap versions of the last three as they were
+while an entry carried a fraction and not a mass. The versions must agree
+packing for packing (the reference's dense bins with the empty ones
+dropped), trace step for trace step (rendered text included), entry for
+entry (mass = fraction × size) and violation for violation.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ref_fractional
 import ref_greedy
 from pathevac import (FractionalPacking, PackingInstance, PackingItem,
                       fractional_objective, reduced_ready_times,
@@ -99,12 +102,37 @@ def test_greedy_matches_reference(inst):
 def test_fractional_greedy_matches_reference(inst):
     for variant in (inst, reduced_ready_times(inst)):
         fp = solve_fractional_greedy(variant)
-        ref_fp = ref_greedy.solve_fractional_greedy(variant)
-        assert fp.entries == ref_fp.entries
+        size = {it.id: it.size for it in variant.items}
+        for item_id, _j, mass in fp.entries:
+            assert type(mass) is int and 0 < mass <= size[item_id]
         assert validate_fractional(fp, variant) == []
         value = fractional_objective(fp, variant)
         assert type(value) is Fraction
-        assert value == ref_greedy.fractional_objective(ref_fp, variant)
+        for ref in (ref_fractional, ref_greedy):
+            ref_fp = ref.solve_fractional_greedy(variant)
+            assert fp == ref_fractional.to_masses(ref_fp, variant)
+            assert value == ref.fractional_objective(ref_fp, variant)
+
+
+def _same_verdict(fp, ref_fp, inst):
+    """`fp` (masses) and `ref_fp` (its fractions) get the same violations
+    and the same raised text, or the same value, from the new functions
+    and from both references."""
+    violations = validate_fractional(fp, inst)
+    for ref in (ref_fractional, ref_greedy):
+        assert violations == ref.validate_fractional(ref_fp, inst)
+    if violations:
+        with pytest.raises(ValueError) as new:
+            fractional_objective(fp, inst)
+        for ref in (ref_fractional, ref_greedy):
+            with pytest.raises(ValueError) as old:
+                ref.fractional_objective(ref_fp, inst)
+            assert str(new.value) == str(old.value)
+    else:
+        value = fractional_objective(fp, inst)
+        for ref in (ref_fractional, ref_greedy):
+            assert value == ref.fractional_objective(ref_fp, inst)
+    return violations
 
 
 _DAMAGE = ("shift", "scale", "drop", "nonpositive", "above_one", "unknown")
@@ -134,23 +162,31 @@ def _damage(entries, kind, k, data):
 @given(inst=packing_instances(), reduced=st.booleans(), data=st.data())
 def test_validation_of_damaged_packings_matches_reference(inst, reduced,
                                                           data):
+    # damaged as fractions, then handed over as masses
     target = reduced_ready_times(inst) if reduced else inst
-    entries = list(solve_fractional_greedy(target).entries)
+    entries = list(ref_fractional.solve_fractional_greedy(target).entries)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         if not entries:
             break
         _damage(entries, data.draw(st.sampled_from(_DAMAGE)),
                 data.draw(st.integers(min_value=0,
                                       max_value=len(entries) - 1)), data)
-    fp = FractionalPacking(entries=tuple(entries))
-    violations = validate_fractional(fp, target)
-    assert violations == ref_greedy.validate_fractional(fp, target)
-    if violations:
-        with pytest.raises(ValueError) as new:
-            fractional_objective(fp, target)
-        with pytest.raises(ValueError) as ref:
-            ref_greedy.fractional_objective(fp, target)
-        assert str(new.value) == str(ref.value)
-    else:
-        assert fractional_objective(fp, target) == \
-            ref_greedy.fractional_objective(fp, target)
+    ref_fp = FractionalPacking(entries=tuple(entries))
+    _same_verdict(ref_fractional.to_masses(ref_fp, target), ref_fp, target)
+
+
+def test_split_masses_match_reference():
+    # a size-3 item split 3/2 + 3/2 over two bins: the masses are
+    # `Fraction`s, and so is a load
+    item = PackingItem(id="x", size=3, weight=5, ready=1)
+    half = Fraction(3, 2)
+    fp = FractionalPacking(entries=(("x", 1, half), ("x", 2, half)))
+    ref_fp = FractionalPacking(entries=(("x", 1, Fraction(1, 2)),
+                                        ("x", 2, Fraction(1, 2))))
+    roomy = PackingInstance(capacity=3, items=(item,))
+    assert _same_verdict(fp, ref_fp, roomy) == []
+    assert fractional_objective(fp, roomy) == Fraction(15, 2)
+    tight = PackingInstance(capacity=1, items=(item,))
+    assert _same_verdict(fp, ref_fp, tight) == [
+        "capacity: bin 1 holds size 3/2 > 1",
+        "capacity: bin 2 holds size 3/2 > 1"]

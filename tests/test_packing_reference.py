@@ -135,9 +135,9 @@ def _check_assembly(dense: tuple, inst: PackingInstance) -> None:
         (two, tuple(lb + ("F",) + rb for lb, rb in zip(lbins, rbins)),
          tuple(rb + lb + ("F",) for lb, rb in zip(lbins, rbins))))
     for path, lbin, rbin in cases:
-        new = _outcome(assemble_schedule, path,
-                       None if lbin is None else _sparse(lbin),
-                       None if rbin is None else _sparse(rbin))
+        # a side without a packing is an empty one to `assemble_schedule`
+        new = _outcome(assemble_schedule, path, _sparse(lbin or ()),
+                       _sparse(rbin or ()))
         old = _outcome(ref_packing.assemble_schedule, path,
                        None if lbin is None else ref_greedy.RefPacking(lbin),
                        None if rbin is None else ref_greedy.RefPacking(rbin))

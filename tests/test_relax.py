@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ref_fractional
 from pathevac import (FractionalPacking, PackingInstance, PackingItem,
                       PackParams, exact_fractional_opt_mcf, exact_packing_opt,
                       fractional_bound, fractional_objective,
@@ -45,9 +46,10 @@ def test_fractional_greedy_frozen(abd):
     fp = solve_fractional_greedy(abd)
     assert validate_fractional(fp, abd) == []
     assert fractional_objective(fp, abd) == 21
-    # bin 1 carries all of A and five sixths of B
-    assert fp.entries == (("A", 1, 1), ("B", 1, Fraction(5, 6)),
-                          ("B", 2, Fraction(1, 6)), ("D", 2, 1))
+    # bin 1 carries all of A (size 5) and five sixths of B (size 6)
+    assert fp.entries == (("A", 1, 5), ("B", 1, 5), ("B", 2, 1), ("D", 2, 4))
+    assert fp == ref_fractional.to_masses(
+        ref_fractional.solve_fractional_greedy(abd), abd)
 
 
 def test_fractional_respects_ready_times(ready_pair):
@@ -59,23 +61,24 @@ def test_fractional_respects_ready_times(ready_pair):
 
 
 def test_fractional_objective_rejects_infeasible(abd):
-    short = FractionalPacking(entries=(("A", 1, Fraction(1, 2)),))
-    with pytest.raises(ValueError, match="conservation"):
-        fractional_objective(short, abd)
-    overfull = FractionalPacking(entries=(
-        ("A", 1, Fraction(1)), ("B", 1, Fraction(1)),
-        ("D", 2, Fraction(1))))
-    with pytest.raises(ValueError, match="capacity"):
-        fractional_objective(overfull, abd)
-    early = FractionalPacking(entries=(("A", 1, Fraction(2)),))
-    with pytest.raises(ValueError, match="fraction"):
-        fractional_objective(early, abd)
+    # half of A; A, B and D whole with A and B in one bin; twice A
+    for fractions, match in (
+            ((("A", 1, Fraction(1, 2)),), "conservation"),
+            ((("A", 1, Fraction(1)), ("B", 1, Fraction(1)),
+              ("D", 2, Fraction(1))), "capacity"),
+            ((("A", 1, Fraction(2)),), "fraction")):
+        ref = FractionalPacking(entries=fractions)
+        with pytest.raises(ValueError, match=match) as err:
+            fractional_objective(ref_fractional.to_masses(ref, abd), abd)
+        with pytest.raises(ValueError) as ref_err:
+            ref_fractional.fractional_objective(ref, abd)
+        assert str(err.value) == str(ref_err.value)
 
 
 def test_validate_fractional_ready_time():
     inst = PackingInstance(capacity=4, items=(
         PackingItem(id="G1", size=2, weight=1, ready=3),))
-    fp = FractionalPacking(entries=(("G1", 1, Fraction(1)),))
+    fp = FractionalPacking(entries=(("G1", 1, 2),))
     violations = validate_fractional(fp, inst)
     assert violations and "ready time" in violations[0]
 
