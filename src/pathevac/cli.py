@@ -90,8 +90,8 @@ def _cmd_oracle(args) -> int:
             raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
-        # the document `serialize_schedule` writes; the oracle's moves come
-        # from `Schedule.from_map`, in (time, node) order
+        # the document `serialize_schedule` writes: the moves of a
+        # `Schedule` are in (time, node) order
         doc = {"opt": opt, "witness": {"moves": [
             {"time": m.time, "node": m.node, "groups": list(m.groups)}
             for m in schedule.moves]}}

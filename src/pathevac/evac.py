@@ -9,7 +9,7 @@ the route gives every intermediate departure with zero waiting.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, starmap
@@ -282,42 +282,28 @@ def _walk(inst: PathInstance, sched: Schedule) \
         -> tuple[SimulationTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
-    One pass over the moves in (time, node) order. Each group carries the
-    node it is at or headed to and the first epoch it may leave: a group
-    that departs at t over an edge of length d lands at t + d - 1 and may
-    leave again from t + d on, so a distance-1 hop lands in its own epoch
-    and cannot leave before the next one. Presence, capacity, direction,
-    arrivals and the horizon all follow from that state, at a couple of
-    dict operations per named group; the cost follows the number of moves,
-    never the epoch values. Moves whose keys arrive ascending, as
-    `assemble_schedule` and `parse_schedule` give them, are walked as they
-    come; a pass that meets a descending key stops there, and the walk
-    starts over on the moves in a stable (time, node) sort.
+    One pass over the moves, which a `Schedule` holds in (time, node)
+    order. Each group carries the node it is at or headed to and the first
+    epoch it may leave: a group that departs at t over an edge of length d
+    lands at t + d - 1 and may leave again from t + d on, so a distance-1
+    hop lands in its own epoch and cannot leave before the next one.
+    Presence, capacity, direction, arrivals and the horizon all follow from
+    that state, at a couple of dict operations per named group; the cost
+    follows the number of moves, never the epoch values.
 
     Groups named in a bad move simply do not move, so one violation never
     cascades into spurious ones downstream. The checks of a move on its
-    own (off the path, before epoch 1, a repeated key, an unknown or
-    doubled id) are reported first, in input order; presence, direction and
-    capacity follow in walk order.
+    own (off the path, before epoch 1, an unknown or doubled id) are
+    reported first, then presence, direction and capacity, each part in
+    the order of the moves.
     """
-    walked = _walk_ordered(inst, enumerate(sched.moves))
-    if walked is None:
-        walked = _walk_ordered(inst, sorted(
-            enumerate(sched.moves), key=lambda km: (km[1].time, km[1].node)))
-    return walked
-
-
-def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
-        -> tuple[SimulationTrace, list[str]] | None:
-    """`_walk` over (input index, move) pairs; None as soon as the keys of
-    the moves on the path stop ascending."""
     a = inst.facility
     nodes = inst.nodes
     size_of = {g.id: g.size for g in inst.groups}
     # group id -> (the node it is at or headed to, the first epoch it may
     # leave)
     state = {g.id: (g.node, 0) for g in inst.groups}
-    early: list[tuple[int, str]] = []   # (input index, violation)
+    early: list[str] = []   # the checks of a move on its own
     violations: list[str] = []
     report = violations.append
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
@@ -326,38 +312,28 @@ def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
     departures: list[tuple[int, int, Sequence[str], int, int]] = []
     log = departures.append
-    last_t = last_v = 0     # the last key on the path
     named_t = 0             # the epoch of the last move naming a group
     top = 0                 # the latest landing epoch
-    for k, m in ordered:
+    for m in sched.moves:
         t = m.time
         v = m.node
         ids = m.groups
         if v < 1 or v > nodes:
-            early.append((k, f"unknown: node {v} outside the path "
-                             f"(move at time {t})"))
+            early.append(f"unknown: node {v} outside the path "
+                         f"(move at time {t})")
             continue
         if t < 1:
-            early.append((k, f"time: move at time {t}, node {v} "
-                             "before epoch 1"))
+            early.append(f"time: move at time {t}, node {v} before epoch 1")
             continue
-        if t > last_t or t == last_t and v > last_v:
-            last_t = t
-            last_v = v
-        elif t == last_t and v == last_v:
-            early.append((k, f"duplicate: two moves at time {t}, node {v}"))
-            continue
-        else:
-            return None
         if len(ids) > 1 and len(set(ids)) != len(ids):
             kept: dict[str, None] = {}
             for gid in ids:
                 if gid not in size_of:
-                    early.append((k, f"unknown: group {gid!r} in move at "
-                                     f"time {t}, node {v}"))
+                    early.append(f"unknown: group {gid!r} in move at "
+                                 f"time {t}, node {v}")
                 elif gid in kept:
-                    early.append((k, f"duplicate: group {gid!r} twice in "
-                                     f"move at time {t}, node {v}"))
+                    early.append(f"duplicate: group {gid!r} twice in "
+                                 f"move at time {t}, node {v}")
                 else:
                     kept[gid] = None
             ids = tuple(kept)
@@ -367,8 +343,8 @@ def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
                 if gid in size_of:
                     named = True
                 else:
-                    early.append((k, f"unknown: group {gid!r} in move at "
-                                     f"time {t}, node {v}"))
+                    early.append(f"unknown: group {gid!r} in move at "
+                                 f"time {t}, node {v}")
             if named:
                 named_t = t
                 report(f"direction: move at the facility node {a} at time {t}")
@@ -382,8 +358,8 @@ def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
         for gid in ids:
             s = state.get(gid)
             if s is None:
-                early.append((k, f"unknown: group {gid!r} in move at time "
-                                 f"{t}, node {v}"))
+                early.append(f"unknown: group {gid!r} in move at time "
+                             f"{t}, node {v}")
                 stay += (gid,)
                 continue
             named_t = t
@@ -410,11 +386,10 @@ def _walk_ordered(inst: PathInstance, ordered: Iterable[tuple[int, Move]]) \
             for gid in ids:
                 arrival_time[gid] = land
 
-    early.sort(key=itemgetter(0))
     trace = SimulationTrace(instance=inst, departures=departures,
                             arrival_time=arrival_time,
                             horizon=max(named_t, top))
-    return trace, [msg for _k, msg in early] + violations
+    return trace, early + violations
 
 
 def simulate(inst: PathInstance, sched: Schedule) -> SimulationTrace:

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any
 
 
@@ -159,14 +159,30 @@ _move_groups = Move.groups.__set__
 
 @dataclass(frozen=True)
 class Schedule:
-    """A full evacuation plan as a move list.
+    """A full evacuation plan as a move list, in canonical order.
 
-    Nothing enforces an order. `from_map`, `evac.assemble_schedule` and
-    `parse_schedule` return the moves in canonical (time, node) order;
-    `serialize_schedule` and the simulator's walk accept any order.
+    The (time, node) keys of the moves strictly ascend: one move per key at
+    most, by epoch and by node within an epoch. The constructor checks that
+    in one pass and raises ValueError naming the first two keys out of
+    order, so the simulator's walk and `serialize_schedule` take the moves
+    as given; `parse_schedule`, the reader of outside input, sorts them.
     """
 
     moves: tuple[Move, ...]
+
+    def __post_init__(self) -> None:
+        last_t = last_v = -math.inf
+        for m in self.moves:
+            t = m.time
+            v = m.node
+            if t > last_t or t == last_t and v > last_v:
+                last_t = t
+                last_v = v
+            else:
+                raise ValueError(
+                    f"schedule: move at time {t}, node {v} follows the "
+                    f"move at time {last_t}, node {last_v}; the (time, "
+                    "node) keys must strictly ascend")
 
     @staticmethod
     def from_map(moves: Mapping[tuple[int, int], Iterable[str]]) -> "Schedule":
@@ -458,42 +474,25 @@ def parse_packing_instance(text: str) -> PackingInstance:
 
 def serialize_schedule(sched: Schedule) -> str:
     """The canonical schedule text, the same bytes as `_dumps` of
-    {"moves": [{"time", "node", "groups"}, ...]} with the moves in stable
-    (time, node) order, written directly because `json.dumps` with an
-    indent runs the pure-Python encoder.
+    {"moves": [{"time", "node", "groups"}, ...]}, written directly because
+    `json.dumps` with an indent runs the pure-Python encoder. The moves are
+    written in the order given, the (time, node) order a `Schedule` keeps.
 
     Each distinct group list is rendered once, and every later move that
     carries it reuses the text: `assemble_schedule` gives every move along
-    a bin's route the same tuple. The moves are rendered in the order
-    given. When their keys strictly ascend, as `assemble_schedule` and
-    `parse_schedule` return them, that is the output order and nothing is
-    sorted; otherwise one stable sort by key puts the rendered moves in
-    order, equal keys kept as given.
+    a bin's route the same tuple.
     """
     rendered: dict[tuple[str, ...], str] = {}
     texts: list[str] = []
     append = texts.append
-    ordered = True
-    last_t = last_v = -math.inf
     for m in sched.moves:
-        t = m.time
-        v = m.node
-        if t > last_t or t == last_t and v > last_v:
-            last_t = t
-            last_v = v
-        else:
-            ordered = False
         ids = m.groups
         groups = rendered.get(ids)
         if groups is None:
             groups = rendered[ids] = ("[\n        " + ",\n        ".join(
                 map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
-        append(f'    {{\n      "time": {t},\n      "node": {v},\n'
+        append(f'    {{\n      "time": {m.time},\n      "node": {m.node},\n'
                f'      "groups": {groups}\n    }}')
-    if not ordered:
-        keys = map(attrgetter("time", "node"), sched.moves)
-        texts = [text for _, text in sorted(zip(keys, texts),
-                                            key=itemgetter(0))]
     return '{\n  "moves": ' + _array(texts) + "\n}\n"
 
 
@@ -505,8 +504,9 @@ def parse_schedule(text: str) -> Schedule:
     (a decoded JSON document holds exact `int`, `str`, `list` and `dict`
     values only, and JSON `true` is no `int` here), and a field that fails
     its test appends its violation there. A move with a bad time or node
-    is not checked for repeated ids or keys. The moves are sorted only when
-    their keys do not arrive ascending, as `serialize_schedule` writes them.
+    is not checked for repeated ids or keys. This is the one place that
+    puts moves in order: they are sorted only when their keys do not
+    arrive ascending, as `serialize_schedule` writes them.
     """
     data = _loads(text)
     if not _is_mapping(data):

@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from pathevac import (Schedule, instances, parse_instance,
+from pathevac import (GenParams, Schedule, gen_random, instances,
+                      parse_instance,
                       parse_packing_instance, parse_schedule,
                       schedule_objective, serialize_instance,
                       serialize_packing_instance, serialize_schedule,
-                      simulate, validate_schedule)
+                      simulate, solve, validate_schedule)
 from pathevac.cli import main
 from checkers import parse_packing
 
@@ -87,6 +88,39 @@ def test_validate_reports_violations(fig1b_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert any(line.startswith("presence:") for line in out.splitlines())
     assert any(line.startswith("completion:") for line in out.splitlines())
+
+
+def test_validate_reads_the_moves_in_any_order(tmp_path, capsys):
+    # the reader is the one place that puts moves in order: a document
+    # listing them backwards validates to the same bytes as the ordered one
+    inst = gen_random(7, GenParams(nodes=6, groups=8, capacity=4,
+                                   max_distance=3, facility=3))
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(serialize_instance(inst), encoding="utf-8")
+    moves = json.loads(serialize_schedule(solve(inst)[0]))["moves"]
+    # a move no group starts from, shifted one epoch early onto a free key,
+    # draws groups that are not there yet
+    origin = {g.id: g.node for g in inst.groups}
+    keys = {(m["time"], m["node"]) for m in moves}
+    late = next(m for m in moves if m["time"] > 1
+                and (m["time"] - 1, m["node"]) not in keys
+                and all(origin[gid] != m["node"] for gid in m["groups"]))
+    shifted = sorted([dict(m, time=m["time"] - 1) if m is late else m
+                      for m in moves], key=lambda m: (m["time"], m["node"]))
+
+    def validate(doc_moves):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"moves": doc_moves}), encoding="utf-8")
+        code = main(["validate", "--instance", str(inst_path),
+                     "--schedule", str(path), "--trace"])
+        return code, *capsys.readouterr()
+
+    ordered = validate(moves)
+    assert ordered[0] == 0
+    assert validate(moves[::-1]) == ordered
+    broken = validate(shifted)
+    assert broken[0] == 1 and "presence:" in broken[1]
+    assert validate(shifted[::-1]) == broken
 
 
 def test_validate_empty_schedule_incomplete(fig1b_files, tmp_path, capsys):

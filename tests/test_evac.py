@@ -1,5 +1,5 @@
 import time
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -271,12 +271,11 @@ def test_duplicate_group_in_one_move(fixtures):
     assert trace.arrival_time == {"G21": 2}
 
 
-def test_two_moves_at_one_time_and_node(fixtures):
-    inst = fixtures["fig1b"].instance
-    sched = Schedule(moves=(Move(1, 2, ("G21",)), Move(1, 2, ("G22",))))
-    trace, violations = _walk(inst, sched)
-    assert violations == ["duplicate: two moves at time 1, node 2"]
-    assert trace.arrival_time == {"G21": 2}
+def test_two_moves_at_one_time_and_node():
+    # a Schedule holds one move per (time, node), so no walk meets two
+    with pytest.raises(ValueError, match="move at time 1, node 2 follows "
+                                         "the move at time 1, node 2"):
+        Schedule(moves=(Move(1, 2, ("G21",)), Move(1, 2, ("G22",))))
 
 
 def _assert_same_events(trace, ref_trace) -> None:
@@ -306,30 +305,28 @@ def test_departure_log_matches_event_walk_reference(fixtures):
 
 
 def test_out_of_order_violations_keep_their_order(fixtures):
-    # the checks of a move on its own (off the path, before epoch 1, a
-    # repeated key, an unknown or doubled id) are reported first, in input
-    # order; then presence, direction and capacity in (time, node) order
+    # the checks of a move on its own (off the path, before epoch 1, an
+    # unknown or doubled id) are reported first, then presence, direction
+    # and capacity, each in (time, node) order
     inst = fixtures["fig1b"].instance
     sched = Schedule(moves=(
-        Move(5, 2, ("G12", "G22")),
-        Move(2, 2, ("G11",)),
-        Move(1, 1, ("G11",)),
-        Move(2, 2, ("G12",)),
-        Move(1, 9, ("G21",)),
-        Move(3, 3, ("G21",)),
-        Move(1, 2, ("G21", "ghost", "G21")),
         Move(0, 1, ("G12",)),
-        Move(4, 1, ("G12",)),
+        Move(1, 1, ("G11",)),
+        Move(1, 2, ("G21", "ghost", "G21")),
+        Move(1, 9, ("G21",)),
+        Move(2, 2, ("G11",)),
         Move(3, 1, ("G22",)),
+        Move(3, 3, ("G21",)),
+        Move(4, 1, ("G12",)),
+        Move(5, 2, ("G12", "G22")),
     ))
     trace, violations = _walk(inst, sched)
     ref_trace, ref_violations = ref_event_walk(inst, sched)
     assert violations == ref_violations == [
-        "duplicate: two moves at time 2, node 2",
-        "unknown: node 9 outside the path (move at time 1)",
+        "time: move at time 0, node 1 before epoch 1",
         "unknown: group 'ghost' in move at time 1, node 2",
         "duplicate: group 'G21' twice in move at time 1, node 2",
-        "time: move at time 0, node 1 before epoch 1",
+        "unknown: node 9 outside the path (move at time 1)",
         "presence: group 'G22' not at node 1 at time 3",
         "direction: move at the facility node 3 at time 3",
         "capacity: departure from node 2 at time 5 carries size 5 > "
@@ -342,10 +339,10 @@ def test_out_of_order_violations_keep_their_order(fixtures):
 
 def test_move_before_epoch_1(fixtures):
     inst = fixtures["fig1b"].instance
-    sched = Schedule(moves=(Move(0, 2, ("G21",)), Move(-3, 1, ("G11",))))
+    sched = Schedule(moves=(Move(-3, 1, ("G11",)), Move(0, 2, ("G21",))))
     trace, violations = _walk(inst, sched)
-    assert violations == ["time: move at time 0, node 2 before epoch 1",
-                          "time: move at time -3, node 1 before epoch 1"]
+    assert violations == ["time: move at time -3, node 1 before epoch 1",
+                          "time: move at time 0, node 2 before epoch 1"]
     assert trace.arrival_time == {} and trace.horizon == 0
     assert validate_schedule(inst, sched)[:2] == violations
     with pytest.raises(SimulationInfeasible, match="time: move at time -3"):
@@ -579,9 +576,11 @@ _DAMAGE = ("key", "twice", "early", "off", "ghost", "facility", "empty")
 
 def _damage(inst: PathInstance, sched: Schedule, data) -> Schedule:
     """Zero to four kinds of damage that `Schedule.from_map` never gives (a
-    repeated (time, node), a group named twice in one move, a move before
-    epoch 1, off the path, naming no group) or that `_corrupt` gives only
-    in one-id moves, then possibly the moves in any order."""
+    group named twice in one move, a move before epoch 1, off the path,
+    naming no group) or that `_corrupt` gives only in one-id moves, the
+    moves then put in (time, node) order. A repeated (time, node), the
+    `key` damage, must make `Schedule` raise; the first move of the key
+    is kept."""
     moves = list(sched.moves)
     ids = [g.id for g in inst.groups]
     draw = data.draw
@@ -618,9 +617,14 @@ def _damage(inst: PathInstance, sched: Schedule, data) -> Schedule:
         elif kind == "empty":
             moves.append(Move(draw(epoch), draw(st.integers(
                 min_value=1, max_value=inst.nodes)), ()))
-    if draw(st.booleans(), label="shuffle"):
-        moves = draw(st.permutations(moves), label="order")
-    return Schedule(moves=tuple(moves))
+    moves.sort(key=attrgetter("time", "node"))
+    first: dict[tuple[int, int], Move] = {}
+    for m in moves:
+        first.setdefault((m.time, m.node), m)
+    if len(first) < len(moves):
+        with pytest.raises(ValueError, match="must strictly ascend"):
+            Schedule(moves=tuple(moves))
+    return Schedule(moves=tuple(first.values()))
 
 
 @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)

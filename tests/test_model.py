@@ -9,7 +9,8 @@ from types import MappingProxyType
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathevac import (Group, InstanceError, PathInstance, gen_random,
+from pathevac import (Group, InstanceError, PathInstance, bundled_examples,
+                      exact_dwsf_opt, gen_random,
                       GenParams, PackParams, gen_from_partition,
                       gen_random_packing, model, parse_instance,
                       parse_packing_instance, parse_schedule,
@@ -310,7 +311,8 @@ def _moves(draw, max_size=6):
     """Moves whose group tuples mostly come from a small pool, as the moves
     along a bin's route share theirs: a pool entry drawn twice is the same
     tuple, a copy of one an equal but distinct tuple. Keys are often small
-    enough to repeat, and the list comes sorted or in any order."""
+    and distinct, and the list comes in (time, node) order, as a
+    `Schedule` holds it."""
     pool = draw(st.lists(_group_lists, min_size=1, max_size=3))
     groups = st.one_of(st.sampled_from(pool),
                        st.sampled_from(pool).map(lambda ids: tuple(list(ids))),
@@ -321,9 +323,9 @@ def _moves(draw, max_size=6):
         | st.integers(min_value=0, max_value=10 ** 12),
         node=st.integers(min_value=1, max_value=3)
         | st.integers(min_value=1, max_value=300),
-        groups=groups), max_size=max_size))
-    if draw(st.booleans()):
-        moves.sort(key=lambda m: (m.time, m.node))
+        groups=groups), max_size=max_size,
+        unique_by=lambda m: (m.time, m.node)))
+    moves.sort(key=lambda m: (m.time, m.node))
     return moves
 
 
@@ -332,15 +334,15 @@ _AB = ("A", "B")
 
 @settings(max_examples=200)
 @given(moves=_moves(max_size=30))
-@example(moves=[Move(1, 2, _AB), Move(1, 2, ("C",)), Move(2, 1, _AB)])
-@example(moves=[Move(2, 1, _AB), Move(1, 2, _AB), Move(1, 2, ("A", "B"))])
-@example(moves=[Move(0, 1, ()), Move(0, 1, ()), Move(3, 1, _AB)])
+@example(moves=[Move(1, 2, _AB), Move(1, 3, ("C",)), Move(2, 1, _AB)])
+@example(moves=[Move(1, 2, _AB), Move(1, 3, ("A", "B")), Move(2, 1, _AB)])
+@example(moves=[Move(0, 1, ()), Move(0, 2, ()), Move(3, 1, _AB)])
 @example(moves=[Move(1, 1, ('"\\', "\x00\u2028", "\U0001f600")),
                 Move(2, 1, ('"\\', "\x00\u2028", "\U0001f600"))])
 def test_schedule_writer_matches_json_dumps(moves):
     expected = json.dumps({"moves": [
         {"time": m.time, "node": m.node, "groups": list(m.groups)}
-        for m in sorted(moves, key=lambda m: (m.time, m.node))]},
+        for m in moves]},
         indent=2, ensure_ascii=False) + "\n"
     assert serialize_schedule(Schedule(moves=tuple(moves))) == expected
 
@@ -368,10 +370,11 @@ def test_schedule_writer_matches_reference_on_solver_schedules(
     sched, _ = solve(inst)
     text = ref_serialize_schedule(sched)
     assert serialize_schedule(sched) == text
-    # the parsed copy carries equal but distinct tuples; the reversed one
-    # takes the sort
+    # the parsed copy carries equal but distinct tuples
     assert serialize_schedule(parse_schedule(text)) == text
-    assert serialize_schedule(Schedule(moves=sched.moves[::-1])) == text
+    if len(sched.moves) > 1:
+        with pytest.raises(ValueError, match="must strictly ascend"):
+            Schedule(moves=sched.moves[::-1])
 
 
 def test_schedule_writer_renders_each_group_list_once(monkeypatch):
@@ -382,26 +385,6 @@ def test_schedule_writer_renders_each_group_list_once(monkeypatch):
                             Move(2, 2, _AB), Move(3, 1, tuple(list(_AB)))))
     serialize_schedule(sched)
     assert encoded == ["A", "B", "C"]
-
-
-def test_schedule_writer_sorts_only_out_of_order_moves(monkeypatch):
-    sorts = []
-
-    def counting_sorted(*args, **kwargs):
-        sorts.append(args)
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(model, "sorted", counting_sorted, raising=False)
-    ordered = (Move(1, 2, ("A",)), Move(2, 1, ("B",)), Move(2, 3, ("C",)))
-    text = serialize_schedule(Schedule(moves=ordered))
-    assert sorts == []
-    # a descending key and a repeated one each take one stable sort
-    assert serialize_schedule(Schedule(moves=ordered[::-1])) == text
-    assert len(sorts) == 1
-    repeated = ordered + (Move(2, 3, ("D",)),)
-    assert serialize_schedule(Schedule(moves=repeated)) == \
-        ref_serialize_schedule(Schedule(moves=repeated))
-    assert len(sorts) == 2
 
 
 def test_validate_accepts_non_dict_mappings():
@@ -514,6 +497,57 @@ def test_schedule_reader_matches_reference(doc):
 def test_schedule_from_map_drops_empty_moves():
     sched = Schedule.from_map({(1, 2): ("A",), (2, 1): ()})
     assert sched.moves == (Move(time=1, node=2, groups=("A",)),)
+
+
+def test_schedule_keys_strictly_ascend():
+    assert Schedule(moves=()).moves == ()
+    # equal times, ascending nodes
+    moves = (Move(2, 1, ("A",)), Move(2, 3, ("B",)), Move(3, 1, ("A",)))
+    sched = Schedule(moves=moves)
+    assert sched.moves == moves
+    with pytest.raises(ValueError, match="move at time 2, node 1 follows "
+                                         "the move at time 2, node 3"):
+        Schedule(moves=(moves[1], moves[0]))
+    with pytest.raises(ValueError, match="move at time 2, node 3 follows "
+                                         "the move at time 2, node 3"):
+        Schedule(moves=(*moves[:2], Move(2, 3, ("C",))))
+    # `replace` builds through the constructor, so it checks too
+    assert dataclasses.replace(sched, moves=moves[1:]).moves == moves[1:]
+    with pytest.raises(ValueError, match="move at time 2, node 3 follows "
+                                         "the move at time 3, node 1"):
+        dataclasses.replace(sched, moves=moves[::-1])
+
+
+def _ascending(sched: Schedule) -> bool:
+    keys = [(m.time, m.node) for m in sched.moves]
+    return keys == sorted(set(keys))
+
+
+def test_every_builder_gives_ascending_keys():
+    assert _ascending(Schedule.from_map(
+        {(3, 1): ("A",), (1, 2): ("B",), (1, 1): ("C",), (2, 2): ()}))
+    for seed in range(20):
+        inst = gen_random(seed, GenParams(nodes=2 + seed % 9,
+                                          groups=1 + seed % 13,
+                                          capacity=2 + seed % 5,
+                                          max_distance=1 + seed % 4))
+        sched, _ = solve(inst)
+        assert _ascending(sched)
+        doc = json.loads(serialize_schedule(sched))
+        doc["moves"].reverse()
+        parsed = parse_schedule(json.dumps(doc))
+        assert _ascending(parsed) and parsed == sched
+    for fx in bundled_examples().values():
+        assert _ascending(fx.schedule)
+    # the single-origin search on two nodes, the state search on more
+    for seed in range(20):
+        inst = gen_random(seed, GenParams(nodes=2 + seed % 3,
+                                          groups=1 + seed % 4,
+                                          capacity=2 + seed % 5,
+                                          max_weight=9, max_distance=2,
+                                          facility=2 if seed % 3 == 0
+                                          else None))
+        assert _ascending(exact_dwsf_opt(inst)[1])
 
 
 @pytest.mark.parametrize("value, change", [
