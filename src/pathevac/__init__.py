@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .evac import (NonUniformCapacityError, SideReduction,
                    SimulationInfeasible, SimulationTrace, SolveReport,
                    assemble_schedule, fractional_lower_bound, reduce_side,
-                   schedule_objective, simulate, solve, solve_report,
+                   schedule_objective, simulate, solve_report,
                    validate_schedule)
 from .instances import (GenParams, PackParams, SplitMix64, bundled_examples,
                         gen_from_partition, gen_random, gen_random_packing)
@@ -22,8 +22,7 @@ from .model import (FractionalPacking, Group, InstanceError, Move, Packing,
                     PackingInstance, PackingItem, PathInstance, Schedule,
                     parse_instance, parse_packing_instance, parse_schedule,
                     serialize_instance, serialize_packing_instance,
-                    serialize_schedule, validate_instance,
-                    validate_packing_instance)
+                    serialize_schedule)
 from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       horizon_bound)
@@ -38,7 +37,6 @@ __all__ = [
     # model
     "Group", "PathInstance", "PackingItem", "PackingInstance", "Packing",
     "Move", "Schedule", "FractionalPacking", "InstanceError",
-    "validate_instance", "validate_packing_instance",
     "parse_instance", "serialize_instance",
     "parse_packing_instance", "serialize_packing_instance",
     "parse_schedule", "serialize_schedule",
@@ -49,7 +47,7 @@ __all__ = [
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
     "validate_fractional", "fractional_bound",
     # evacuation
-    "reduce_side", "fractional_lower_bound", "assemble_schedule", "solve",
+    "reduce_side", "fractional_lower_bound", "assemble_schedule",
     "solve_report",
     "SolveReport", "SideReduction", "simulate", "SimulationTrace",
     "schedule_objective", "validate_schedule", "NonUniformCapacityError",

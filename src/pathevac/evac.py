@@ -217,12 +217,6 @@ def solve_report(inst: PathInstance) -> SolveReport:
         right_packing=right_packing, right_trace=right_trace)
 
 
-def solve(inst: PathInstance) -> tuple[Schedule, int]:
-    """Solve an instance; the schedule and its objective, by the reduction."""
-    report = solve_report(inst)
-    return report.schedule, report.objective
-
-
 def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
     """Node -> ids at epoch 0, in instance order, for every node of the
     path (insertion-ordered dicts used as ordered sets)."""

@@ -65,7 +65,9 @@ class PathInstance:
 
     distances[k-1] is the travel time of edge {k, k+1}. edge_capacities,
     when present, are per-edge overrides honoured by validation and
-    simulation only; the solvers require the uniform capacity.
+    simulation only; the solvers require the uniform capacity. Overrides
+    that all equal `capacity` are stored as None, so an instance has one
+    form whichever way its edges spell the uniform capacity.
     """
 
     nodes: int
@@ -74,6 +76,11 @@ class PathInstance:
     distances: tuple[int, ...]
     groups: tuple[Group, ...]
     edge_capacities: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        caps = self.edge_capacities
+        if caps is not None and all(c == self.capacity for c in caps):
+            object.__setattr__(self, "edge_capacities", None)
 
     def distance(self, k: int) -> int:
         """Travel time of edge {k, k+1}."""
@@ -87,9 +94,7 @@ class PathInstance:
 
     @property
     def is_uniform(self) -> bool:
-        return self.edge_capacities is None or all(
-            c == self.capacity for c in self.edge_capacities
-        )
+        return self.edge_capacities is None
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -205,76 +210,89 @@ class FractionalPacking:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# reading: JSON text in, typed values out
+#
+# A decoded JSON document holds exact `dict`, `list`, `str` and `int`
+# values (besides floats, `true`/`false` and `null`), so each reader tests
+# every field by exact type: JSON `true` is no `int` here, nor `2.0` a 2.
 
-def _is_mapping(obj: Any) -> bool:
-    # a decoded JSON object is a plain dict; the abstract check is slow
-    return type(obj) is dict or isinstance(obj, Mapping)
+def _document(text: str) -> dict:
+    """Decode a document that must be a JSON object."""
+    # besides JSONDecodeError (a ValueError), the decoder raises a bare
+    # ValueError on an integer past the int digit limit and RecursionError
+    # on deeply nested arrays or objects
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError([f"json: {exc}"]) from exc
+    if type(data) is not dict:
+        raise InstanceError(["document: expected a JSON object"])
+    return data
 
 
 def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as 1/0
-    if not isinstance(obj, int) or isinstance(obj, bool) or obj < minimum:
+    if type(obj) is not int or obj < minimum:
         errors.append(f"{label}: expected an integer >= {minimum}, got {obj!r}")
         return False
     return True
 
 
-def _bad_text(text: str) -> bool:
-    """True for a string UTF-8 cannot encode: a JSON "\\ud800" escape
-    decodes to a lone surrogate. An ASCII string needs one test."""
-    if text.isascii():
+def _new_id(errors: list[str], seen: set[str], kind: str, idx: int,
+            ident: Any) -> bool:
+    """Check the id of entry `idx` of the `kind` list: a non-empty string
+    that UTF-8 can encode (a JSON "\\ud800" escape decodes to a lone
+    surrogate; an ASCII id needs one test) and not seen before."""
+    if type(ident) is not str or not ident:
+        errors.append(f"{kind}[{idx}].id: expected a non-empty string")
         return False
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
+    if not ident.isascii():
+        try:
+            ident.encode("utf-8")
+        except UnicodeEncodeError:
+            errors.append(f"{kind}[{idx}].id: expected UTF-8 text, "
+                          f"got {ident!r}")
+            return False
+    if ident in seen:
+        errors.append(f"{kind}: duplicate id {ident!r}")
+        return False
+    seen.add(ident)
+    return True
 
 
-def validate_instance(data: Any) -> PathInstance:
-    """Check a decoded instance document and build the typed instance.
+def parse_instance(text: str) -> PathInstance:
+    """Read an instance document and build the typed instance.
 
     Raises InstanceError naming every violated invariant. A one-node path
     (no edges, all groups at the facility) is valid and trivially solved.
 
-    Each group entry is checked in one pass, one test per field, and a
-    field that fails its test appends its violation there. A decoded JSON
-    document holds exact `int`, `str`, `list` and `dict` values only, so
-    the integer fields get type-exact tests (JSON `true` is no `int`
-    here). A value that fails one is judged again by `_require_int`, so
-    an `int` subclass other than `bool` still passes, as a non-dict
-    `Mapping` does for an entry. The route capacity check costs one
-    comparison per group unless a group is larger than the narrowest edge.
+    Each group entry is checked in one pass, one type-exact test per
+    field, and a field that fails its test appends its violation there.
+    The route capacity check costs one comparison per group unless a
+    group is larger than the narrowest edge.
     """
+    data = _document(text)
     errors: list[str] = []
-    if not _is_mapping(data):
-        raise InstanceError(["document: expected a JSON object"])
-
     n_ok = _require_int(errors, data.get("nodes"), "nodes", 1)
     n = data.get("nodes") if n_ok else 1
 
-    fac_ok = _require_int(errors, data.get("facility"), "facility", 1)
-    if fac_ok and n_ok and data["facility"] > n:
+    if _require_int(errors, data.get("facility"), "facility", 1) \
+            and n_ok and data["facility"] > n:
         errors.append(f"facility: {data['facility']} out of range 1..{n}")
-        fac_ok = False
-
-    cap_ok = _require_int(errors, data.get("capacity"), "capacity", 1)
+    _require_int(errors, data.get("capacity"), "capacity", 1)
 
     distances: list[int] = []
     overrides: list[int | None] = []
     edges = data.get("edges")
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         errors.append("edges: expected a list")
     elif n_ok and len(edges) != n - 1:
         errors.append(f"edges: expected {n - 1} edges covering the path, "
                       f"got {len(edges)}")
     else:
         for k, e in enumerate(edges, start=1):
-            if not _is_mapping(e):
+            if type(e) is not dict:
                 errors.append(f"edges[{k - 1}]: expected an object")
                 continue
-            # exact ints: JSON true and 2.0 compare equal to 1 and 2
             src, dst = e.get("from"), e.get("to")
             if type(src) is not int or src != k \
                     or type(dst) is not int or dst != k + 1:
@@ -292,7 +310,7 @@ def validate_instance(data: Any) -> PathInstance:
 
     groups: list[Group] = []
     raw_groups = data.get("groups")
-    if not isinstance(raw_groups, list):
+    if type(raw_groups) is not list:
         errors.append("groups: expected a list")
         raw_groups = []
     seen: set[str] = set()
@@ -300,21 +318,12 @@ def validate_instance(data: Any) -> PathInstance:
     node_max = n if n_ok else math.inf
     append = groups.append
     for idx, g in enumerate(raw_groups):
-        if type(g) is not dict and not isinstance(g, Mapping):
+        if type(g) is not dict:
             errors.append(f"groups[{idx}]: expected an object")
             continue
         gid = g.get("id")
-        if not isinstance(gid, str) or not gid:
-            errors.append(f"groups[{idx}].id: expected a non-empty string")
+        if not _new_id(errors, seen, "groups", idx, gid):
             continue
-        if _bad_text(gid):
-            errors.append(f"groups[{idx}].id: expected UTF-8 text, "
-                          f"got {gid!r}")
-            continue
-        if gid in seen:
-            errors.append(f"groups: duplicate id {gid!r}")
-            continue
-        seen.add(gid)
         v = g.get("node")
         size = g.get("size")
         w = g.get("weight")
@@ -337,14 +346,9 @@ def validate_instance(data: Any) -> PathInstance:
 
     cap = data["capacity"]
     caps = tuple(o if o is not None else cap for o in overrides)
-    inst = PathInstance(
-        nodes=n,
-        facility=data["facility"],
-        capacity=cap,
-        distances=tuple(distances),
-        groups=tuple(groups),
-        edge_capacities=caps if any(o is not None for o in overrides) else None,
-    )
+    inst = PathInstance(nodes=n, facility=data["facility"], capacity=cap,
+                        distances=tuple(distances), groups=tuple(groups),
+                        edge_capacities=caps)
 
     # every group must fit through each edge on its way to the facility; a
     # group no larger than the narrowest edge, or one at the facility,
@@ -364,33 +368,25 @@ def validate_instance(data: Any) -> PathInstance:
     return inst
 
 
-def validate_packing_instance(data: Any) -> PackingInstance:
-    """Check a decoded packing-instance document."""
+def parse_packing_instance(text: str) -> PackingInstance:
+    """Read a packing-instance document, checked as `parse_instance`
+    checks its groups."""
+    data = _document(text)
     errors: list[str] = []
-    if not _is_mapping(data):
-        raise InstanceError(["document: expected a JSON object"])
     cap_ok = _require_int(errors, data.get("capacity"), "capacity", 1)
     items: list[PackingItem] = []
     raw = data.get("items")
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         errors.append("items: expected a list")
         raw = []
     seen: set[str] = set()
     for idx, it in enumerate(raw):
-        if not _is_mapping(it):
+        if type(it) is not dict:
             errors.append(f"items[{idx}]: expected an object")
             continue
         iid = it.get("id")
-        if not isinstance(iid, str) or not iid:
-            errors.append(f"items[{idx}].id: expected a non-empty string")
+        if not _new_id(errors, seen, "items", idx, iid):
             continue
-        if _bad_text(iid):
-            errors.append(f"items[{idx}].id: expected UTF-8 text, got {iid!r}")
-            continue
-        if iid in seen:
-            errors.append(f"items: duplicate id {iid!r}")
-            continue
-        seen.add(iid)
         ok = _require_int(errors, it.get("size"), f"items[{idx}].size", 1)
         ok &= _require_int(errors, it.get("weight"), f"items[{idx}].weight", 1)
         ok &= _require_int(errors, it.get("ready"), f"items[{idx}].ready", 1)
@@ -399,120 +395,25 @@ def validate_packing_instance(data: Any) -> PackingInstance:
                           f"capacity {data['capacity']}")
             ok = False
         if ok:
-            items.append(PackingItem(id=iid, size=it["size"],
-                                     weight=it["weight"], ready=it["ready"]))
+            items.append(PackingItem(iid, it["size"], it["weight"], it["ready"]))
     if errors:
         raise InstanceError(errors)
     return PackingInstance(capacity=data["capacity"], items=tuple(items))
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trips (canonical: fixed key order, 2-space indent, newline at EOF)
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-
-
-def _loads(text: str) -> Any:
-    # besides JSONDecodeError (a ValueError), the decoder raises a bare
-    # ValueError on an integer past the int digit limit and RecursionError
-    # on deeply nested arrays or objects
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InstanceError([f"json: {exc}"]) from exc
-
-
-def _array(entries: list[str]) -> str:
-    """A list of rendered entries as `_dumps` writes it at depth 1."""
-    if not entries:
-        return "[]"
-    return "[\n" + ",\n".join(entries) + "\n  ]"
-
-
-def serialize_instance(inst: PathInstance) -> str:
-    """The canonical instance text, the same bytes as `_dumps` of
-    {"nodes", "facility", "capacity", "edges", "groups"}, written directly
-    for the reason `serialize_schedule` is. An edge capacity equal to the
-    uniform one is omitted."""
-    cap = inst.capacity
-    caps = inst.edge_capacities
-    edges = []
-    for k in range(1, inst.nodes):
-        head = (f'    {{\n      "from": {k},\n      "to": {k + 1},\n'
-                f'      "distance": {inst.distances[k - 1]}')
-        if caps is not None and caps[k - 1] != cap:
-            edges.append(f'{head},\n      "capacity": {caps[k - 1]}\n    }}')
-        else:
-            edges.append(head + "\n    }")
-    groups = [f'    {{\n      "id": {encode_basestring(g.id)},\n'
-              f'      "node": {g.node},\n      "size": {g.size},\n'
-              f'      "weight": {g.weight}\n    }}' for g in inst.groups]
-    return (f'{{\n  "nodes": {inst.nodes},\n  "facility": {inst.facility},\n'
-            f'  "capacity": {cap},\n  "edges": {_array(edges)},\n'
-            f'  "groups": {_array(groups)}\n}}\n')
-
-
-def parse_instance(text: str) -> PathInstance:
-    return validate_instance(_loads(text))
-
-
-def serialize_packing_instance(inst: PackingInstance) -> str:
-    """The canonical packing-instance text, the same bytes as `_dumps` of
-    {"capacity", "items": [{"id", "size", "weight", "ready"}, ...]},
-    written directly for the reason `serialize_schedule` is."""
-    items = [f'    {{\n      "id": {encode_basestring(it.id)},\n'
-             f'      "size": {it.size},\n      "weight": {it.weight},\n'
-             f'      "ready": {it.ready}\n    }}' for it in inst.items]
-    return (f'{{\n  "capacity": {inst.capacity},\n'
-            f'  "items": {_array(items)}\n}}\n')
-
-
-def parse_packing_instance(text: str) -> PackingInstance:
-    return validate_packing_instance(_loads(text))
-
-
-def serialize_schedule(sched: Schedule) -> str:
-    """The canonical schedule text, the same bytes as `_dumps` of
-    {"moves": [{"time", "node", "groups"}, ...]}, written directly because
-    `json.dumps` with an indent runs the pure-Python encoder. The moves are
-    written in the order given, the (time, node) order a `Schedule` keeps.
-
-    Each distinct group list is rendered once, and every later move that
-    carries it reuses the text: `assemble_schedule` gives every move along
-    a bin's route the same tuple.
-    """
-    rendered: dict[tuple[str, ...], str] = {}
-    texts: list[str] = []
-    append = texts.append
-    for m in sched.moves:
-        ids = m.groups
-        groups = rendered.get(ids)
-        if groups is None:
-            groups = rendered[ids] = ("[\n        " + ",\n        ".join(
-                map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
-        append(f'    {{\n      "time": {m.time},\n      "node": {m.node},\n'
-               f'      "groups": {groups}\n    }}')
-    return '{\n  "moves": ' + _array(texts) + "\n}\n"
 
 
 def parse_schedule(text: str) -> Schedule:
     """Read a schedule document; raises InstanceError naming every bad
     move entry and every repeated (time, node).
 
-    Each move entry is checked in one pass, one type-exact test per field
-    (a decoded JSON document holds exact `int`, `str`, `list` and `dict`
-    values only, and JSON `true` is no `int` here), and a field that fails
-    its test appends its violation there. A move with a bad time or node
-    is not checked for repeated ids or keys. This is the one place that
-    puts moves in order: they are sorted only when their keys do not
-    arrive ascending, as `serialize_schedule` writes them.
+    Each move entry is checked in one pass, one type-exact test per field,
+    and a field that fails its test appends its violation there. A move
+    with a bad time or node is not checked for repeated ids or keys. This
+    is the one place that puts moves in order: they are sorted only when
+    their keys do not arrive ascending, as `serialize_schedule` writes
+    them.
     """
-    data = _loads(text)
-    if not _is_mapping(data):
-        raise InstanceError(["document: expected a JSON object"])
-    raw = data.get("moves")
-    if not isinstance(raw, list):
+    raw = _document(text).get("moves")
+    if type(raw) is not list:
         raise InstanceError(["moves: expected a list"])
     errors: list[str] = []
     moves: list[Move] = []
@@ -564,3 +465,74 @@ def parse_schedule(text: str) -> Schedule:
         moves.sort(key=attrgetter("time", "node"))
     return Schedule(moves=tuple(moves))
 
+
+# ---------------------------------------------------------------------------
+# writing (canonical: fixed key order, 2-space indent, newline at EOF)
+
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _array(entries: list[str]) -> str:
+    """A list of rendered entries as `_dumps` writes it at depth 1."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entries) + "\n  ]"
+
+
+def serialize_instance(inst: PathInstance) -> str:
+    """The canonical instance text, the same bytes as `_dumps` of
+    {"nodes", "facility", "capacity", "edges", "groups"}, written directly
+    for the reason `serialize_schedule` is. An edge capacity equal to the
+    uniform one is omitted."""
+    cap = inst.capacity
+    caps = inst.edge_capacities
+    edges = []
+    for k in range(1, inst.nodes):
+        head = (f'    {{\n      "from": {k},\n      "to": {k + 1},\n'
+                f'      "distance": {inst.distances[k - 1]}')
+        if caps is not None and caps[k - 1] != cap:
+            edges.append(f'{head},\n      "capacity": {caps[k - 1]}\n    }}')
+        else:
+            edges.append(head + "\n    }")
+    groups = [f'    {{\n      "id": {encode_basestring(g.id)},\n'
+              f'      "node": {g.node},\n      "size": {g.size},\n'
+              f'      "weight": {g.weight}\n    }}' for g in inst.groups]
+    return (f'{{\n  "nodes": {inst.nodes},\n  "facility": {inst.facility},\n'
+            f'  "capacity": {cap},\n  "edges": {_array(edges)},\n'
+            f'  "groups": {_array(groups)}\n}}\n')
+
+
+def serialize_packing_instance(inst: PackingInstance) -> str:
+    """The canonical packing-instance text, the same bytes as `_dumps` of
+    {"capacity", "items": [{"id", "size", "weight", "ready"}, ...]},
+    written directly for the reason `serialize_schedule` is."""
+    items = [f'    {{\n      "id": {encode_basestring(it.id)},\n'
+             f'      "size": {it.size},\n      "weight": {it.weight},\n'
+             f'      "ready": {it.ready}\n    }}' for it in inst.items]
+    return (f'{{\n  "capacity": {inst.capacity},\n'
+            f'  "items": {_array(items)}\n}}\n')
+
+
+def serialize_schedule(sched: Schedule) -> str:
+    """The canonical schedule text, the same bytes as `_dumps` of
+    {"moves": [{"time", "node", "groups"}, ...]}, written directly because
+    `json.dumps` with an indent runs the pure-Python encoder. The moves are
+    written in the order given, the (time, node) order a `Schedule` keeps.
+
+    Each distinct group list is rendered once, and every later move that
+    carries it reuses the text: `assemble_schedule` gives every move along
+    a bin's route the same tuple.
+    """
+    rendered: dict[tuple[str, ...], str] = {}
+    texts: list[str] = []
+    append = texts.append
+    for m in sched.moves:
+        ids = m.groups
+        groups = rendered.get(ids)
+        if groups is None:
+            groups = rendered[ids] = ("[\n        " + ",\n        ".join(
+                map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
+        append(f'    {{\n      "time": {m.time},\n      "node": {m.node},\n'
+               f'      "groups": {groups}\n    }}')
+    return '{\n  "moves": ' + _array(texts) + "\n}\n"

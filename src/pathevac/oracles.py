@@ -69,7 +69,7 @@ def _required_epochs(inst: PathInstance) -> int:
     for lo, hi, near, edge in ((1, a - 1, a - 1, a - 1),
                                (a + 1, inst.nodes, a + 1, a)):
         side = [g for g in inst.groups if lo <= g.node <= hi]
-        if not side or edge < 1 or edge >= inst.nodes:
+        if not side:
             continue
         taus = [abs(pos[g.node] - pos[near]) + 1 for g in side]
         req = max(req, max(taus) + len(side) + inst.distance(edge) - 1)

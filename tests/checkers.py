@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pathevac.model import (InstanceError, Packing, PackingInstance,
-                            _is_mapping, _loads)
+from pathevac.model import InstanceError, Packing, PackingInstance
 from pathevac.packing import GreedyTrace, _require_known
+from ref_field_checks import _is_mapping, _loads
 
 
 def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:

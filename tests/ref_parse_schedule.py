@@ -10,8 +10,8 @@ same `InstanceError.violations`, from the two readers on any document.
 
 from __future__ import annotations
 
-from pathevac.model import (InstanceError, Move, Schedule, _is_mapping,
-                            _loads, _require_int)
+from pathevac.model import InstanceError, Move, Schedule
+from ref_field_checks import _is_mapping, _loads, _require_int
 
 
 def ref_parse_schedule(text: str) -> Schedule:

@@ -1,21 +1,23 @@
 """The instance reader before its single-guard loop, kept as a test-only
 reference.
 
-This is `pathevac.model.validate_instance` as it was when every group went
-through three `_require_int` calls and a keyword-built `Group`, and every
-group walked every edge on its route to the facility in the capacity
-check. It is deliberately left as it was (its edge `from`/`to` check also
-still lets `true` and `2.0` pass as 1 and 2), so the differential tests can
-require the same `PathInstance`, or the same `InstanceError.violations`,
-from the two readers on any document whose edge endpoints are exact ints.
+This is `pathevac.model.validate_instance`, the checks `parse_instance`
+makes on the decoded document, as it was when every group went through
+three `_require_int` calls and a keyword-built `Group`, and every group
+walked every edge on its route to the facility in the capacity check. It
+is deliberately left as it was (its edge `from`/`to` check also still lets
+`true` and `2.0` pass as 1 and 2), so the differential tests can require
+the same `PathInstance`, or the same `InstanceError.violations`, from it
+and `parse_instance` on any JSON document whose edge endpoints are exact
+ints.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from pathevac.model import (Group, InstanceError, PathInstance, _is_mapping,
-                            _require_int)
+from pathevac.model import Group, InstanceError, PathInstance
+from ref_field_checks import _is_mapping, _require_int
 
 
 def ref_validate_instance(data: Any) -> PathInstance:

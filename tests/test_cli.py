@@ -10,7 +10,7 @@ from pathevac import (GenParams, Schedule, gen_random, instances,
                       parse_packing_instance, parse_schedule,
                       schedule_objective, serialize_instance,
                       serialize_packing_instance, serialize_schedule,
-                      simulate, solve, validate_schedule)
+                      simulate, solve_report, validate_schedule)
 from pathevac.cli import main
 from checkers import parse_packing
 
@@ -97,7 +97,8 @@ def test_validate_reads_the_moves_in_any_order(tmp_path, capsys):
                                    max_distance=3, facility=3))
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(serialize_instance(inst), encoding="utf-8")
-    moves = json.loads(serialize_schedule(solve(inst)[0]))["moves"]
+    moves = json.loads(
+        serialize_schedule(solve_report(inst).schedule))["moves"]
     # a move no group starts from, shifted one epoch early onto a free key,
     # draws groups that are not there yet
     origin = {g.id: g.node for g in inst.groups}

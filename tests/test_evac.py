@@ -9,7 +9,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
                       pair_overflow_violations, reduce_side,
-                      schedule_objective, simulate, solve, solve_report,
+                      schedule_objective, simulate, solve_report,
                       validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
@@ -49,7 +49,7 @@ def test_fractional_lower_bound_brackets_greedy(seed):
     inst = gen_random(seed, GenParams(nodes=6, groups=7, max_distance=3))
     plain = fractional_lower_bound(inst)
     reduced = fractional_lower_bound(inst, reduced_tau=True)
-    _, objective = solve(inst)
+    objective = solve_report(inst).objective
     assert reduced <= plain <= objective <= 2 * reduced
 
 
@@ -118,7 +118,7 @@ def test_solve_report_frozen(fixtures):
 
 def test_solve_rejects_per_edge_capacities(fixtures):
     with pytest.raises(NonUniformCapacityError):
-        solve(fixtures["fig1a"].instance)
+        solve_report(fixtures["fig1a"].instance)
 
 
 def test_fractional_lower_bound_rejects_per_edge_capacities(fixtures):
@@ -131,7 +131,8 @@ def test_fractional_lower_bound_rejects_per_edge_capacities(fixtures):
 def test_solve_all_at_facility():
     inst = PathInstance(nodes=1, facility=1, capacity=2, distances=(),
                         groups=(Group(id="g", node=1, size=1, weight=4),))
-    sched, objective = solve(inst)
+    report = solve_report(inst)
+    sched, objective = report.schedule, report.objective
     assert sched.moves == ()
     assert objective == 0
 
@@ -144,7 +145,7 @@ def test_solve_rejects_group_larger_than_capacity():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="item 'g' of size 3 exceeds the "
                                          "bin capacity 2"):
-        solve(inst)
+        solve_report(inst)
     assert time.perf_counter() - start < 1.0
 
 
@@ -226,7 +227,7 @@ def test_render_table_fills_epochs_without_events():
     # throughout; epochs 1, 3, 6, 7 and 10-12 have no departure or landing
     inst = gen_random(26, GenParams(nodes=4, groups=3, capacity=10,
                                     max_size=10, max_distance=6, facility=1))
-    sched, _ = solve(inst)
+    sched = solve_report(inst).schedule
     trace = simulate(inst, sched)
     assert trace.render_table() == """\
 time  node 1  node 2  node 3  node 4
@@ -298,7 +299,7 @@ def test_departure_log_matches_event_walk_reference(fixtures):
                                         facility=1))
     fx = fixtures["fig1b"]
     for inst, sched in ((fx.instance, fx.schedule),
-                        (long_edge, solve(long_edge)[0])):
+                        (long_edge, solve_report(long_edge).schedule)):
         ref_trace, _ = ref_event_walk(inst, sched)
         _assert_same_events(check_schedule(inst, sched)[0], ref_trace)
         _assert_same_events(simulate(inst, sched), ref_trace)
@@ -370,7 +371,8 @@ def test_solve_and_validate_bottleneck_distance_1e9():
                         groups=(Group(id="a", node=1, size=3, weight=5),
                                 Group(id="b", node=2, size=2, weight=1)))
     start = time.perf_counter()
-    sched, objective = solve(inst)
+    report = solve_report(inst)
+    sched, objective = report.schedule, report.objective
     violations = validate_schedule(inst, sched)
     elapsed = time.perf_counter() - start
     assert violations == []
@@ -425,7 +427,7 @@ def test_solver_output_feasible_and_decomposes(inst):
 @settings(max_examples=100, deadline=None)
 @given(inst=_instances)
 def test_occupancy_conservation(inst):
-    sched, _ = solve(inst)
+    sched = solve_report(inst).schedule
     rows = simulate(inst, sched).render_table().splitlines()[1:]
     for row in rows:
         t, *cells = row.split()
@@ -437,7 +439,8 @@ def test_occupancy_conservation(inst):
 @settings(max_examples=100, deadline=None)
 @given(inst=_instances, data=st.data())
 def test_delaying_a_suffix_stays_feasible(inst, data):
-    sched, objective = solve(inst)
+    report = solve_report(inst)
+    sched, objective = report.schedule, report.objective
     if not sched.moves:
         return
     last = max(m.time for m in sched.moves)
@@ -558,7 +561,7 @@ _NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
 @given(inst=_any_distance_instances, data=st.data())
 def test_walk_matches_epoch_by_epoch_reference(inst, data):
-    sched, _ = solve(inst)
+    sched = solve_report(inst).schedule
     sched = _corrupt(inst, sched, data)
     trace, violations = _walk(inst, sched)
     ref_trace, ref_violations = ref_walk(inst, sched)
@@ -630,7 +633,7 @@ def _damage(inst: PathInstance, sched: Schedule, data) -> Schedule:
 @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
 @given(inst=_any_distance_instances, data=st.data())
 def test_walk_matches_event_walk_reference(inst, data):
-    sched, _ = solve(inst)
+    sched = solve_report(inst).schedule
     sched = _damage(inst, _corrupt(inst, sched, data), data)
     trace, violations = _walk(inst, sched)
     ref_trace, ref_violations = ref_event_walk(inst, sched)

@@ -14,7 +14,7 @@ from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       exact_packing_opt, fractional_objective,
                       gen_from_partition, gen_random, gen_random_packing,
                       horizon_bound, packing_objective, schedule_objective,
-                      simulate, solve, solve_fractional_greedy,
+                      simulate, solve_fractional_greedy, solve_report,
                       validate_schedule)
 from pathevac import oracles
 
@@ -169,7 +169,7 @@ _evac_micro = st.builds(
 def test_dwsf_opt_bounds_the_solver(inst):
     opt, witness = exact_dwsf_opt(inst)
     assert schedule_objective(simulate(inst, witness), inst) == opt
-    _, greedy_objective = solve(inst)
+    greedy_objective = solve_report(inst).objective
     assert opt <= greedy_objective <= 2 * opt
 
 
