@@ -230,9 +230,9 @@ def _document(text: str) -> dict:
     return data
 
 
-def _require_int(errors: list[str], obj: Any, label: str, minimum: int) -> bool:
-    if type(obj) is not int or obj < minimum:
-        errors.append(f"{label}: expected an integer >= {minimum}, got {obj!r}")
+def _require_int(errors: list[str], obj: Any, label: str) -> bool:
+    if type(obj) is not int or obj < 1:
+        errors.append(f"{label}: expected an integer >= 1, got {obj!r}")
         return False
     return True
 
@@ -272,13 +272,13 @@ def parse_instance(text: str) -> PathInstance:
     """
     data = _document(text)
     errors: list[str] = []
-    n_ok = _require_int(errors, data.get("nodes"), "nodes", 1)
+    n_ok = _require_int(errors, data.get("nodes"), "nodes")
     n = data.get("nodes") if n_ok else 1
 
-    if _require_int(errors, data.get("facility"), "facility", 1) \
+    if _require_int(errors, data.get("facility"), "facility") \
             and n_ok and data["facility"] > n:
         errors.append(f"facility: {data['facility']} out of range 1..{n}")
-    _require_int(errors, data.get("capacity"), "capacity", 1)
+    _require_int(errors, data.get("capacity"), "capacity")
 
     distances: list[int] = []
     overrides: list[int | None] = []
@@ -299,11 +299,11 @@ def parse_instance(text: str) -> PathInstance:
                 errors.append(f"edges[{k - 1}]: must join nodes {k} and {k + 1} "
                               f"in order, got {src!r}->{dst!r}")
             if _require_int(errors, e.get("distance"),
-                            f"edges[{k - 1}].distance", 1):
+                            f"edges[{k - 1}].distance"):
                 distances.append(e["distance"])
             if "capacity" in e:
                 if _require_int(errors, e["capacity"],
-                                f"edges[{k - 1}].capacity", 1):
+                                f"edges[{k - 1}].capacity"):
                     overrides.append(e["capacity"])
             else:
                 overrides.append(None)
@@ -329,15 +329,15 @@ def parse_instance(text: str) -> PathInstance:
         w = g.get("weight")
         ok = True
         if type(v) is not int or v < 1:
-            ok = _require_int(errors, v, f"groups[{idx}].node", 1)
+            ok = _require_int(errors, v, f"groups[{idx}].node")
         if ok and v > node_max:
             errors.append(f"groups[{idx}].node: {v} out of range "
                           f"1..{node_max}")
             ok = False
         if type(size) is not int or size < 1:
-            ok &= _require_int(errors, size, f"groups[{idx}].size", 1)
+            ok &= _require_int(errors, size, f"groups[{idx}].size")
         if type(w) is not int or w < 1:
-            ok &= _require_int(errors, w, f"groups[{idx}].weight", 1)
+            ok &= _require_int(errors, w, f"groups[{idx}].weight")
         if ok:
             append(Group(gid, v, size, w))
 
@@ -373,7 +373,7 @@ def parse_packing_instance(text: str) -> PackingInstance:
     checks its groups."""
     data = _document(text)
     errors: list[str] = []
-    cap_ok = _require_int(errors, data.get("capacity"), "capacity", 1)
+    cap_ok = _require_int(errors, data.get("capacity"), "capacity")
     items: list[PackingItem] = []
     raw = data.get("items")
     if type(raw) is not list:
@@ -387,9 +387,9 @@ def parse_packing_instance(text: str) -> PackingInstance:
         iid = it.get("id")
         if not _new_id(errors, seen, "items", idx, iid):
             continue
-        ok = _require_int(errors, it.get("size"), f"items[{idx}].size", 1)
-        ok &= _require_int(errors, it.get("weight"), f"items[{idx}].weight", 1)
-        ok &= _require_int(errors, it.get("ready"), f"items[{idx}].ready", 1)
+        ok = _require_int(errors, it.get("size"), f"items[{idx}].size")
+        ok &= _require_int(errors, it.get("weight"), f"items[{idx}].weight")
+        ok &= _require_int(errors, it.get("ready"), f"items[{idx}].ready")
         if ok and cap_ok and it["size"] > data["capacity"]:
             errors.append(f"items[{idx}]: size {it['size']} exceeds "
                           f"capacity {data['capacity']}")
@@ -431,9 +431,9 @@ def parse_schedule(text: str) -> Schedule:
         ids = m.get("groups")
         ok = True
         if type(t) is not int or t < 1:
-            ok = _require_int(errors, t, f"moves[{idx}].time", 1)
+            ok = _require_int(errors, t, f"moves[{idx}].time")
         if type(v) is not int or v < 1:
-            ok &= _require_int(errors, v, f"moves[{idx}].node", 1)
+            ok &= _require_int(errors, v, f"moves[{idx}].node")
         # one id needs neither the scan nor the set
         if type(ids) is not list or not ids or not (
                 type(ids[0]) is str and ids[0] if len(ids) == 1 else

@@ -274,69 +274,63 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
 # ---------------------------------------------------------------------------
 # exact fractional optimum (independent route: min-cost flow)
 
-class _Arc:
-    __slots__ = ("to", "cap", "cost", "rev")
-
-    def __init__(self, to: int, cap: int, cost: int):
-        self.to = to
-        self.cap = cap
-        self.cost = cost
-        self.rev: "_Arc | None" = None
-
-
-def _add_arc(graph: list[list[_Arc]], u: int, v: int, cap: int, cost: int) -> None:
-    a = _Arc(v, cap, cost)
-    b = _Arc(u, 0, -cost)
-    a.rev = b
-    b.rev = a
-    graph[u].append(a)
-    graph[v].append(b)
-
-
-def _min_cost_flow(graph: list[list[_Arc]], s: int, t: int, need: int) \
+def _min_cost_flow(nodes: int, arcs, s: int, t: int, need: int) \
         -> tuple[int, int]:
-    """Successive shortest augmenting paths with Dijkstra and potentials."""
-    n = len(graph)
-    potential = [0] * n
+    """Successive shortest augmenting paths with Dijkstra and potentials.
+
+    Each (u, v, capacity, cost) in `arcs` becomes arc e = 2k and its
+    reverse e ^ 1. Arc e runs to head[e] with residual capacity cap[e] at
+    cost[e], and adj[u] lists the arcs leaving u in the order they came.
+    """
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    head, cap, cost = [], [], []
+    for u, v, c, w in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (c, 0)
+        cost += (w, -w)
+    potential = [0] * nodes
     flow = 0
-    cost = 0
+    total = 0
     while flow < need:
-        dist: list[int | None] = [None] * n
-        prev: list[_Arc | None] = [None] * n
+        dist: list[int | None] = [None] * nodes
+        prev = [0] * nodes
         dist[s] = 0
         heap = [(0, s)]
         while heap:
             d, u = heapq.heappop(heap)
-            if dist[u] is not None and d > dist[u]:
+            if d > dist[u]:
                 continue
-            for arc in graph[u]:
-                if arc.cap <= 0:
+            du = d + potential[u]
+            for e in adj[u]:
+                if cap[e] <= 0:
                     continue
-                nd = d + arc.cost + potential[u] - potential[arc.to]
-                if dist[arc.to] is None or nd < dist[arc.to]:
-                    dist[arc.to] = nd
-                    prev[arc.to] = arc
-                    heapq.heappush(heap, (nd, arc.to))
+                v = head[e]
+                nd = du + cost[e] - potential[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = e
+                    heapq.heappush(heap, (nd, v))
         if dist[t] is None:
             break  # no augmenting path left
-        for u in range(n):
+        for u in range(nodes):
             if dist[u] is not None:
                 potential[u] += dist[u]
         push = need - flow
-        path = []
         v = t
         while v != s:
-            arc = prev[v]
-            assert arc is not None and arc.rev is not None
-            push = min(push, arc.cap)
-            path.append(arc)
-            v = arc.rev.to
-        for arc in path:
-            arc.cap -= push
-            arc.rev.cap += push
-            cost += push * arc.cost
+            push = min(push, cap[prev[v]])
+            v = head[prev[v] ^ 1]
+        v = t
+        while v != s:
+            e = prev[v]
+            cap[e] -= push
+            cap[e ^ 1] += push
+            total += push * cost[e]
+            v = head[e ^ 1]
         flow += push
-    return flow, cost
+    return flow, total
 
 
 def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
@@ -365,15 +359,15 @@ def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
     bin_node = m + 1 - first  # node of bin j is bin_node + j
     s = 0
     sink = bin_node + t_max + 1
-    graph: list[list[_Arc]] = [[] for _ in range(sink + 1)]
+    arcs = []
     for i, it in enumerate(items):
-        _add_arc(graph, s, 1 + i, it.size, 0)
+        arcs.append((s, 1 + i, it.size, 0))
         unit = it.weight * (scale // it.size)
-        for j in range(it.ready, t_max + 1):
-            _add_arc(graph, 1 + i, bin_node + j, it.size, j * unit)
-    for j in range(first, t_max + 1):
-        _add_arc(graph, bin_node + j, sink, inst.capacity, 0)
-    flow, cost = _min_cost_flow(graph, s, sink, total_size)
+        arcs.extend((1 + i, bin_node + j, it.size, j * unit)
+                    for j in range(it.ready, t_max + 1))
+    arcs.extend((bin_node + j, sink, inst.capacity, 0)
+                for j in range(first, t_max + 1))
+    flow, cost = _min_cost_flow(sink + 1, arcs, s, sink, total_size)
     if flow != total_size:
         raise ValueError("transportation network failed to route all mass")
     return Fraction(cost, scale)

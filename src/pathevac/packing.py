@@ -37,40 +37,48 @@ def eligibility_threshold(ready: int) -> int:
 class GreedyStep(NamedTuple):
     """One decision of the greedy: place an item, close a bin, or jump.
 
-    Holds raw numbers only, and only those that `detail` and `render()`
-    format on request, so recording a decision costs one tuple.
+    A step is the decision alone, so recording it costs one 3-tuple.
     """
 
     bin: int
     action: str          # "place" | "close" | "jump"
     item: str | None     # placed item, or the item that failed to fit
-    load: int            # bin load after a place, before a close
-    target: int          # bin a jump goes to
-    weight: int          # weight and size of `item`
-    size: int
-    capacity: int
-
-    @property
-    def detail(self) -> str:
-        if self.action == "jump":
-            return f"no eligible items, jump to bin {self.target}"
-        if self.action == "close":
-            return (f"close ({self.item} does not fit: "
-                    f"{self.load}+{self.size}>{self.capacity})")
-        return (f"place {self.item} (ratio {self.weight}/{self.size}, "
-                f"load {self.load}/{self.capacity})")
-
-    def render(self) -> str:
-        return f"bin {self.bin}: {self.action} {self.detail}"
 
 
 @dataclass(frozen=True)
 class GreedyTrace:
+    """The greedy's decisions on `instance`, in the order it made them."""
+
+    instance: PackingInstance
     steps: tuple[GreedyStep, ...]
 
     def render(self) -> str:
-        """Line-oriented dump, one decision per line."""
-        return "\n".join(s.render() for s in self.steps)
+        """Line-oriented dump, one decision per line.
+
+        Weights, sizes and the capacity come from the instance. A bin's
+        load is the running sum of sizes placed since the last close or
+        jump, and a jump goes to the next step's bin, where it places.
+        """
+        by_id = self.instance.item_by_id()
+        cap = self.instance.capacity
+        lines = []
+        load = 0
+        for k, (j, action, item_id) in enumerate(self.steps):
+            if action == "jump":
+                detail = ("no eligible items, jump to bin "
+                          f"{self.steps[k + 1].bin}")
+                load = 0
+            elif action == "close":
+                size = by_id[item_id].size
+                detail = f"close ({item_id} does not fit: {load}+{size}>{cap})"
+                load = 0
+            else:
+                it = by_id[item_id]
+                load += it.size
+                detail = (f"place {item_id} (ratio {it.weight}/{it.size}, "
+                          f"load {load}/{cap})")
+            lines.append(f"bin {j}: {action} {detail}")
+        return "\n".join(lines)
 
 
 def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
@@ -128,25 +136,22 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
             heappush(heap, by_threshold[p])
             p += 1
         if not heap:
-            target = thresholds[by_threshold[p]]
-            steps.append(GreedyStep(j, "jump", None, 0, target, 0, 0, cap))
-            j = target
+            steps.append(GreedyStep(j, "jump", None))
+            j = thresholds[by_threshold[p]]
             load = 0
             continue
         it = ranked[heap[0]]
         if load + it.size > cap:
-            steps.append(GreedyStep(j, "close", it.id, load, 0, it.weight,
-                                    it.size, cap))
+            steps.append(GreedyStep(j, "close", it.id))
             j += 1
             load = 0
             continue
-        steps.append(GreedyStep(j, "place", it.id, load + it.size, 0,
-                                it.weight, it.size, cap))
+        steps.append(GreedyStep(j, "place", it.id))
         heappop(heap)
         bins.setdefault(j, []).append(it.id)
         load += it.size
     packing = Packing(bins={b: tuple(ids) for b, ids in bins.items()})
-    return packing, GreedyTrace(steps=tuple(steps))
+    return packing, GreedyTrace(inst, tuple(steps))
 
 
 def _require_known(by_id: dict[str, PackingItem], ids: Sequence[str],

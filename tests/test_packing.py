@@ -86,7 +86,7 @@ def test_trace_replay_rejects_a_damaged_trace(abd, damage, message):
     _, trace = solve_greedy(abd)
     assert trace.steps[0].item == "A"
     with pytest.raises(ValueError) as err:
-        replay_trace(GreedyTrace(steps=damage(trace.steps)), abd)
+        replay_trace(GreedyTrace(abd, damage(trace.steps)), abd)
     assert str(err.value) == message
 
 
