@@ -159,13 +159,19 @@ def _single_origin_opt(inst: PathInstance, off) -> tuple[int, Schedule]:
                 dfs(pos + 1, mask | (1 << i), load + sizes[i], min_excluded)
             dfs(pos + 1, mask, load, min(min_excluded, sizes[i]))
 
-        dfs(0, 0, 0, big)
+        try:
+            dfs(0, 0, 0, big)
+        finally:
+            del dfs     # it refers to itself through its cell
         assert best is not None and best_mask  # sizes <= cap guarantees both
         memo[rem] = best
         choice[rem] = best_mask
         return best
 
-    total = value(full) + (d - 1) * sum(weights)
+    try:
+        total = value(full) + (d - 1) * sum(weights)
+    finally:
+        del value   # it refers to itself through its cell
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
     rem = full
     t = 1
@@ -254,7 +260,10 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
         choice[state] = best_combo
         return best
 
-    total = value(init)
+    try:
+        total = value(init)
+    finally:
+        del value   # it refers to itself through its cell
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
     state = init
     t = 1

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from operator import attrgetter, itemgetter
 
@@ -551,6 +552,16 @@ _any_distance_instances = st.builds(
     dist=st.sampled_from((1, 3, 1000)))
 
 
+def _with_edge_capacities(inst: PathInstance, data) -> PathInstance:
+    """The instance with per-edge capacities drawn around its uniform one:
+    the solver needs the uniform capacity, the walk checks each edge's."""
+    caps = data.draw(st.lists(
+        st.integers(min_value=1, max_value=inst.capacity + 2),
+        min_size=inst.nodes - 1, max_size=inst.nodes - 1),
+        label="edge capacities")
+    return dataclasses.replace(inst, edge_capacities=tuple(caps))
+
+
 # Shrinking reruns both walks on every candidate, and `ref_walk` steps
 # through every epoch of the distance-1000 instances: a failure took minutes
 # to report with shrinking on. The unshrunk counterexample is printed all
@@ -563,6 +574,7 @@ _NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 def test_walk_matches_epoch_by_epoch_reference(inst, data):
     sched = solve_report(inst).schedule
     sched = _corrupt(inst, sched, data)
+    inst = _with_edge_capacities(inst, data)
     trace, violations = _walk(inst, sched)
     ref_trace, ref_violations = ref_walk(inst, sched)
     assert violations == ref_violations
@@ -635,6 +647,7 @@ def _damage(inst: PathInstance, sched: Schedule, data) -> Schedule:
 def test_walk_matches_event_walk_reference(inst, data):
     sched = solve_report(inst).schedule
     sched = _damage(inst, _corrupt(inst, sched, data), data)
+    inst = _with_edge_capacities(inst, data)
     trace, violations = _walk(inst, sched)
     ref_trace, ref_violations = ref_event_walk(inst, sched)
     assert violations == ref_violations

@@ -493,9 +493,63 @@ def _parsed(parse, text):
 @example(doc={"moves": [{"time": 1, "node": True, "groups": []}]})
 @example(doc={"moves": [{"time": 1, "node": 2, "groups": [""]},
                         {"time": 1, "node": 2, "groups": ["A"]}]})
+# move-shaped objects where no move entry is: the top-level object itself,
+# with and without moves, one in a groups list and one under an extra key
+@example(doc={"time": 1, "node": 2, "groups": ["A"]})
+@example(doc={"time": 1, "node": 2, "groups": ["A"],
+              "moves": [{"time": 2, "node": 1, "groups": ["B"]},
+                        {"time": 1, "node": 3, "groups": ["A"]}]})
+@example(doc={"moves": [{"time": 1, "node": 2, "groups": [
+    {"time": 1, "node": 2, "groups": ["A"]}]}]})
+@example(doc={"moves": [{"time": 1, "node": 2, "groups": ["A"],
+                         "extra": {"time": 1, "node": 2, "groups": ["B"]}}]})
+# a message quotes a bad time as written, keys in order and extra key kept
+@example(doc={"moves": [{"time": [{"node": 1, "time": 2, "groups": ["A"],
+                                   "x": 0}],
+                         "node": 1, "groups": ["A"]}]})
+# a canonical document reversed
+@example(doc={"moves": [{"time": 3, "node": 1, "groups": ["A"]},
+                        {"time": 2, "node": 2, "groups": ["A", "B"]},
+                        {"time": 2, "node": 1, "groups": ["B"]},
+                        {"time": 1, "node": 3, "groups": ["C"]}]})
 def test_schedule_reader_matches_reference(doc):
     text = json.dumps(doc)
     assert _parsed(parse_schedule, text) == _parsed(ref_parse_schedule, text)
+
+
+def test_schedule_reader_matches_reference_after_a_byte_order_mark():
+    # the reader's decoder leaves this text to json.loads, for its message
+    text = "\ufeff" + json.dumps({"moves": []})
+    assert _parsed(parse_schedule, text) == _parsed(ref_parse_schedule, text)
+    assert "BOM" in _parsed(parse_schedule, text)[0]
+
+
+def test_schedule_reader_checks_no_field_of_a_well_formed_move(monkeypatch):
+    # the decoder builds each well-formed move: a document in order skips
+    # the per-entry pass, and the pass over one out of order checks no
+    # field of a built move; `_require_int` runs for bad fields only
+    calls = []
+    passes = []
+    checked = model._require_int
+    per_entry = model._checked_moves
+    monkeypatch.setattr(model, "_require_int",
+                        lambda *args: calls.append(args) or checked(*args))
+    monkeypatch.setattr(model, "_checked_moves",
+                        lambda raw: passes.append(len(raw)) or per_entry(raw))
+    sched = Schedule(moves=tuple(Move(1 + k // 3, 1 + k % 3, (f"G{k}",))
+                                 for k in range(1000)))
+    text = serialize_schedule(sched)
+    assert parse_schedule(text) == sched
+    assert passes == []
+    doc = json.loads(text)
+    doc["moves"].reverse()
+    assert parse_schedule(json.dumps(doc)) == sched
+    assert passes == [1000]
+    assert calls == []
+    doc["moves"][0]["time"] = 0
+    with pytest.raises(InstanceError, match=r"moves\[0\]\.time"):
+        parse_schedule(json.dumps(doc))
+    assert len(calls) == 1
 
 
 def test_schedule_from_map_drops_empty_moves():
