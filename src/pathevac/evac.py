@@ -283,10 +283,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
     hop lands in its own epoch and cannot leave before the next one.
     Presence, capacity, direction, arrivals and the horizon all follow from
     that state, at a couple of dict operations per named group; the cost
-    follows the number of moves, never the epoch values. A move reads its
-    edge from a table built once per walk, which holds each node's hop
-    toward the facility: the edge length less one, the next node and the
-    edge capacity.
+    follows the number of moves, never the epoch values.
 
     Groups named in a bad move simply do not move, so one violation never
     cascades into spurious ones downstream. The checks of a move on its
@@ -304,16 +301,9 @@ def _walk(inst: PathInstance, sched: Schedule) \
     violations: list[str] = []
     report = violations.append
     arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
-    # hops[v] is (edge length - 1, next node, edge capacity) of the edge
-    # that node v departs over, and None at the facility; index 0 is unused
-    hops: list[tuple[int, int, int] | None] = [None] * (nodes + 1)
-    caps = inst.edge_capacities or (inst.capacity,) * (nodes - 1)
-    # edge k joins nodes k and k + 1
-    for k, (d, cap) in enumerate(zip(inst.distances, caps), start=1):
-        if k < a:
-            hops[k] = (d - 1, k + 1, cap)
-        else:
-            hops[k + 1] = (d - 1, k, cap)
+    # edge k joins nodes k and k + 1; index 0 is unused
+    dist = (0, *inst.distances)
+    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
     departures: list[tuple[int, int, Sequence[str], int, int]] = []
     log = departures.append
     named_t = 0             # the epoch of the last move naming a group
@@ -341,8 +331,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
                 else:
                     kept[gid] = None
             ids = tuple(kept)
-        hop = hops[v]
-        if hop is None:     # the facility
+        if v == a:
             named = False
             for gid in ids:
                 if gid in size_of:
@@ -354,8 +343,9 @@ def _walk(inst: PathInstance, sched: Schedule) \
                 named_t = t
                 report(f"direction: move at the facility node {a} at time {t}")
             continue
-        lag, u, cap = hop
-        land = t + lag
+        edge = v if v < a else v - 1
+        land = t + dist[edge] - 1
+        u = v + 1 if v < a else v - 1
         there = (u, land + 1)
         size = 0
         stay = ()   # the named ids that do not leave
@@ -378,9 +368,9 @@ def _walk(inst: PathInstance, sched: Schedule) \
         if stay:
             # the ids are distinct here
             ids = [gid for gid in ids if gid not in stay]
-        if size > cap:
+        if size > caps[edge]:
             report(f"capacity: departure from node {v} at time {t} "
-                   f"carries size {size} > capacity {cap}")
+                   f"carries size {size} > capacity {caps[edge]}")
         log((t, v, ids, land, u))
         if land > top:
             top = land

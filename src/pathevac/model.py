@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -216,17 +216,23 @@ class FractionalPacking:
 # values (besides floats, `true`/`false` and `null`), so each reader tests
 # every field by exact type: JSON `true` is no `int` here, nor `2.0` a 2.
 
-def _document(text: str, decode: Callable[[str], Any] = json.loads) -> dict:
-    """Decode a document that must be a JSON object. A top-level object
-    that `decode` turns into a `Move` is decoded again by `json.loads`, so
-    it reads as the object it is."""
+def _document(text: str, decoder: json.JSONDecoder | None = None) -> dict:
+    """Decode a document that must be a JSON object, through `decoder`
+    when one is given. A top-level object that the decoder's hook turns
+    into a `Move` is decoded again without it, so it reads as the object
+    it is."""
     # besides JSONDecodeError (a ValueError), the decoder raises a bare
     # ValueError on an integer past the int digit limit and RecursionError
     # on deeply nested arrays or objects
     try:
-        data = decode(text)
-        if type(data) is Move:
+        # json.loads rejects a leading byte-order mark with its own
+        # message, where a decoder's decode only reports bad JSON
+        if decoder is None or text.startswith("\ufeff"):
             data = json.loads(text)
+        else:
+            data = decoder.decode(text)
+            if type(data) is Move:
+                data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InstanceError([f"json: {exc}"]) from exc
     if type(data) is not dict:
@@ -406,10 +412,10 @@ def parse_packing_instance(text: str) -> PackingInstance:
 
 
 def _move_hook(obj: dict) -> Move | dict:
-    """The schedule decoder's object hook: a `Move` for an object whose
-    time and node are integers >= 1 and whose groups are a non-empty list
-    of distinct, non-empty strings (the tests `parse_schedule` applies to
-    a move entry), the object itself otherwise."""
+    """The schedule decoder's object hook: a `Move` for an object that
+    passes every field test `_checked_moves` applies to a move entry (time
+    and node integers >= 1, groups a non-empty list of distinct, non-empty
+    strings), the object itself otherwise."""
     t = obj.get("time")
     v = obj.get("node")
     ids = obj.get("groups")
@@ -423,21 +429,9 @@ def _move_hook(obj: dict) -> Move | dict:
     return obj
 
 
+# json.loads with an object_hook builds a new decoder on every call, which
+# costs about a sixth of reading a schedule of a handful of moves
 _move_decoder = json.JSONDecoder(object_hook=_move_hook)
-
-
-def _decode_moves(text: str) -> Any:
-    """`json.loads` through `_move_hook`, with one decoder for every read."""
-    # json.loads rejects a leading byte-order mark before it decodes, and a
-    # decoder's own `decode` does not: leave that text to json.loads, for
-    # the same message
-    if text.startswith("\ufeff"):
-        return json.loads(text)
-    return _move_decoder.decode(text)
-
-
-# the values a move entry's message quotes that may hold a `Move`
-_NESTED = (list, dict, Move)
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -447,39 +441,32 @@ def parse_schedule(text: str) -> Schedule:
     The decoder turns each well-formed move object into a `Move` as it
     reads it (`_move_hook`). When every entry of `moves` came back as one,
     the `Schedule` constructor is the one check of their order. Otherwise,
-    or when that check fails, `_checked_moves` goes through the decoded
-    entries one index at a time.
+    or when that check fails, the document is decoded again as written
+    and `_checked_moves` goes through its entries one index at a time.
     """
-    raw = _document(text, _decode_moves).get("moves")
-    if type(raw) is not list:
-        raise InstanceError(["moves: expected a list"])
-    if all(type(m) is Move for m in raw):
+    raw = _document(text, _move_decoder).get("moves")
+    if type(raw) is list and all(type(m) is Move for m in raw):
         try:
             return Schedule(moves=tuple(raw))
         except ValueError:
             pass
-    elif any(type(m) is dict and (type(m.get("time")) in _NESTED
-                                  or type(m.get("node")) in _NESTED)
-             for m in raw):
-        # a bad time or node is quoted in its message, and the hook may
-        # have turned an object inside it into a Move: read the moves as
-        # written
-        raw = _document(text)["moves"]
-    return _checked_moves(raw)
+    return _checked_moves(_document(text).get("moves"))
 
 
-def _checked_moves(raw: list) -> Schedule:
-    """The moves of a decoded `moves` list, checked one entry at a time;
+def _checked_moves(raw: Any) -> Schedule:
+    """The moves of a decoded `moves` value, checked one entry at a time;
     raises InstanceError naming every bad entry and every repeated
     (time, node).
 
-    A `Move` entry passed its field tests in the decoder. A dict entry is
-    checked in one pass, one type-exact test per field, and a field that
-    fails its test appends its violation there. A move with a bad time or
-    node is not checked for repeated ids or keys. This is the one place
-    that puts moves in order: they are sorted only when their keys do not
-    arrive ascending, as `serialize_schedule` writes them.
+    Each move entry is checked in one pass, one type-exact test per field,
+    and a field that fails its test appends its violation there. A move
+    with a bad time or node is not checked for repeated ids or keys. This
+    is the one place that puts moves in order: they are sorted only when
+    their keys do not arrive ascending, as `serialize_schedule` writes
+    them.
     """
+    if type(raw) is not list:
+        raise InstanceError(["moves: expected a list"])
     errors: list[str] = []
     moves: list[Move] = []
     append = moves.append
@@ -488,35 +475,29 @@ def _checked_moves(raw: list) -> Schedule:
     # strictly ascending keys cannot repeat
     seen: set[tuple[int, int]] | None = None
     for idx, m in enumerate(raw):
-        if type(m) is Move:
-            t = m.time
-            v = m.node
-        elif type(m) is not dict:
+        if type(m) is not dict:
             errors.append(f"moves[{idx}]: expected an object")
             continue
-        else:
-            t = m.get("time")
-            v = m.get("node")
-            ids = m.get("groups")
-            ok = True
-            if type(t) is not int or t < 1:
-                ok = _require_int(errors, t, f"moves[{idx}].time")
-            if type(v) is not int or v < 1:
-                ok &= _require_int(errors, v, f"moves[{idx}].node")
-            # one id needs neither the scan nor the set
-            if type(ids) is not list or not ids or not (
-                    type(ids[0]) is str and ids[0] if len(ids) == 1 else
-                    all(type(x) is str for x in ids) and "" not in ids):
-                errors.append(f"moves[{idx}].groups: expected a non-empty "
-                              "list of group ids")
-                continue
-            if not ok:
-                continue
-            if len(ids) > 1 and len(set(ids)) != len(ids):
-                errors.append(f"moves[{idx}].groups: duplicate group in "
-                              "one move")
-                continue
-            m = Move(t, v, tuple(ids))
+        t = m.get("time")
+        v = m.get("node")
+        ids = m.get("groups")
+        ok = True
+        if type(t) is not int or t < 1:
+            ok = _require_int(errors, t, f"moves[{idx}].time")
+        if type(v) is not int or v < 1:
+            ok &= _require_int(errors, v, f"moves[{idx}].node")
+        # one id needs neither the scan nor the set
+        if type(ids) is not list or not ids or not (
+                type(ids[0]) is str and ids[0] if len(ids) == 1 else
+                all(type(x) is str for x in ids) and "" not in ids):
+            errors.append(f"moves[{idx}].groups: expected a non-empty "
+                          "list of group ids")
+            continue
+        if not ok:
+            continue
+        if len(ids) > 1 and len(set(ids)) != len(ids):
+            errors.append(f"moves[{idx}].groups: duplicate group in one move")
+            continue
         if seen is None and (t > last_t or t == last_t and v > last_v):
             last_t = t
             last_v = v
@@ -529,7 +510,7 @@ def _checked_moves(raw: list) -> Schedule:
                               f"for time {t}, node {v}")
                 continue
             seen.add(key)
-        append(m)
+        append(Move(t, v, tuple(ids)))
     if errors:
         raise InstanceError(errors)
     if seen is not None:

@@ -526,8 +526,8 @@ def test_schedule_reader_matches_reference_after_a_byte_order_mark():
 
 def test_schedule_reader_checks_no_field_of_a_well_formed_move(monkeypatch):
     # the decoder builds each well-formed move: a document in order skips
-    # the per-entry pass, and the pass over one out of order checks no
-    # field of a built move; `_require_int` runs for bad fields only
+    # the per-entry pass, and one out of order is read again as written and
+    # goes through it; `_require_int` runs for bad fields only
     calls = []
     passes = []
     checked = model._require_int
