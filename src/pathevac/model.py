@@ -15,7 +15,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
-from operator import attrgetter
 from typing import Any
 
 
@@ -170,7 +169,7 @@ class Schedule:
     most, by epoch and by node within an epoch. The constructor checks that
     in one pass and raises ValueError naming the first two keys out of
     order, so the simulator's walk and `serialize_schedule` take the moves
-    as given; `parse_schedule`, the reader of outside input, sorts them.
+    as given; `from_map` builds one from moves in any order.
     """
 
     moves: tuple[Move, ...]
@@ -191,7 +190,9 @@ class Schedule:
 
     @staticmethod
     def from_map(moves: Mapping[tuple[int, int], Iterable[str]]) -> "Schedule":
-        """Build from a {(time, node): group ids} map, dropping empty moves."""
+        """Build from a {(time, node): group ids} map, dropping empty moves.
+        It orders the moves of a schedule file that `parse_schedule`
+        checks entry by entry."""
         out = []
         for (t, v) in sorted(moves):
             ids = tuple(moves[(t, v)])
@@ -216,23 +217,13 @@ class FractionalPacking:
 # values (besides floats, `true`/`false` and `null`), so each reader tests
 # every field by exact type: JSON `true` is no `int` here, nor `2.0` a 2.
 
-def _document(text: str, decoder: json.JSONDecoder | None = None) -> dict:
-    """Decode a document that must be a JSON object, through `decoder`
-    when one is given. A top-level object that the decoder's hook turns
-    into a `Move` is decoded again without it, so it reads as the object
-    it is."""
+def _document(text: str) -> dict:
+    """Decode a document that must be a JSON object."""
     # besides JSONDecodeError (a ValueError), the decoder raises a bare
     # ValueError on an integer past the int digit limit and RecursionError
     # on deeply nested arrays or objects
     try:
-        # json.loads rejects a leading byte-order mark with its own
-        # message, where a decoder's decode only reports bad JSON
-        if decoder is None or text.startswith("\ufeff"):
-            data = json.loads(text)
-        else:
-            data = decoder.decode(text)
-            if type(data) is Move:
-                data = json.loads(text)
+        data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InstanceError([f"json: {exc}"]) from exc
     if type(data) is not dict:
@@ -439,12 +430,16 @@ def parse_schedule(text: str) -> Schedule:
     move entry and every repeated (time, node).
 
     The decoder turns each well-formed move object into a `Move` as it
-    reads it (`_move_hook`). When every entry of `moves` came back as one,
-    the `Schedule` constructor is the one check of their order. Otherwise,
-    or when that check fails, the document is decoded again as written
-    and `_checked_moves` goes through its entries one index at a time.
+    reads it (`_move_hook`). When every `moves` entry came back as one,
+    the `Schedule` constructor is the one check of their order. Any other
+    text is read again by `_document` (so `json.loads` words every `json:`
+    message, a byte-order mark's too) and checked by `_checked_moves`.
     """
-    raw = _document(text, _move_decoder).get("moves")
+    try:
+        data = _move_decoder.decode(text)
+    except (ValueError, RecursionError):
+        data = None
+    raw = data.get("moves") if type(data) is dict else None
     if type(raw) is list and all(type(m) is Move for m in raw):
         try:
             return Schedule(moves=tuple(raw))
@@ -454,26 +449,16 @@ def parse_schedule(text: str) -> Schedule:
 
 
 def _checked_moves(raw: Any) -> Schedule:
-    """The moves of a decoded `moves` value, checked one entry at a time;
-    raises InstanceError naming every bad entry and every repeated
-    (time, node).
-
-    Each move entry is checked in one pass, one type-exact test per field,
-    and a field that fails its test appends its violation there. A move
-    with a bad time or node is not checked for repeated ids or keys. This
-    is the one place that puts moves in order: they are sorted only when
-    their keys do not arrive ascending, as `serialize_schedule` writes
-    them.
+    """The moves of a decoded `moves` value, checked one entry at a time,
+    one type-exact test per field; raises InstanceError naming every bad
+    entry and every repeated (time, node). A move with a bad time or node
+    is not checked for repeated ids or keys. `Schedule.from_map` puts the
+    moves in order.
     """
     if type(raw) is not list:
         raise InstanceError(["moves: expected a list"])
     errors: list[str] = []
-    moves: list[Move] = []
-    append = moves.append
-    last_t = last_v = 0     # the last key, while the keys ascend
-    # keys of the accepted moves, built once the keys stop ascending:
-    # strictly ascending keys cannot repeat
-    seen: set[tuple[int, int]] | None = None
+    moves: dict[tuple[int, int], list[str]] = {}
     for idx, m in enumerate(raw):
         if type(m) is not dict:
             errors.append(f"moves[{idx}]: expected an object")
@@ -481,41 +466,26 @@ def _checked_moves(raw: Any) -> Schedule:
         t = m.get("time")
         v = m.get("node")
         ids = m.get("groups")
-        ok = True
-        if type(t) is not int or t < 1:
-            ok = _require_int(errors, t, f"moves[{idx}].time")
-        if type(v) is not int or v < 1:
-            ok &= _require_int(errors, v, f"moves[{idx}].node")
-        # one id needs neither the scan nor the set
-        if type(ids) is not list or not ids or not (
-                type(ids[0]) is str and ids[0] if len(ids) == 1 else
-                all(type(x) is str for x in ids) and "" not in ids):
+        ok = _require_int(errors, t, f"moves[{idx}].time")
+        ok &= _require_int(errors, v, f"moves[{idx}].node")
+        if type(ids) is not list or not ids or \
+                not all(type(x) is str and x for x in ids):
             errors.append(f"moves[{idx}].groups: expected a non-empty "
                           "list of group ids")
             continue
         if not ok:
             continue
-        if len(ids) > 1 and len(set(ids)) != len(ids):
+        if len(set(ids)) != len(ids):
             errors.append(f"moves[{idx}].groups: duplicate group in one move")
             continue
-        if seen is None and (t > last_t or t == last_t and v > last_v):
-            last_t = t
-            last_v = v
-        else:
-            if seen is None:
-                seen = {(mv.time, mv.node) for mv in moves}
-            key = (t, v)
-            if key in seen:
-                errors.append(f"moves[{idx}]: duplicate entry "
-                              f"for time {t}, node {v}")
-                continue
-            seen.add(key)
-        append(Move(t, v, tuple(ids)))
+        if (t, v) in moves:
+            errors.append(f"moves[{idx}]: duplicate entry "
+                          f"for time {t}, node {v}")
+            continue
+        moves[(t, v)] = ids
     if errors:
         raise InstanceError(errors)
-    if seen is not None:
-        moves.sort(key=attrgetter("time", "node"))
-    return Schedule(moves=tuple(moves))
+    return Schedule.from_map(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ With the cyclic collector off, each run below must leave `gc.collect()`
 nothing to free: everything it made is freed by reference counting alone.
 That is the premise on which `cli.main` could run with the collector off
 (ROADMAP item 7). The CLI's argument parser still makes cycles (a bare
-`argparse.ArgumentParser()` already does), so it is not run here.
+`argparse.ArgumentParser()` already does), so it is not run here. The
+schedule reader runs on its fast path (validate) and through its fallback:
+a reversed file, which it accepts, and a truncated one, which it rejects.
 """
 
 import gc
+import json
 
 import pytest
 
@@ -24,6 +27,7 @@ _INST = gen_random(5, GenParams(nodes=12, groups=60, capacity=10,
                                 max_size=10, max_distance=3))
 _TEXT = serialize_instance(_INST)
 _SCHEDULE = serialize_schedule(solve_report(_INST).schedule)
+_REVERSED = json.dumps({"moves": json.loads(_SCHEDULE)["moves"][::-1]})
 # the two shapes of the exact evacuation oracle: the state search over
 # five groups on four nodes, and the single-origin search over twelve
 # groups next to the facility
@@ -64,6 +68,18 @@ def _rejected():
     raise AssertionError("the document was accepted")
 
 
+def _reversed():
+    assert parse_schedule(_REVERSED) == parse_schedule(_SCHEDULE)
+
+
+def _truncated():
+    try:
+        parse_schedule('{"moves": [')
+    except InstanceError:
+        return
+    raise AssertionError("the document was accepted")
+
+
 def _flow():
     exact_fractional_opt_mcf(gen_random_packing(3, PackParams(items=8)))
 
@@ -89,9 +105,11 @@ def _assert_no_cycles(run):
 
 
 @pytest.mark.parametrize("run", [_solve, _validate, _bounds, _trace,
-                                 _rejected, _flow, _search, _single_origin],
+                                 _rejected, _reversed, _truncated, _flow,
+                                 _search, _single_origin],
                          ids=["solve", "validate", "bounds", "trace",
-                              "rejected", "flow", "search", "single-origin"])
+                              "rejected", "reversed", "truncated", "flow",
+                              "search", "single-origin"])
 def test_leaves_no_cycles(run):
     _assert_no_cycles(run)
 
