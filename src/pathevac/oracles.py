@@ -1,9 +1,10 @@
 """Exact reference solvers, used at small scale to certify the fast path.
 
 Three independent routes: a subset DP for the packing problem, a memoized
-state search over the path network for the evacuation problem, and a
-min-cost-flow solver for the fractional relaxation. None of them share
-logic with the greedy solvers they certify.
+state search over the path network, sending only inclusion-maximal
+departures, for the evacuation problem, and a min-cost-flow solver for the
+fractional relaxation. None of them share logic with the greedy solvers
+they certify.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def _required_epochs(inst: PathInstance) -> int:
 def exact_dwsf_opt(inst: PathInstance) -> tuple[int, Schedule]:
     """Exact minsum evacuation optimum with a witness schedule.
 
-    Exhaustive-search budgets: up to 12 groups when all of them sit on one
-    node adjacent to the facility, otherwise up to 5 groups on up to 4
-    nodes within a 12-epoch horizon. The horizon is `_required_epochs`,
-    derived from the instance.
+    One search, `_state_search`, for every shape, under two budgets: up to
+    12 groups when all of them sit on one node adjacent to the facility,
+    otherwise up to 5 groups on up to 4 nodes within a 12-epoch horizon.
+    The horizon is `_required_epochs`, derived from the instance. A group
+    larger than an edge it must cross raises `ValueError`.
     """
     a = inst.facility
     off = [g for g in inst.groups if g.node != a]
@@ -93,171 +95,109 @@ def exact_dwsf_opt(inst: PathInstance) -> tuple[int, Schedule]:
         if len(off) > 12:
             raise OracleBudgetExceeded(f"{len(off)} groups exceeds the "
                                        "12-group single-origin budget")
-        return _single_origin_opt(inst, off)
-    if len(off) > 5 or inst.nodes > 4:
+    elif len(off) > 5 or inst.nodes > 4:
         raise OracleBudgetExceeded(f"{len(off)} groups on {inst.nodes} nodes "
                                    "exceeds the 5-group/4-node budget")
-    horizon = _required_epochs(inst)
-    if horizon > 12:
+    elif (horizon := _required_epochs(inst)) > 12:
         raise OracleBudgetExceeded(f"horizon {horizon} exceeds the "
                                    "12-epoch budget")
     return _state_search(inst, off)
 
 
-def _single_origin_opt(inst: PathInstance, off) -> tuple[int, Schedule]:
-    """All groups on one node next to the facility.
+def _maximal_departures(idxs: list[int], sizes: list[int], cap: int) \
+        -> list[tuple[int, ...]]:
+    """The inclusion-maximal subsets of `idxs` whose sizes fit in `cap`.
 
-    Every optimal schedule uses inclusion-maximal departure sets here:
-    moving a group that fits into an earlier departure lowers its arrival
-    and changes nothing else. So the search runs over remaining-set masks
-    with maximal feasible departures only, at 3^m total work.
+    Listed depth first, a subset that takes an earlier group before one
+    that leaves it out. `()` alone means no group fits.
     """
-    v = off[0].node
-    a = inst.facility
-    edge = v if v < a else v - 1
-    cap = inst.edge_capacity(edge)
-    d = inst.distance(edge)
-    sizes = [g.size for g in off]
-    weights = [g.weight for g in off]
-    if any(s > cap for s in sizes):
-        raise ValueError("group larger than the edge capacity")
-    m = len(off)
-    full = (1 << m) - 1
-    wsum = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        lsb = mask & -mask
-        wsum[mask] = wsum[mask ^ lsb] + weights[lsb.bit_length() - 1]
-
-    memo = {0: 0}
-    choice: dict[int, int] = {}
-    big = 1 << 62
-
-    def value(rem: int) -> int:
-        got = memo.get(rem)
-        if got is not None:
-            return got
-        idxs = []
-        r = rem
-        while r:
-            lsb = r & -r
-            idxs.append(lsb.bit_length() - 1)
-            r ^= lsb
-        best = None
-        best_mask = 0
-
-        def dfs(pos: int, mask: int, load: int, min_excluded: int) -> None:
-            nonlocal best, best_mask
-            if pos == len(idxs):
-                if load + min_excluded > cap:  # nothing excluded still fits
-                    val = wsum[rem] + value(rem ^ mask)
-                    if best is None or val < best:
-                        best = val
-                        best_mask = mask
-                return
-            i = idxs[pos]
-            if load + sizes[i] <= cap:
-                dfs(pos + 1, mask | (1 << i), load + sizes[i], min_excluded)
-            dfs(pos + 1, mask, load, min(min_excluded, sizes[i]))
-
-        try:
-            dfs(0, 0, 0, big)
-        finally:
-            del dfs     # it refers to itself through its cell
-        assert best is not None and best_mask  # sizes <= cap guarantees both
-        memo[rem] = best
-        choice[rem] = best_mask
-        return best
-
-    try:
-        total = value(full) + (d - 1) * sum(weights)
-    finally:
-        del value   # it refers to itself through its cell
-    moves: dict[tuple[int, int], tuple[str, ...]] = {}
-    rem = full
-    t = 1
-    while rem:
-        mask = choice[rem]
-        ids = []
-        r = mask
-        while r:
-            lsb = r & -r
-            ids.append(off[lsb.bit_length() - 1].id)
-            r ^= lsb
-        moves[(t, v)] = tuple(ids)
-        rem ^= mask
-        t += 1
-    return total, Schedule.from_map(moves)
+    found = []
+    # next position, groups taken, their load, smallest size left out
+    stack = [(0, (), 0, cap + 1)]
+    while stack:
+        pos, taken, load, least_out = stack.pop()
+        if pos == len(idxs):
+            if load + least_out > cap:  # nothing left out still fits
+                found.append(taken)
+            continue
+        i = idxs[pos]
+        stack.append((pos + 1, taken, load, min(least_out, sizes[i])))
+        if load + sizes[i] <= cap:
+            stack.append((pos + 1, (*taken, i), load + sizes[i], least_out))
+    return found
 
 
 def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
     """Memoized value iteration over group positions.
 
-    A position is either a node or an in-transit marker (landing node, k
-    epochs until it joins that node's occupancy). Each epoch chooses, per
-    node, a capacity-feasible subset to send toward the facility; the cost
-    of an epoch is the total weight not yet at the facility. Groups only
-    move toward the facility, so the state graph is acyclic.
+    A position (node, k) is a group that joins that node's occupancy in k
+    epochs; k = 0 means it is there. Each epoch sends, from each node, an
+    inclusion-maximal set of its present groups that fits the node's edge
+    toward the facility; the cost of an epoch is the total weight not yet
+    at the facility. A group sent into the facility over an edge of length
+    d is placed there at once, and its d - 1 epochs in transit are charged
+    in that step. Groups only move toward the facility, so the state graph
+    is acyclic.
+
+    Maximal departures lose no optimum. If a group fits a departure it is
+    not in, it can leave then instead of later: it lands earlier, keeps
+    its later departures from the next node, frees room in the departure
+    it left, and delays nothing, since nodes have no capacity. Each such
+    exchange lowers the sum of departure times, so repeating it turns an
+    optimal schedule into one whose every departure is maximal.
     """
     a = inst.facility
     weights = [g.weight for g in off]
     sizes = [g.size for g in off]
-    at_a = ("n", a)
-    init = tuple(("n", g.node) for g in off)
-
-    def advance(p):
-        if p[0] == "t":
-            u, k = p[1], p[2]
-            return ("n", u) if k == 1 else ("t", u, k - 1)
-        return p
+    done = (a, 0)
+    init = tuple((g.node, 0) for g in off)
 
     memo: dict[tuple, int] = {}
-    choice: dict[tuple, tuple] = {}
+    choice: dict[tuple, tuple[tuple, tuple]] = {}  # departures, next state
 
     def value(state: tuple) -> int:
         got = memo.get(state)
         if got is not None:
             return got
-        w_rem = sum(weights[i] for i, p in enumerate(state) if p != at_a)
+        w_rem = sum(w for w, p in zip(weights, state) if p != done)
         if w_rem == 0:
             memo[state] = 0
             return 0
         if len(memo) > 2_000_000:
             raise OracleBudgetExceeded("state space over 2e6 states")
-        base_next = tuple(advance(p) for p in state)
+        waiting = tuple((v, k - 1) if k else (v, k) for v, k in state)
         at_node: dict[int, list[int]] = {}
-        for i, p in enumerate(state):
-            if p[0] == "n" and p[1] != a:
-                at_node.setdefault(p[1], []).append(i)
+        for i, (v, k) in enumerate(state):
+            if not k and v != a:
+                at_node.setdefault(v, []).append(i)
         node_options = []
         for v, idxs in sorted(at_node.items()):
             edge = v if v < a else v - 1
-            cap = inst.edge_capacity(edge)
+            subs = _maximal_departures(idxs, sizes, inst.edge_capacity(edge))
+            if subs == [()]:
+                continue  # every group here is larger than the edge
             d = inst.distance(edge)
             u = v + 1 if v < a else v - 1
-            landing = ("n", u) if d == 1 else ("t", u, d - 1)
-            subs = []
-            for bits in range(1 << len(idxs)):
-                chosen = [idxs[i] for i in range(len(idxs)) if bits >> i & 1]
-                if sum(sizes[i] for i in chosen) <= cap:
-                    subs.append((v, tuple(chosen), landing))
-            node_options.append(subs)
+            landing, delay = (done, d - 1) if u == a else ((u, d - 1), 0)
+            node_options.append([
+                (v, chosen, landing, delay * sum(weights[i] for i in chosen))
+                for chosen in subs])
+        if not node_options and waiting == state:
+            raise ValueError("no feasible departure from a blocked state")
         best = None
-        best_combo: tuple = ()
         for combo in itertools.product(*node_options):
-            if base_next == state and not any(ch for (_, ch, _) in combo):
-                continue  # waiting with nothing in transit loops forever
-            nxt = list(base_next)
-            for (_, chosen, landing) in combo:
+            nxt = list(waiting)
+            cost = w_rem
+            for (_, chosen, landing, charge) in combo:
+                cost += charge
                 for i in chosen:
                     nxt[i] = landing
-            val = w_rem + value(tuple(nxt))
+            after = tuple(nxt)
+            val = cost + value(after)
             if best is None or val < best:
                 best = val
-                best_combo = combo
-        if best is None:
-            raise ValueError("no feasible departure from a blocked state")
+                choice[state] = (combo, after)
         memo[state] = best
-        choice[state] = best_combo
         return best
 
     try:
@@ -267,15 +207,10 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
     moves: dict[tuple[int, int], tuple[str, ...]] = {}
     state = init
     t = 1
-    while any(p != at_a for p in state):
-        combo = choice[state]
-        nxt = list(advance(p) for p in state)
-        for (v, chosen, landing) in combo:
-            if chosen:
-                moves[(t, v)] = tuple(off[i].id for i in chosen)
-            for i in chosen:
-                nxt[i] = landing
-        state = tuple(nxt)
+    while state in choice:  # until every group is at the facility
+        combo, state = choice[state]
+        for (v, chosen, _, _) in combo:
+            moves[(t, v)] = tuple(off[i].id for i in chosen)
         t += 1
     return total, Schedule.from_map(moves)
 

@@ -28,9 +28,9 @@ _INST = gen_random(5, GenParams(nodes=12, groups=60, capacity=10,
 _TEXT = serialize_instance(_INST)
 _SCHEDULE = serialize_schedule(solve_report(_INST).schedule)
 _REVERSED = json.dumps({"moves": json.loads(_SCHEDULE)["moves"][::-1]})
-# the two shapes of the exact evacuation oracle: the state search over
-# five groups on four nodes, and the single-origin search over twelve
-# groups next to the facility
+# the two budgets of the exact evacuation oracle, both run by its one
+# state search: five groups on four nodes, and twelve groups on one node
+# next to the facility
 _SEARCH = gen_random(3, GenParams(nodes=4, groups=5, capacity=6,
                                   max_distance=2))
 _SINGLE_ORIGIN = gen_random(4, GenParams(nodes=2, groups=12, capacity=20,
@@ -116,14 +116,15 @@ def test_leaves_no_cycles(run):
 
 def test_an_oracle_over_budget_leaves_no_cycles(monkeypatch):
     # the state search raises its budget error from deep in its recursion;
-    # an edge lookup that raises the same error after a few states stands
-    # in for a search too large to run here
+    # an edge lookup that raises the same error on its fourth call, two
+    # states down, stands in for a search too large to run here (the
+    # search looks up seven edges on this instance)
     lookups = []
     capacity = PathInstance.edge_capacity
 
     def over_budget(inst, k):
         lookups.append(k)
-        if len(lookups) > 20:
+        if len(lookups) > 3:
             raise OracleBudgetExceeded("state space over budget")
         return capacity(inst, k)
 

@@ -596,7 +596,7 @@ def test_every_builder_gives_ascending_keys():
         assert _ascending(parsed) and parsed == sched
     for fx in bundled_examples().values():
         assert _ascending(fx.schedule)
-    # the single-origin search on two nodes, the state search on more
+    # the oracle's single-origin budget on two nodes, its 5-group one on more
     for seed in range(20):
         inst = gen_random(seed, GenParams(nodes=2 + seed % 3,
                                           groups=1 + seed % 4,

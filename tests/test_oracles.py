@@ -1,11 +1,14 @@
 import ast
+import dataclasses
 import inspect
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ref_state_search
 from brute import brute_packing_opt
 from checkers import validate_packing
 from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
@@ -141,17 +144,68 @@ def test_dwsf_opt_budgets():
         exact_dwsf_opt(far)
 
 
-def test_single_origin_agrees_with_state_search():
-    for seed in range(40):
+def _assert_exact(inst, ref_value):
+    value, witness = exact_dwsf_opt(inst)
+    assert value == ref_value
+    assert validate_schedule(inst, witness) == []
+    assert schedule_objective(simulate(inst, witness), inst) == value
+
+
+def test_state_search_matches_the_reference_searches():
+    # the one search against the two it replaced: the unpruned state search
+    # on several nodes, the single-origin mask search on one
+    rng = random.Random(25)
+    two_sided = drawn = 0
+    for seed in range(400):
+        nodes = rng.randint(2, 4)
+        # groups on both sides need a facility inside the path
+        facility = rng.randint(2, nodes - 1) if nodes > 2 and seed % 4 < 2 \
+            else None
         inst = gen_random(seed, GenParams(
-            nodes=2, groups=(seed % 4) + 1, capacity=(seed % 4) + 2,
-            max_weight=9, max_distance=2, facility=2,
-            allow_at_facility=False))
+            nodes=nodes, groups=rng.randint(1, 5),
+            capacity=rng.randint(2, 6), max_weight=9,
+            max_distance=rng.randint(1, 3), facility=facility))
+        if seed % 2:
+            largest = max(g.size for g in inst.groups)
+            inst = dataclasses.replace(inst, edge_capacities=tuple(
+                rng.randint(largest, largest + 3) for _ in inst.distances))
         off = [g for g in inst.groups if g.node != inst.facility]
-        fast_value, fast_witness = exact_dwsf_opt(inst)
-        slow_value, _ = oracles._state_search(inst, off)
-        assert fast_value == slow_value
-        assert validate_schedule(inst, fast_witness) == []
+        two_sided += len({g.node < inst.facility for g in off}) == 2
+        drawn += not inst.is_uniform
+        _assert_exact(inst, ref_state_search._state_search(inst, off)[0])
+    assert two_sided > 80 and drawn > 150
+    for seed in range(120):
+        nodes = rng.randint(2, 3)
+        facility = rng.choice((1, nodes)) if nodes == 2 else 2
+        origin = rng.choice([v for v in (facility - 1, facility + 1)
+                             if 1 <= v <= nodes])
+        capacity = rng.randint(2, 9)
+        inst = PathInstance(
+            nodes=nodes, facility=facility, capacity=capacity,
+            distances=tuple(rng.randint(1, 3) for _ in range(nodes - 1)),
+            groups=tuple(Group(id=f"g{k}", node=origin,
+                               size=rng.randint(1, capacity),
+                               weight=rng.randint(1, 9))
+                         for k in range(1 + seed % 12)))
+        _assert_exact(inst, ref_state_search._single_origin_opt(
+            inst, list(inst.groups))[0])
+
+
+@pytest.mark.parametrize("inst", [
+    # one origin next to the facility; g1 never fits its edge
+    PathInstance(nodes=2, facility=2, capacity=2, distances=(1,),
+                 groups=(Group(id="g1", node=1, size=3, weight=1),
+                         Group(id="g2", node=1, size=1, weight=1))),
+    # g1 crosses edge 1 and then never fits edge 2
+    PathInstance(nodes=3, facility=3, capacity=3, distances=(1, 2),
+                 edge_capacities=(3, 1),
+                 groups=(Group(id="g1", node=1, size=2, weight=1),
+                         Group(id="g2", node=2, size=1, weight=1))),
+], ids=["single-origin", "state-search"])
+def test_dwsf_opt_rejects_a_group_larger_than_its_edge(inst):
+    with pytest.raises(ValueError, match="no feasible departure from a "
+                                         "blocked state"):
+        exact_dwsf_opt(inst)
 
 
 _evac_micro = st.builds(
