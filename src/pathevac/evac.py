@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate
 from operator import itemgetter
 
 from . import relax
@@ -102,45 +102,72 @@ def fractional_lower_bound(inst: PathInstance,
     return total
 
 
+def _raise_first_fault(packing: Packing, node_of: dict[str, int],
+                       lag: dict[int, int]) -> None:
+    """Raise the error of a side's first bad id in packing order: an
+    unknown group, or a group whose bin is earlier than its ready time."""
+    for t_cross, bin_ in packing.bins.items():
+        for gid in bin_:
+            o = node_of.get(gid)
+            if o is None:
+                raise ValueError(f"packing references unknown group {gid!r}")
+            if o in lag and lag[o] >= t_cross:
+                raise ValueError(
+                    f"group {gid!r} in bin {t_cross} cannot reach the "
+                    f"bottleneck in time (ready-time violation)")
+
+
 def assemble_schedule(inst: PathInstance, left: Packing,
                       right: Packing) -> Schedule:
-    """Expand per-side packings into a full move list.
+    """Expand per-side packings into a full move list, in (time, node)
+    order as it is built.
 
     An item in bin T' crosses the bottleneck at epoch T', so it departs
-    node v on its route at T' minus the distance from v to the near node,
-    with no waiting. On one side, a (time, node) key therefore belongs to
-    one bin, and the move there is the part of that bin that has reached
-    the node: its items whose route starts at that node or farther out,
-    in bin order. Each bin's route is walked once, from its farthest
-    origin to the near node, and the ids change only where another origin
-    joins. An id whose group has no route on the side (it sits at the
-    facility or on the other side) never moves. A bin index below an
-    item's ready time would mean a departure before epoch 1 and is
-    rejected.
+    node v on its route at T' minus lag(v), the distance from v to the
+    near node, with no waiting. On one side, a (time, node) key therefore
+    belongs to one bin, and the move there is the part of that bin that
+    has reached the node: its items whose route starts at that node or
+    farther out, in bin order. Each bin's route is walked once, from its
+    farthest origin to the near node, and the ids change only where
+    another origin joins. An id whose group has no route on the side (it
+    sits at the facility or on the other side) never moves. A bin index
+    below an item's ready time would mean a departure before epoch 1 and
+    is rejected; of several bad ids, the first in packing order, left
+    side first, is reported.
+
+    lag strictly grows away from the near node, so at one epoch the left
+    side's later bins reach nodes nearer node 1, and so do the right
+    side's earlier bins. Walking the left bins latest first, then the
+    right bins earliest first, appends each epoch's moves to that epoch's
+    list in ascending node order, and joining the lists over the sorted
+    distinct epochs gives the schedule without sorting the moves. The cost
+    is one `Move` per move, plus a sort of the bin indices and one of the
+    epochs that occur; nothing costs per epoch value.
     """
     a = inst.facility
     node_of = {g.id: g.node for g in inst.groups}
     pos = _positions(inst)
-    # (time, node, ids) of every move
-    moves: list[tuple[int, int, tuple[str, ...]]] = []
-    append = moves.append
+    # epoch -> its moves, by node
+    at: dict[int, list[Move]] = {}
     for packing, step in ((left, 1), (right, -1)):
+        bins = packing.bins
+        if not bins:
+            continue
         # routes run toward the facility and end at the near node, which
         # lies off the path when the side has no node
         near = a - step
         side = range(1, a) if step == 1 else range(a + 1, inst.nodes + 1)
         # distance from each node of the side to the near node
         lag = {v: abs(pos[v] - pos[near]) for v in side}
-        for t_cross, bin_ in packing.bins.items():
+        # left bins latest first, right bins earliest first: each epoch's
+        # moves arrive in node order
+        for t_cross in sorted(bins, reverse=step == 1):
+            bin_ = bins[t_cross]
             starts = []     # the origin of each item, in bin order
             for gid in bin_:
                 o = node_of.get(gid)
-                if o is None:
-                    raise ValueError(f"packing references unknown group {gid!r}")
-                if o in lag and lag[o] >= t_cross:
-                    raise ValueError(
-                        f"group {gid!r} in bin {t_cross} cannot reach the "
-                        f"bottleneck in time (ready-time violation)")
+                if o is None or o in lag and lag[o] >= t_cross:
+                    _raise_first_fault(packing, node_of, lag)
                 starts.append(o)
             origins = set(starts)
             if len(origins) == 1:
@@ -148,7 +175,8 @@ def assemble_schedule(inst: PathInstance, left: Packing,
                 # off the side gives an empty route
                 far, = origins
                 for v in range(far, a, step):
-                    append((t_cross - lag[v], v, bin_))
+                    t = t_cross - lag[v]
+                    at.setdefault(t, []).append(Move(t, v, bin_))
                 continue
             # the origins on the side, farthest first
             joins = sorted([o for o in origins if o in lag],
@@ -162,10 +190,12 @@ def assemble_schedule(inst: PathInstance, left: Packing,
                     ids = tuple([gid for gid, s in zip(bin_, starts)
                                  if (o - s) * step >= 0])
                 for v in range(o, end, step):
-                    append((t_cross - lag[v], v, ids))
-    # the keys are distinct, so the sort never compares ids
-    moves.sort()
-    return Schedule(moves=tuple(starmap(Move, moves)))
+                    t = t_cross - lag[v]
+                    at.setdefault(t, []).append(Move(t, v, ids))
+    moves: list[Move] = []
+    for t in sorted(at):
+        moves += at[t]
+    return Schedule(moves=tuple(moves))
 
 
 @dataclass(frozen=True)

@@ -536,25 +536,36 @@ def serialize_packing_instance(inst: PackingInstance) -> str:
             f'  "items": {_array(items)}\n}}\n')
 
 
+# one move of a schedule file, filled by `%` with its time, its node and its
+# rendered group list; `%s` renders an int as an f-string does
+_MOVE = ('    {\n      "time": %s,\n      "node": %s,\n'
+         '      "groups": %s\n    }')
+
+
 def serialize_schedule(sched: Schedule) -> str:
     """The canonical schedule text, the same bytes as `_dumps` of
     {"moves": [{"time", "node", "groups"}, ...]}, written directly because
     `json.dumps` with an indent runs the pure-Python encoder. The moves are
     written in the order given, the (time, node) order a `Schedule` keeps.
 
-    Each distinct group list is rendered once, and every later move that
+    The text is one template, `_MOVE` once per move, filled by one `%`
+    from a flat list of each move's time, node and group list. Each
+    distinct group list is rendered once, and every later move that
     carries it reuses the text: `assemble_schedule` gives every move along
     a bin's route the same tuple.
     """
+    moves = sched.moves
     rendered: dict[tuple[str, ...], str] = {}
-    texts: list[str] = []
-    append = texts.append
-    for m in sched.moves:
+    fields: list[int | str] = []
+    append = fields.append
+    for m in moves:
         ids = m.groups
         groups = rendered.get(ids)
         if groups is None:
             groups = rendered[ids] = ("[\n        " + ",\n        ".join(
                 map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
-        append(f'    {{\n      "time": {m.time},\n      "node": {m.node},\n'
-               f'      "groups": {groups}\n    }}')
-    return '{\n  "moves": ' + _array(texts) + "\n}\n"
+        append(m.time)
+        append(m.node)
+        append(groups)
+    return ('{\n  "moves": ' + _array([_MOVE] * len(moves)) + "\n}\n") \
+        % tuple(fields)

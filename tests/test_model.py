@@ -23,7 +23,8 @@ from ref_parse_schedule import ref_parse_schedule
 from ref_serialize_instance import ref_serialize_instance
 from ref_serialize_packing import (ref_serialize_packing,
                                    ref_serialize_packing_instance)
-from ref_serialize_schedule import ref_serialize_schedule
+from ref_serialize_schedule import (ref_serialize_schedule,
+                                    ref_serialize_schedule_per_move)
 from ref_validate_instance import ref_validate_instance
 import ref_value_types
 
@@ -359,7 +360,9 @@ def test_schedule_writer_matches_json_dumps(moves):
         {"time": m.time, "node": m.node, "groups": list(m.groups)}
         for m in moves]},
         indent=2, ensure_ascii=False) + "\n"
-    assert serialize_schedule(Schedule(moves=tuple(moves))) == expected
+    sched = Schedule(moves=tuple(moves))
+    assert serialize_schedule(sched) == expected
+    assert ref_serialize_schedule_per_move(sched) == expected
 
 
 def test_schedule_writer_edge_cases():
