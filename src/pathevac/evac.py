@@ -9,7 +9,7 @@ the route gives every intermediate departure with zero waiting.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -256,20 +256,33 @@ def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
     return at
 
 
+# (epoch, node, ids, landing epoch, landing node)
+_Departure = tuple[int, int, Sequence[str], int, int]
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Facility arrivals of a schedule walk, plus its departure log.
+    """Facility arrivals and horizon of a schedule walk, and the schedule.
 
-    `departures` holds one (epoch, node, ids, landing epoch, landing node)
-    entry per departure, in (epoch, node) order; an entry's ids are the
-    distinct group ids that left the node. A walk holds O(moves), never a
-    snapshot per epoch; `render_table` sweeps the log.
+    The walk keeps no departure log and no occupancy snapshots, so it
+    holds O(groups) beyond the schedule. `departures` walks the schedule
+    again to build the log when something reads it; `render_table` sweeps
+    that log.
     """
 
     instance: PathInstance
-    departures: list[tuple[int, int, Sequence[str], int, int]]
+    schedule: Schedule
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
+
+    @property
+    def departures(self) -> list[_Departure]:
+        """One (epoch, node, ids, landing epoch, landing node) entry per
+        departure, in (epoch, node) order; an entry's ids are the distinct
+        group ids that left the node. Each read walks the schedule again."""
+        deps: list[_Departure] = []
+        _walk(self.instance, self.schedule, deps.append)
+        return deps
 
     def render_table(self) -> str:
         """Per-epoch occupancy table, one line per epoch.
@@ -302,7 +315,8 @@ class SimulationTrace:
         return "\n".join(lines)
 
 
-def _walk(inst: PathInstance, sched: Schedule) \
+def _walk(inst: PathInstance, sched: Schedule,
+          log: Callable[[_Departure], object] | None = None) \
         -> tuple[SimulationTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
@@ -320,6 +334,11 @@ def _walk(inst: PathInstance, sched: Schedule) \
     own (off the path, before epoch 1, an unknown or doubled id) are
     reported first, then presence, direction and capacity, each part in
     the order of the moves.
+
+    `log`, when given, is fed each departure as (epoch, node, ids,
+    landing epoch, landing node), in (time, node) order. Without it the
+    walk keeps nothing per move: what it holds when it ends is the
+    per-group state, the arrivals and the violations.
     """
     a = inst.facility
     nodes = inst.nodes
@@ -334,8 +353,6 @@ def _walk(inst: PathInstance, sched: Schedule) \
     # edge k joins nodes k and k + 1; index 0 is unused
     dist = (0, *inst.distances)
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
-    departures: list[tuple[int, int, Sequence[str], int, int]] = []
-    log = departures.append
     named_t = 0             # the epoch of the last move naming a group
     top = 0                 # the latest landing epoch
     for m in sched.moves:
@@ -401,7 +418,8 @@ def _walk(inst: PathInstance, sched: Schedule) \
         if size > caps[edge]:
             report(f"capacity: departure from node {v} at time {t} "
                    f"carries size {size} > capacity {caps[edge]}")
-        log((t, v, ids, land, u))
+        if log is not None:
+            log((t, v, ids, land, u))
         if land > top:
             top = land
         if u == a:
@@ -410,7 +428,7 @@ def _walk(inst: PathInstance, sched: Schedule) \
             for gid in ids:
                 arrival_time[gid] = land
 
-    trace = SimulationTrace(instance=inst, departures=departures,
+    trace = SimulationTrace(instance=inst, schedule=sched,
                             arrival_time=arrival_time,
                             horizon=max(named_t, top))
     return trace, early + violations

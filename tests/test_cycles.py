@@ -46,6 +46,7 @@ def _solve():
 def _validate():
     trace, violations = check_schedule(_INST, parse_schedule(_SCHEDULE))
     assert violations == []
+    assert trace.departures
     trace.render_table()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import time
 from operator import attrgetter, itemgetter
 
@@ -14,6 +15,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
+from ref_logged_walk import ref_logged_walk
 from ref_walk import ref_walk, render
 
 
@@ -402,6 +404,29 @@ def test_solve_validate_certify_non_bottleneck_distance_1e9():
     assert bound <= report.objective <= 2 * bound
 
 
+def test_walks_keep_nothing_per_move():
+    # the seed-7 `sprawl` shape: with the collector off, the two walks
+    # leave only what they return, where a departure log left a tuple per
+    # departure
+    inst = gen_random(7, GenParams(nodes=100, groups=600, capacity=10,
+                                   max_size=10, max_weight=20,
+                                   max_distance=3, facility=50))
+    sched = solve_report(inst).schedule
+    assert len(sched.moves) == 10728
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = (check_schedule(inst, sched), simulate(inst, sched))
+        left = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert kept[0][1] == []
+    assert left < len(inst.groups)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -654,3 +679,20 @@ def test_walk_matches_event_walk_reference(inst, data):
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
     _assert_same_events(trace, ref_trace)
+
+
+# ---------------------------------------------------------------------------
+# the walk, which logs on demand, against the walk that always logged
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_any_distance_instances, data=st.data())
+def test_walk_matches_logged_walk_reference(inst, data):
+    sched = solve_report(inst).schedule
+    sched = _damage(inst, _corrupt(inst, sched, data), data)
+    inst = _with_edge_capacities(inst, data)
+    trace, violations = _walk(inst, sched)
+    ref_trace, ref_violations = ref_logged_walk(inst, sched)
+    assert violations == ref_violations
+    assert trace.arrival_time == ref_trace.arrival_time
+    assert trace.horizon == ref_trace.horizon
+    assert trace.departures == ref_trace.departures
