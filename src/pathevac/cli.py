@@ -90,11 +90,11 @@ def _cmd_oracle(args) -> int:
             raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
-        # the document `serialize_schedule` writes: the moves of a
+        # the document `serialize_schedule` writes: the rows of a
         # `Schedule` are in (time, node) order
         doc = {"opt": opt, "witness": {"moves": [
-            {"time": m.time, "node": m.node, "groups": list(m.groups)}
-            for m in schedule.moves]}}
+            {"time": t, "node": v, "groups": list(ids)}
+            for t, v, ids in schedule.rows]}}
     elif args.fractional:
         pinst = parse_packing_instance(_read(args.packing))
         value = oracles.exact_fractional_opt_mcf(pinst)

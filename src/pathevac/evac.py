@@ -16,8 +16,8 @@ from itertools import accumulate
 from operator import itemgetter
 
 from . import relax
-from .model import (Move, Packing, PackingInstance, PackingItem,
-                    PathInstance, Schedule)
+from .model import (Packing, PackingInstance, PackingItem, PathInstance,
+                    Row, Schedule)
 from .packing import GreedyTrace, packing_objective, solve_greedy
 
 
@@ -119,8 +119,8 @@ def _raise_first_fault(packing: Packing, node_of: dict[str, int],
 
 def assemble_schedule(inst: PathInstance, left: Packing,
                       right: Packing) -> Schedule:
-    """Expand per-side packings into a full move list, in (time, node)
-    order as it is built.
+    """Expand per-side packings into a full schedule, its rows in
+    (time, node) order as they are built.
 
     An item in bin T' crosses the bottleneck at epoch T', so it departs
     node v on its route at T' minus lag(v), the distance from v to the
@@ -138,17 +138,17 @@ def assemble_schedule(inst: PathInstance, left: Packing,
     lag strictly grows away from the near node, so at one epoch the left
     side's later bins reach nodes nearer node 1, and so do the right
     side's earlier bins. Walking the left bins latest first, then the
-    right bins earliest first, appends each epoch's moves to that epoch's
+    right bins earliest first, appends each epoch's rows to that epoch's
     list in ascending node order, and joining the lists over the sorted
     distinct epochs gives the schedule without sorting the moves. The cost
-    is one `Move` per move, plus a sort of the bin indices and one of the
-    epochs that occur; nothing costs per epoch value.
+    is one (time, node, ids) row per move, plus a sort of the bin indices
+    and one of the epochs that occur; nothing costs per epoch value.
     """
     a = inst.facility
     node_of = {g.id: g.node for g in inst.groups}
     pos = _positions(inst)
-    # epoch -> its moves, by node
-    at: dict[int, list[Move]] = {}
+    # epoch -> its rows, by node
+    at: dict[int, list[Row]] = {}
     for packing, step in ((left, 1), (right, -1)):
         bins = packing.bins
         if not bins:
@@ -176,7 +176,7 @@ def assemble_schedule(inst: PathInstance, left: Packing,
                 far, = origins
                 for v in range(far, a, step):
                     t = t_cross - lag[v]
-                    at.setdefault(t, []).append(Move(t, v, bin_))
+                    at.setdefault(t, []).append((t, v, bin_))
                 continue
             # the origins on the side, farthest first
             joins = sorted([o for o in origins if o in lag],
@@ -191,11 +191,11 @@ def assemble_schedule(inst: PathInstance, left: Packing,
                                  if (o - s) * step >= 0])
                 for v in range(o, end, step):
                     t = t_cross - lag[v]
-                    at.setdefault(t, []).append(Move(t, v, ids))
-    moves: list[Move] = []
+                    at.setdefault(t, []).append((t, v, ids))
+    rows: list[Row] = []
     for t in sorted(at):
-        moves += at[t]
-    return Schedule(moves=tuple(moves))
+        rows += at[t]
+    return Schedule.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -320,11 +320,12 @@ def _walk(inst: PathInstance, sched: Schedule,
         -> tuple[SimulationTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
-    One pass over the moves, which a `Schedule` holds in (time, node)
-    order. Each group carries the node it is at or headed to and the first
-    epoch it may leave: a group that departs at t over an edge of length d
-    lands at t + d - 1 and may leave again from t + d on, so a distance-1
-    hop lands in its own epoch and cannot leave before the next one.
+    One pass over the schedule's (time, node, ids) rows, which it holds in
+    (time, node) order; the walk builds no `Move`. Each group carries the
+    node it is at or headed to and the first epoch it may leave: a group
+    that departs at t over an edge of length d lands at t + d - 1 and may
+    leave again from t + d on, so a distance-1 hop lands in its own epoch
+    and cannot leave before the next one.
     Presence, capacity, direction, arrivals and the horizon all follow from
     that state, at a couple of dict operations per named group; the cost
     follows the number of moves, never the epoch values.
@@ -355,10 +356,7 @@ def _walk(inst: PathInstance, sched: Schedule,
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
     named_t = 0             # the epoch of the last move naming a group
     top = 0                 # the latest landing epoch
-    for m in sched.moves:
-        t = m.time
-        v = m.node
-        ids = m.groups
+    for t, v, ids in sched.rows:
         if v < 1 or v > nodes:
             early.append(f"unknown: node {v} outside the path "
                          f"(move at time {t})")

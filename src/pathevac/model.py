@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -29,12 +30,12 @@ class InstanceError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# The value types built once per group, item or move (`Group`, `PackingItem`,
-# `Move`) are frozen, slotted dataclasses whose `__init__` is written by hand:
-# it fills each slot through the slot's own member descriptor, bound once
-# after the class, where the generated one calls `object.__setattr__` per
-# field. Everything else (the fields, the frozen `__setattr__`, equality,
-# hash, repr and `dataclasses.replace`) is the dataclass's own.
+# The value types built once per group or item (`Group`, `PackingItem`) are
+# frozen, slotted dataclasses whose `__init__` is written by hand: it fills
+# each slot through the slot's own member descriptor, bound once after the
+# class, where the generated one calls `object.__setattr__` per field.
+# Everything else (the fields, the frozen `__setattr__`, equality, hash,
+# repr and `dataclasses.replace`) is the dataclass's own.
 
 @dataclass(frozen=True, slots=True, init=False)
 class Group:
@@ -142,7 +143,7 @@ class Packing:
     bins: dict[int, tuple[str, ...]]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Move:
     """All departures from one node at one epoch, toward the facility."""
 
@@ -150,35 +151,64 @@ class Move:
     node: int
     groups: tuple[str, ...]
 
-    def __init__(self, time: int, node: int, groups: tuple[str, ...]) -> None:
-        _move_time(self, time)
-        _move_node(self, node)
-        _move_groups(self, groups)
+
+# one move as a `Schedule` stores it: (time, node, group ids)
+Row = tuple[int, int, tuple[str, ...]]
 
 
-_move_time = Move.time.__set__
-_move_node = Move.node.__set__
-_move_groups = Move.groups.__set__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Schedule:
-    """A full evacuation plan as a move list, in canonical order.
+    """A full evacuation plan, one (time, node, group ids) row per move, in
+    canonical order.
 
-    The (time, node) keys of the moves strictly ascend: one move per key at
-    most, by epoch and by node within an epoch. The constructor checks that
-    in one pass and raises ValueError naming the first two keys out of
-    order, so the simulator's walk and `serialize_schedule` take the moves
-    as given; `from_map` builds one from moves in any order.
+    The (time, node) keys of the rows strictly ascend: one move per key at
+    most, by epoch and by node within an epoch. Every constructor checks
+    that in one pass and raises ValueError naming the first two keys out
+    of order, so the simulator's walk and `serialize_schedule` take the
+    rows as given. `from_rows` builds one from rows, `Schedule(moves=...)`
+    from `Move`s, and `from_map` from moves in any order. The cyclic
+    collector stops tracking a row of ints and a tuple of strs at a pass
+    that finds the tuple untracked, where it tracks a slotted `Move` for
+    life; `moves` builds the `Move`s on each read.
     """
 
-    moves: tuple[Move, ...]
+    # not an `__init__` parameter, so `dataclasses.replace(s, moves=...)`
+    # goes through the constructor and its order check
+    rows: tuple[Row, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, moves: Iterable[Move]) -> None:
+        self._store([(m.time, m.node, m.groups) for m in moves])
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        """The rows as `Move`s, built anew on each read."""
+        return tuple(starmap(Move, self.rows))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "Schedule":
+        """Build from (time, node, group ids) rows in (time, node) order."""
+        sched = cls.__new__(cls)
+        sched._store(rows)
+        return sched
+
+    @staticmethod
+    def from_map(moves: Mapping[tuple[int, int], Iterable[str]]) -> "Schedule":
+        """Build from a {(time, node): group ids} map, dropping empty moves.
+        It orders the moves of a schedule file that `parse_schedule`
+        checks entry by entry."""
+        rows = []
+        for (t, v) in sorted(moves):
+            ids = tuple(moves[(t, v)])
+            if ids:
+                rows.append((t, v, ids))
+        return Schedule.from_rows(rows)
+
+    def _store(self, rows: Iterable[Row]) -> None:
+        """Keep the rows of a new schedule once their (time, node) keys are
+        checked to strictly ascend: every constructor's one order check."""
+        rows = tuple(rows)
         last_t = last_v = -math.inf
-        for m in self.moves:
-            t = m.time
-            v = m.node
+        for t, v, _ in rows:
             if t > last_t or t == last_t and v > last_v:
                 last_t = t
                 last_v = v
@@ -187,18 +217,7 @@ class Schedule:
                     f"schedule: move at time {t}, node {v} follows the "
                     f"move at time {last_t}, node {last_v}; the (time, "
                     "node) keys must strictly ascend")
-
-    @staticmethod
-    def from_map(moves: Mapping[tuple[int, int], Iterable[str]]) -> "Schedule":
-        """Build from a {(time, node): group ids} map, dropping empty moves.
-        It orders the moves of a schedule file that `parse_schedule`
-        checks entry by entry."""
-        out = []
-        for (t, v) in sorted(moves):
-            ids = tuple(moves[(t, v)])
-            if ids:
-                out.append(Move(t, v, ids))
-        return Schedule(moves=tuple(out))
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -402,11 +421,11 @@ def parse_packing_instance(text: str) -> PackingInstance:
     return PackingInstance(capacity=data["capacity"], items=tuple(items))
 
 
-def _move_hook(obj: dict) -> Move | dict:
-    """The schedule decoder's object hook: a `Move` for an object that
-    passes every field test `_checked_moves` applies to a move entry (time
-    and node integers >= 1, groups a non-empty list of distinct, non-empty
-    strings), the object itself otherwise."""
+def _move_hook(obj: dict) -> Row | dict:
+    """The schedule decoder's object hook: the (time, node, group ids) row
+    of an object that passes every field test `_checked_moves` applies to
+    a move entry (time and node integers >= 1, groups a non-empty list of
+    distinct, non-empty strings), the object itself otherwise."""
     t = obj.get("time")
     v = obj.get("node")
     ids = obj.get("groups")
@@ -416,7 +435,7 @@ def _move_hook(obj: dict) -> Move | dict:
                 type(ids[0]) is str and ids[0] if len(ids) == 1 else
                 all(type(x) is str for x in ids) and "" not in ids
                 and len(set(ids)) == len(ids)):
-        return Move(t, v, tuple(ids))
+        return (t, v, tuple(ids))
     return obj
 
 
@@ -429,20 +448,21 @@ def parse_schedule(text: str) -> Schedule:
     """Read a schedule document; raises InstanceError naming every bad
     move entry and every repeated (time, node).
 
-    The decoder turns each well-formed move object into a `Move` as it
-    reads it (`_move_hook`). When every `moves` entry came back as one,
-    the `Schedule` constructor is the one check of their order. Any other
-    text is read again by `_document` (so `json.loads` words every `json:`
-    message, a byte-order mark's too) and checked by `_checked_moves`.
+    The decoder turns each well-formed move object into its row as it
+    reads it (`_move_hook`); nothing else in a JSON document decodes to a
+    tuple. When every `moves` entry came back as one, `Schedule.from_rows`
+    is the one check of their order. Any other text is read again by
+    `_document` (so `json.loads` words every `json:` message, a byte-order
+    mark's too) and checked by `_checked_moves`.
     """
     try:
         data = _move_decoder.decode(text)
     except (ValueError, RecursionError):
         data = None
     raw = data.get("moves") if type(data) is dict else None
-    if type(raw) is list and all(type(m) is Move for m in raw):
+    if type(raw) is list and all(type(m) is tuple for m in raw):
         try:
-            return Schedule(moves=tuple(raw))
+            return Schedule.from_rows(raw)
         except ValueError:
             pass
     return _checked_moves(_document(text).get("moves"))
@@ -545,27 +565,26 @@ _MOVE = ('    {\n      "time": %s,\n      "node": %s,\n'
 def serialize_schedule(sched: Schedule) -> str:
     """The canonical schedule text, the same bytes as `_dumps` of
     {"moves": [{"time", "node", "groups"}, ...]}, written directly because
-    `json.dumps` with an indent runs the pure-Python encoder. The moves are
+    `json.dumps` with an indent runs the pure-Python encoder. The rows are
     written in the order given, the (time, node) order a `Schedule` keeps.
 
-    The text is one template, `_MOVE` once per move, filled by one `%`
-    from a flat list of each move's time, node and group list. Each
-    distinct group list is rendered once, and every later move that
-    carries it reuses the text: `assemble_schedule` gives every move along
+    The text is one template, `_MOVE` once per row, filled by one `%`
+    from a flat list of each row's time, node and group list. Each
+    distinct group list is rendered once, and every later row that
+    carries it reuses the text: `assemble_schedule` gives every row along
     a bin's route the same tuple.
     """
-    moves = sched.moves
+    rows = sched.rows
     rendered: dict[tuple[str, ...], str] = {}
     fields: list[int | str] = []
     append = fields.append
-    for m in moves:
-        ids = m.groups
+    for t, v, ids in rows:
         groups = rendered.get(ids)
         if groups is None:
             groups = rendered[ids] = ("[\n        " + ",\n        ".join(
                 map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
-        append(m.time)
-        append(m.node)
+        append(t)
+        append(v)
         append(groups)
-    return ('{\n  "moves": ' + _array([_MOVE] * len(moves)) + "\n}\n") \
+    return ('{\n  "moves": ' + _array([_MOVE] * len(rows)) + "\n}\n") \
         % tuple(fields)

@@ -89,7 +89,7 @@ def exact_dwsf_opt(inst: PathInstance) -> tuple[int, Schedule]:
     a = inst.facility
     off = [g for g in inst.groups if g.node != a]
     if not off:
-        return 0, Schedule(moves=())
+        return 0, Schedule.from_rows(())
     origins = {g.node for g in off}
     if len(origins) == 1 and abs(next(iter(origins)) - a) == 1:
         if len(off) > 12:

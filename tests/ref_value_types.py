@@ -1,11 +1,12 @@
 """The value types before their `__init__` was written by hand, kept as a
 test-only reference.
 
-These are `pathevac.model.Move`, `Group` and `PackingItem` as they were
-when the dataclass generated their `__init__`, which sets each field with
+These are `pathevac.model.Group` and `PackingItem` as they were when the
+dataclass generated their `__init__`, which sets each field with
 `object.__setattr__`. They are deliberately left as they were, so the
 tests can require the same fields, equality, hash, repr and
-`dataclasses.replace` result from the two forms of each type.
+`dataclasses.replace` result from the two forms of each type. `Move`
+uses the generated `__init__` again, so it has one form.
 """
 
 from __future__ import annotations
@@ -32,11 +33,3 @@ class PackingItem:
     weight: int
     ready: int  # earliest bin index the item may occupy, >= 1
 
-
-@dataclass(frozen=True, slots=True)
-class Move:
-    """All departures from one node at one epoch, toward the facility."""
-
-    time: int
-    node: int
-    groups: tuple[str, ...]

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import time
 from operator import attrgetter, itemgetter
 
@@ -10,13 +11,15 @@ from checkers import validate_packing
 from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
-                      pair_overflow_violations, reduce_side,
-                      schedule_objective, simulate, solve_report,
-                      validate_schedule)
+                      pair_overflow_violations, parse_instance,
+                      parse_schedule, reduce_side, schedule_objective,
+                      serialize_instance, serialize_schedule, simulate,
+                      solve_report, validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
 from ref_logged_walk import ref_logged_walk
 from ref_walk import ref_walk, render
+import ref_move_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +407,19 @@ def test_solve_validate_certify_non_bottleneck_distance_1e9():
     assert bound <= report.objective <= 2 * bound
 
 
-def test_walks_keep_nothing_per_move():
-    # the seed-7 `sprawl` shape: with the collector off, the two walks
-    # leave only what they return, where a departure log left a tuple per
-    # departure
-    inst = gen_random(7, GenParams(nodes=100, groups=600, capacity=10,
+def _sprawl_instance() -> PathInstance:
+    """The seed-7 `sprawl` shape: 600 groups on 100 nodes, 10,728 moves."""
+    return gen_random(7, GenParams(nodes=100, groups=600, capacity=10,
                                    max_size=10, max_weight=20,
                                    max_distance=3, facility=50))
+
+
+def test_walks_keep_nothing_per_move():
+    # with the collector off, the two walks leave only what they return,
+    # where a departure log left a tuple per departure
+    inst = _sprawl_instance()
     sched = solve_report(inst).schedule
-    assert len(sched.moves) == 10728
+    assert len(sched.rows) == 10728
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -425,6 +432,51 @@ def test_walks_keep_nothing_per_move():
             gc.enable()
     assert kept[0][1] == []
     assert left < len(inst.groups)
+
+
+def test_schedules_keep_no_tracked_object_per_move():
+    # a collector pass stops tracking a row of ints and a tuple of strs once
+    # it finds the tuple untracked, where a slotted `Move` stays tracked: a
+    # schedule read or assembled keeps fewer tracked objects than it has
+    # moves (the rows made since the last automatic pass may need a second
+    # pass, so a few hundred can stay tracked)
+    inst = _sprawl_instance()
+    report = solve_report(inst)
+    text = serialize_schedule(report.schedule)
+    for build in (lambda: parse_schedule(text),
+                  lambda: assemble_schedule(inst, report.left_packing,
+                                            report.right_packing)):
+        gc.collect()
+        before = len(gc.get_objects())
+        sched = build()
+        gc.collect()
+        kept = len(gc.get_objects()) - before
+        assert len(sched.rows) == 10728
+        assert kept < len(sched.rows)
+
+
+def test_solve_and_validate_build_no_move(monkeypatch):
+    # `solve --output` and `validate`, the file in order and reversed, so
+    # the reader's decoder and its per-entry pass both run
+    built = []
+    init = Move.__init__
+    monkeypatch.setattr(Move, "__init__",
+                        lambda self, *args: built.append(args) or
+                        init(self, *args))
+    text = serialize_instance(_sprawl_instance())
+    inst = parse_instance(text)
+    report = solve_report(inst)
+    schedule = serialize_schedule(report.schedule)
+    doc = json.loads(schedule)
+    doc["moves"].reverse()
+    for written in (schedule, json.dumps(doc)):
+        sched = parse_schedule(written)
+        assert check_schedule(inst, sched)[1] == []
+        assert schedule_objective(simulate(inst, sched), inst) \
+            == report.objective
+    assert built == []
+    # the `Move` view still builds one per move when it is read
+    assert len(report.schedule.moves) == len(built) == 10728
 
 
 # ---------------------------------------------------------------------------
@@ -696,3 +748,23 @@ def test_walk_matches_logged_walk_reference(inst, data):
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
     assert trace.departures == ref_trace.departures
+
+
+# ---------------------------------------------------------------------------
+# the walk over rows against the walk over `Move`s
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_any_distance_instances, data=st.data())
+def test_walk_matches_move_walk_reference(inst, data):
+    sched = solve_report(inst).schedule
+    sched = _damage(inst, _corrupt(inst, sched, data), data)
+    inst = _with_edge_capacities(inst, data)
+    deps: list = []
+    trace, violations = _walk(inst, sched, deps.append)
+    ref_deps: list = []
+    ref_trace, ref_violations = ref_move_schedule._walk(
+        inst, ref_move_schedule.Schedule(moves=sched.moves), ref_deps.append)
+    assert violations == ref_violations
+    assert trace.arrival_time == ref_trace.arrival_time
+    assert trace.horizon == ref_trace.horizon
+    assert deps == ref_deps

@@ -4,6 +4,7 @@ import inspect
 import json
 import pickle
 import time
+from itertools import starmap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from ref_serialize_packing import (ref_serialize_packing,
 from ref_serialize_schedule import (ref_serialize_schedule,
                                     ref_serialize_schedule_per_move)
 from ref_validate_instance import ref_validate_instance
+import ref_move_schedule
 import ref_value_types
 
 
@@ -363,6 +365,8 @@ def test_schedule_writer_matches_json_dumps(moves):
     sched = Schedule(moves=tuple(moves))
     assert serialize_schedule(sched) == expected
     assert ref_serialize_schedule_per_move(sched) == expected
+    assert ref_move_schedule.serialize_schedule(
+        ref_move_schedule.Schedule(moves=tuple(moves))) == expected
 
 
 def test_schedule_writer_edge_cases():
@@ -388,6 +392,7 @@ def test_schedule_writer_matches_reference_on_solver_schedules(
     sched = solve_report(inst).schedule
     text = ref_serialize_schedule(sched)
     assert serialize_schedule(sched) == text
+    assert ref_move_schedule.serialize_schedule(sched) == text
     # the parsed copy carries equal but distinct tuples
     assert serialize_schedule(parse_schedule(text)) == text
     if len(sched.moves) > 1:
@@ -517,13 +522,22 @@ def _parsed(parse, text):
                         {"time": 1, "node": 3, "groups": ["C"]}]})
 def test_schedule_reader_matches_reference(doc):
     text = json.dumps(doc)
-    assert _parsed(parse_schedule, text) == _parsed(ref_parse_schedule, text)
+    parsed = _parsed(parse_schedule, text)
+    assert parsed == _parsed(ref_parse_schedule, text)
+    assert parsed == _parsed(_ref_move_parse_schedule, text)
+
+
+def _ref_move_parse_schedule(text):
+    """The `Move`-based reader's schedule, as a `Schedule` of rows."""
+    return Schedule(moves=ref_move_schedule.parse_schedule(text).moves)
 
 
 def test_schedule_reader_matches_reference_after_a_byte_order_mark():
     # the reader's decoder leaves this text to json.loads, for its message
     text = "\ufeff" + json.dumps({"moves": []})
     assert _parsed(parse_schedule, text) == _parsed(ref_parse_schedule, text)
+    assert _parsed(parse_schedule, text) == \
+        _parsed(_ref_move_parse_schedule, text)
     assert "BOM" in _parsed(parse_schedule, text)[0]
 
 
@@ -561,16 +575,31 @@ def test_schedule_from_map_drops_empty_moves():
 
 def test_schedule_keys_strictly_ascend():
     assert Schedule(moves=()).moves == ()
+    assert Schedule.from_rows(()) == Schedule(moves=()) == Schedule.from_map({})
     # equal times, ascending nodes
     moves = (Move(2, 1, ("A",)), Move(2, 3, ("B",)), Move(3, 1, ("A",)))
+    rows = tuple((m.time, m.node, m.groups) for m in moves)
     sched = Schedule(moves=moves)
     assert sched.moves == moves
-    with pytest.raises(ValueError, match="move at time 2, node 1 follows "
-                                         "the move at time 2, node 3"):
-        Schedule(moves=(moves[1], moves[0]))
-    with pytest.raises(ValueError, match="move at time 2, node 3 follows "
-                                         "the move at time 2, node 3"):
-        Schedule(moves=(*moves[:2], Move(2, 3, ("C",))))
+    assert sched.rows == rows
+    # the three constructors give one schedule, `from_map` from keys in any
+    # order, and its `Move` view gives the moves back
+    same = (Schedule.from_rows(rows), Schedule.from_rows(list(rows)),
+            Schedule.from_map({(t, v): ids for t, v, ids in rows[::-1]}))
+    for other in same:
+        assert other == sched and hash(other) == hash(sched)
+        assert other.moves == moves
+        assert Schedule(moves=other.moves) == sched
+    # each raises the same text on a descending and on a repeated key
+    for bad, text in (
+            ((rows[1], rows[0]), "move at time 2, node 1 follows "
+                                 "the move at time 2, node 3"),
+            ((*rows[:2], (2, 3, ("C",))), "move at time 2, node 3 follows "
+                                          "the move at time 2, node 3")):
+        for build in (lambda: Schedule(moves=starmap(Move, bad)),
+                      lambda: Schedule.from_rows(bad)):
+            with pytest.raises(ValueError, match=text):
+                build()
     # `replace` builds through the constructor, so it checks too
     assert dataclasses.replace(sched, moves=moves[1:]).moves == moves[1:]
     with pytest.raises(ValueError, match="move at time 2, node 3 follows "
@@ -644,7 +673,8 @@ def test_slotted_value_types_keep_their_contract(value, change):
     assert value != values
     assert repr(value) == cls.__name__ + "(" + ", ".join(
         f"{name}={v!r}" for name, v in zip(names, values)) + ")"
-    # the hand-written `__init__` takes the fields, in order, and no more
+    # `__init__`, generated or written by hand, takes the fields, in order,
+    # and no more
     assert tuple(inspect.signature(cls).parameters) == names
     with pytest.raises(TypeError):
         cls(*values[:-1])
@@ -663,7 +693,7 @@ _ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 
 @settings(max_examples=200)
 @given(data=st.data(), types=st.sampled_from([
-    (Move, ref_value_types.Move), (Group, ref_value_types.Group),
+    (Group, ref_value_types.Group),
     (PackingItem, ref_value_types.PackingItem)]))
 def test_value_types_match_reference(data, types):
     cls, ref = types
