@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .evac import (NonUniformCapacityError, SideReduction,
                    SimulationInfeasible, SimulationTrace, SolveReport,
                    assemble_schedule, fractional_lower_bound, reduce_side,
-                   schedule_objective, simulate, solve_report,
+                   render_table, schedule_objective, simulate, solve_report,
                    validate_schedule)
 from .instances import (GenParams, PackParams, SplitMix64, bundled_examples,
                         gen_from_partition, gen_random, gen_random_packing)
@@ -50,8 +50,8 @@ __all__ = [
     "reduce_side", "fractional_lower_bound", "assemble_schedule",
     "solve_report",
     "SolveReport", "SideReduction", "simulate", "SimulationTrace",
-    "schedule_objective", "validate_schedule", "NonUniformCapacityError",
-    "SimulationInfeasible",
+    "render_table", "schedule_objective", "validate_schedule",
+    "NonUniformCapacityError", "SimulationInfeasible",
     # oracles
     "horizon_bound", "exact_packing_opt", "exact_dwsf_opt",
     "exact_fractional_opt_mcf", "OracleBudgetExceeded",

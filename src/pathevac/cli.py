@@ -80,7 +80,7 @@ def _cmd_validate(args) -> int:
     objective = evac.schedule_objective(trace, inst)
     print(f"ok objective {objective}")
     if args.trace:
-        print(trace.render_table())
+        print(evac.render_table(inst, sched))
     return 0
 
 

@@ -262,57 +262,48 @@ _Departure = tuple[int, int, Sequence[str], int, int]
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Facility arrivals and horizon of a schedule walk, and the schedule.
+    """What a schedule walk found: the facility arrivals and the horizon.
 
     The walk keeps no departure log and no occupancy snapshots, so it
-    holds O(groups) beyond the schedule. `departures` walks the schedule
-    again to build the log when something reads it; `render_table` sweeps
-    that log.
+    holds O(groups) beyond the schedule; `render_table` walks the schedule
+    again to build the log it sweeps.
     """
 
-    instance: PathInstance
-    schedule: Schedule
     arrival_time: dict[str, int]                      # facility arrivals only
     horizon: int
 
-    @property
-    def departures(self) -> list[_Departure]:
-        """One (epoch, node, ids, landing epoch, landing node) entry per
-        departure, in (epoch, node) order; an entry's ids are the distinct
-        group ids that left the node. Each read walks the schedule again."""
-        deps: list[_Departure] = []
-        _walk(self.instance, self.schedule, deps.append)
-        return deps
 
-    def render_table(self) -> str:
-        """Per-epoch occupancy table, one line per epoch.
+def render_table(inst: PathInstance, sched: Schedule) -> str:
+    """Per-epoch occupancy table of a schedule walk, one line per epoch.
 
-        One forward sweep of the departure log from the instance's start
-        state. At each epoch, that epoch's departures leave their nodes in
-        log order, then the departures landing in it join their landing
-        nodes in log order; each row is printed after both. The columns are
-        the nodes occupied at the start or landed on later.
-        """
-        at = _start(self.instance)
-        deps = self.departures
-        # a stable sort: the departures landing in one epoch keep log order
-        lands = sorted(deps, key=itemgetter(3))
-        nodes = sorted({v for v, ids in at.items() if ids}
-                       | {dep[4] for dep in deps})
-        lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
-        i = j = 0
-        for t in range(self.horizon + 1):
-            while i < len(deps) and deps[i][0] == t:
-                here = at[deps[i][1]]
-                for gid in deps[i][2]:
-                    del here[gid]
-                i += 1
-            while j < len(lands) and lands[j][3] == t:
-                at[lands[j][4]].update(dict.fromkeys(lands[j][2]))
-                j += 1
-            cells = [",".join(at[v]) if at[v] else "-" for v in nodes]
-            lines.append(f"{t:>4}  " + "  ".join(cells))
-        return "\n".join(lines)
+    One walk of the schedule collects its departure log, and one forward
+    sweep of that log from the instance's start state prints the rows up
+    to the walk's horizon. At each epoch, that epoch's departures leave
+    their nodes in log order, then the departures landing in it join their
+    landing nodes in log order; each row is printed after both. The
+    columns are the nodes occupied at the start or landed on later.
+    """
+    deps: list[_Departure] = []
+    trace, _ = _walk(inst, sched, deps.append)
+    at = _start(inst)
+    # a stable sort: the departures landing in one epoch keep log order
+    lands = sorted(deps, key=itemgetter(3))
+    nodes = sorted({v for v, ids in at.items() if ids}
+                   | {dep[4] for dep in deps})
+    lines = ["time  " + "  ".join(f"node {v}" for v in nodes)]
+    i = j = 0
+    for t in range(trace.horizon + 1):
+        while i < len(deps) and deps[i][0] == t:
+            here = at[deps[i][1]]
+            for gid in deps[i][2]:
+                del here[gid]
+            i += 1
+        while j < len(lands) and lands[j][3] == t:
+            at[lands[j][4]].update(dict.fromkeys(lands[j][2]))
+            j += 1
+        cells = [",".join(at[v]) if at[v] else "-" for v in nodes]
+        lines.append(f"{t:>4}  " + "  ".join(cells))
+    return "\n".join(lines)
 
 
 def _walk(inst: PathInstance, sched: Schedule,
@@ -337,9 +328,10 @@ def _walk(inst: PathInstance, sched: Schedule,
     the order of the moves.
 
     `log`, when given, is fed each departure as (epoch, node, ids,
-    landing epoch, landing node), in (time, node) order. Without it the
-    walk keeps nothing per move: what it holds when it ends is the
-    per-group state, the arrivals and the violations.
+    landing epoch, landing node), in (time, node) order; `render_table`
+    is the one caller that passes it. Without it the walk keeps nothing
+    per move: what it holds when it ends is the per-group state, the
+    arrivals and the violations.
     """
     a = inst.facility
     nodes = inst.nodes
@@ -426,8 +418,7 @@ def _walk(inst: PathInstance, sched: Schedule,
             for gid in ids:
                 arrival_time[gid] = land
 
-    trace = SimulationTrace(instance=inst, schedule=sched,
-                            arrival_time=arrival_time,
+    trace = SimulationTrace(arrival_time=arrival_time,
                             horizon=max(named_t, top))
     return trace, early + violations
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import Group, PathInstance, PackingInstance, PackingItem, Schedule
-from .model import Move
 
 _MASK = (1 << 64) - 1
 
@@ -168,12 +167,12 @@ def _fig1a() -> ExampleFixture:
     inst = PathInstance(nodes=3, facility=3, capacity=3,
                         distances=(1, 2), groups=tuple(people),
                         edge_capacities=(3, 4))
-    moves = [
-        Move(time=1, node=1, groups=("p01", "p02", "p03")),
-        Move(time=1, node=2, groups=("p05", "p06", "p07", "p08")),
-        Move(time=2, node=1, groups=("p04",)),
-        Move(time=2, node=2, groups=("p09", "p10", "p01", "p02")),
-        Move(time=3, node=2, groups=("p03", "p04")),
+    rows = [
+        (1, 1, ("p01", "p02", "p03")),
+        (1, 2, ("p05", "p06", "p07", "p08")),
+        (2, 1, ("p04",)),
+        (2, 2, ("p09", "p10", "p01", "p02")),
+        (3, 2, ("p03", "p04")),
     ]
     arrivals = {**{f"p{i:02d}": 2 for i in range(5, 9)},
                 "p09": 3, "p10": 3, "p01": 3, "p02": 3,
@@ -183,7 +182,7 @@ def _fig1a() -> ExampleFixture:
         description="ten unit singletons, per-edge capacities 3 and 4, "
                     "aggregate optimum 28 with makespan 4",
         instance=inst,
-        schedule=Schedule(moves=tuple(moves)),
+        schedule=Schedule.from_rows(rows),
         objective=28,
         arrival_times=arrivals)
 
@@ -199,20 +198,20 @@ def _fig1b() -> ExampleFixture:
     )
     inst = PathInstance(nodes=3, facility=3, capacity=3,
                         distances=(1, 2), groups=groups)
-    moves = [
-        Move(time=1, node=1, groups=("G11",)),
-        Move(time=1, node=2, groups=("G21",)),
-        Move(time=2, node=1, groups=("G12",)),
-        Move(time=2, node=2, groups=("G11",)),
-        Move(time=3, node=2, groups=("G12",)),
-        Move(time=4, node=2, groups=("G22",)),
+    rows = [
+        (1, 1, ("G11",)),
+        (1, 2, ("G21",)),
+        (2, 1, ("G12",)),
+        (2, 2, ("G11",)),
+        (3, 2, ("G12",)),
+        (4, 2, ("G22",)),
     ]
     return ExampleFixture(
         name="fig1b",
         description="four weighted groups on two origin nodes, "
                     "minsum optimum 52",
         instance=inst,
-        schedule=Schedule(moves=tuple(moves)),
+        schedule=Schedule.from_rows(rows),
         objective=52,
         arrival_times={"G21": 2, "G11": 3, "G12": 4, "G22": 5})
 

@@ -204,15 +204,17 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
         total = value(init)
     finally:
         del value   # it refers to itself through its cell
-    moves: dict[tuple[int, int], tuple[str, ...]] = {}
+    # t ascends, and a combo holds its nodes in ascending order, so the
+    # rows come in (time, node) order
+    rows = []
     state = init
     t = 1
     while state in choice:  # until every group is at the facility
         combo, state = choice[state]
         for (v, chosen, _, _) in combo:
-            moves[(t, v)] = tuple(off[i].id for i in chosen)
+            rows.append((t, v, tuple(off[i].id for i in chosen)))
         t += 1
-    return total, Schedule.from_map(moves)
+    return total, Schedule.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

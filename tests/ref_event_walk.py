@@ -11,8 +11,9 @@ groups and moves at the facility.
 
 Only the packaging of its result differs from that walk: the reference
 returns its event log in a `RefEventTrace`, which carries the renderer that
-swept that log before `SimulationTrace.render_table` swept the departure
-log instead, so the table differential compares the two renderers.
+swept that log before the occupancy table (`pathevac.evac.render_table`)
+swept the departure log instead, so the table differential compares the
+two renderers.
 """
 
 from __future__ import annotations

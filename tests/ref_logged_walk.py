@@ -9,7 +9,8 @@ walk that logs only when a sink is passed.
 
 Only the packaging of its result differs from that walk: the reference
 returns its log in a `RefLoggedTrace`, where `SimulationTrace` now keeps
-the schedule and walks it again when its departures are read.
+only the arrivals and the horizon, and `render_table` walks the schedule
+again with a sink to collect the log.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ left as they were, so the differential tests can require equal schedules,
 the same bytes, and the same walk results and violations from the code
 that keeps (time, node, ids) rows. Each function reads only `moves` of the
 schedule it is given, so it runs on a `pathevac.model.Schedule` as well,
-through its `Move` view.
+through its `Move` view. The one change since is that `_walk` builds the
+`SimulationTrace` of today, which keeps only the arrivals and the horizon.
 """
 
 from __future__ import annotations
@@ -390,7 +391,6 @@ def _walk(inst: PathInstance, sched: Schedule,
             for gid in ids:
                 arrival_time[gid] = land
 
-    trace = SimulationTrace(instance=inst, schedule=sched,
-                            arrival_time=arrival_time,
+    trace = SimulationTrace(arrival_time=arrival_time,
                             horizon=max(named_t, top))
     return trace, early + violations

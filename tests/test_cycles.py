@@ -18,8 +18,8 @@ from pathevac import (GenParams, InstanceError, PackParams, PathInstance,
                       exact_dwsf_opt, exact_fractional_opt_mcf,
                       fractional_lower_bound,
                       gen_random, gen_random_packing, parse_instance,
-                      parse_schedule, serialize_instance, serialize_schedule,
-                      solve_greedy, solve_report)
+                      parse_schedule, render_table, serialize_instance,
+                      serialize_schedule, solve_greedy, solve_report)
 from pathevac.evac import check_schedule
 from pathevac.oracles import OracleBudgetExceeded
 
@@ -44,10 +44,12 @@ def _solve():
 
 
 def _validate():
-    trace, violations = check_schedule(_INST, parse_schedule(_SCHEDULE))
+    sched = parse_schedule(_SCHEDULE)
+    trace, violations = check_schedule(_INST, sched)
     assert violations == []
-    assert trace.departures
-    trace.render_table()
+    assert trace.horizon > 0
+    # a header and one row per epoch, 0 to the horizon
+    assert render_table(_INST, sched).count("\n") == trace.horizon + 1
 
 
 def _bounds():

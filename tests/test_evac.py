@@ -12,9 +12,10 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
                       pair_overflow_violations, parse_instance,
-                      parse_schedule, reduce_side, schedule_objective,
-                      serialize_instance, serialize_schedule, simulate,
-                      solve_report, validate_schedule)
+                      parse_schedule, reduce_side, render_table,
+                      schedule_objective, serialize_instance,
+                      serialize_schedule, simulate, solve_report,
+                      validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
 from ref_logged_walk import ref_logged_walk
@@ -217,7 +218,7 @@ def test_objective_requires_arrival(fixtures):
 
 def test_render_table(fixtures):
     fx = fixtures["fig1b"]
-    table = simulate(fx.instance, fx.schedule).render_table()
+    table = render_table(fx.instance, fx.schedule)
     assert table == """\
 time  node 1  node 2  node 3
    0  G11,G12  G21,G22  -
@@ -234,8 +235,7 @@ def test_render_table_fills_epochs_without_events():
     inst = gen_random(26, GenParams(nodes=4, groups=3, capacity=10,
                                     max_size=10, max_distance=6, facility=1))
     sched = solve_report(inst).schedule
-    trace = simulate(inst, sched)
-    assert trace.render_table() == """\
+    assert render_table(inst, sched) == """\
 time  node 1  node 2  node 3  node 4
    0  G1,G3  -  -  G2
    1  G1,G3  -  -  G2
@@ -257,8 +257,8 @@ def test_render_table_holds_rows_between_events(fixtures):
     # one move at epoch 5: rows 0-4 repeat the start state, G21 leaves
     # node 2 in row 5 and lands on node 3 in row 6
     inst = fixtures["fig1b"].instance
-    trace = simulate(inst, Schedule(moves=(Move(5, 2, ("G21",)),)))
-    assert trace.render_table() == """\
+    sched = Schedule(moves=(Move(5, 2, ("G21",)),))
+    assert render_table(inst, sched) == """\
 time  node 1  node 2  node 3
    0  G11,G12  G21,G22  -
    1  G11,G12  G21,G22  -
@@ -285,17 +285,18 @@ def test_two_moves_at_one_time_and_node():
         Schedule(moves=(Move(1, 2, ("G21",)), Move(1, 2, ("G22",))))
 
 
-def _assert_same_events(trace, ref_trace) -> None:
+def _assert_same_events(inst, sched, ref_trace) -> None:
     """The departure log against the reference's departure events, the log
     in landing order against its landing events, and the two renderers."""
-    deps = trace.departures
+    deps: list = []
+    _walk(inst, sched, deps.append)
     assert [(t, v, list(ids)) for t, v, ids, _land, _u in deps] \
         == [(t, v, ids) for t, v, ids, landed in ref_trace.events
             if not landed]
     assert [(land, u, list(ids)) for _t, _v, ids, land, u
             in sorted(deps, key=itemgetter(3))] \
         == [(t, v, ids) for t, v, ids, landed in ref_trace.events if landed]
-    assert trace.render_table() == ref_trace.render_table()
+    assert render_table(inst, sched) == ref_trace.render_table()
 
 
 def test_departure_log_matches_event_walk_reference(fixtures):
@@ -307,8 +308,7 @@ def test_departure_log_matches_event_walk_reference(fixtures):
     for inst, sched in ((fx.instance, fx.schedule),
                         (long_edge, solve_report(long_edge).schedule)):
         ref_trace, _ = ref_event_walk(inst, sched)
-        _assert_same_events(check_schedule(inst, sched)[0], ref_trace)
-        _assert_same_events(simulate(inst, sched), ref_trace)
+        _assert_same_events(inst, sched, ref_trace)
 
 
 def test_out_of_order_violations_keep_their_order(fixtures):
@@ -506,7 +506,7 @@ def test_solver_output_feasible_and_decomposes(inst):
 @given(inst=_instances)
 def test_occupancy_conservation(inst):
     sched = solve_report(inst).schedule
-    rows = simulate(inst, sched).render_table().splitlines()[1:]
+    rows = render_table(inst, sched).splitlines()[1:]
     for row in rows:
         t, *cells = row.split()
         ids = [gid for cell in cells if cell != "-"
@@ -657,7 +657,7 @@ def test_walk_matches_epoch_by_epoch_reference(inst, data):
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    assert trace.render_table() == render(ref_trace)
+    assert render_table(inst, sched) == render(ref_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +730,7 @@ def test_walk_matches_event_walk_reference(inst, data):
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    _assert_same_events(trace, ref_trace)
+    _assert_same_events(inst, sched, ref_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +742,13 @@ def test_walk_matches_logged_walk_reference(inst, data):
     sched = solve_report(inst).schedule
     sched = _damage(inst, _corrupt(inst, sched, data), data)
     inst = _with_edge_capacities(inst, data)
-    trace, violations = _walk(inst, sched)
+    deps: list = []
+    trace, violations = _walk(inst, sched, deps.append)
     ref_trace, ref_violations = ref_logged_walk(inst, sched)
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    assert trace.departures == ref_trace.departures
+    assert deps == ref_trace.departures
 
 
 # ---------------------------------------------------------------------------

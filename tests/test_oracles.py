@@ -14,11 +14,11 @@ from checkers import validate_packing
 from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       PackingInstance, PackingItem, PathInstance,
                       exact_dwsf_opt, exact_fractional_opt_mcf,
-                      exact_packing_opt, fractional_objective,
-                      gen_from_partition, gen_random, gen_random_packing,
-                      horizon_bound, packing_objective, schedule_objective,
-                      simulate, solve_fractional_greedy, solve_report,
-                      validate_schedule)
+                      exact_packing_opt, fractional_bound,
+                      fractional_objective, gen_from_partition, gen_random,
+                      gen_random_packing, horizon_bound, packing_objective,
+                      schedule_objective, simulate, solve_fractional_greedy,
+                      solve_greedy, solve_report, validate_schedule)
 from pathevac import oracles
 
 
@@ -225,6 +225,37 @@ def test_dwsf_opt_bounds_the_solver(inst):
     assert schedule_objective(simulate(inst, witness), inst) == opt
     greedy_objective = solve_report(inst).objective
     assert opt <= greedy_objective <= 2 * opt
+
+
+# ---------------------------------------------------------------------------
+# the factor 2 is tight for the greedy
+
+# Item `a` (size 1, weight 1) and item `b` (size C, weight C), both ready at
+# bin 2. The ratios tie, so `a` goes first, and the odd-index rule makes
+# both eligible only at bin 3: the greedy puts `a` in bin 3 and `b` in
+# bin 4, at 4C + 3, where OPT puts `b` in bin 2 and `a` in bin 3, at
+# 2C + 3. The ratio tends to 2 as C grows.
+
+@pytest.mark.parametrize("cap", [10, 100])
+def test_greedy_factor_2_is_tight_on_packing(cap):
+    inst = PackingInstance(capacity=cap, items=(
+        PackingItem("a", 1, 1, 2), PackingItem("b", cap, cap, 2)))
+    packing, _ = solve_greedy(inst)
+    assert packing.bins == {3: ("a",), 4: ("b",)}
+    assert packing_objective(packing, inst) == 4 * cap + 3
+    opt, _ = exact_packing_opt(inst)
+    assert opt == fractional_bound(inst) == 2 * cap + 3
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_greedy_factor_2_is_tight_on_a_path(d):
+    # both groups at node 1, one epoch from the bottleneck's near node 2;
+    # the bottleneck edge of length d adds 11 (d - 1) to both objectives
+    inst = PathInstance(nodes=3, facility=3, capacity=10, distances=(1, d),
+                        groups=(Group(id="a", node=1, size=1, weight=1),
+                                Group(id="b", node=1, size=10, weight=10)))
+    assert solve_report(inst).objective == 43 + 11 * (d - 1)
+    assert exact_dwsf_opt(inst)[0] == 23 + 11 * (d - 1)
 
 
 # ---------------------------------------------------------------------------
