@@ -33,10 +33,15 @@ def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
     up) would map an even tau one pair earlier, and against that looser
     relaxation the doubled fractional bound is not a valid certificate of
     the greedy (the even-tau counterexample is pinned in the tests).
+
+    Ready times 1 and 2 are already their own pair index, so the reduced
+    instance shares those (frozen) items and builds new ones only for the
+    rest.
     """
     return PackingInstance(
         capacity=inst.capacity,
-        items=tuple([PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
+        items=tuple([it if (pair := it.ready // 2 + 1) == it.ready
+                     else PackingItem(it.id, it.size, it.weight, pair)
                      for it in inst.items]),
     )
 
@@ -78,7 +83,7 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
         while space and heap:
             k = heap[0]
             it = ranked[k]
-            take = min(remaining[k], space)
+            take = remaining[k] if remaining[k] < space else space
             entries.append((it.id, j, take))
             remaining[k] -= take
             space -= take

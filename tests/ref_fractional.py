@@ -8,6 +8,11 @@ O(n log n) heap greedy; validation turns each fraction back into a mass
 fraction denominator. They are deliberately left as they were, so the
 differential tests can compare the mass entries with them entry for
 entry (mass = fraction × size) and violation for violation.
+
+`reduced_ready_times` is the reduction as it was while it rebuilt every
+item, even one whose ready time is already its pair index; the
+differential test requires the same instance from the one that shares
+those items.
 """
 
 from __future__ import annotations
@@ -15,10 +20,19 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from pathevac.model import FractionalPacking, PackingInstance
+from pathevac.model import FractionalPacking, PackingInstance, PackingItem
 from pathevac.packing import ratio_order
 
 _ONE = Fraction(1)
+
+
+def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
+    """Same items with each ready time reduced to its pair index."""
+    return PackingInstance(
+        capacity=inst.capacity,
+        items=tuple([PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
+                     for it in inst.items]),
+    )
 
 
 def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:

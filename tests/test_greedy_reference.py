@@ -3,7 +3,8 @@
 `ref_greedy` keeps the greedy packer, the fractional greedy and the
 fractional validation as they were before the heap rewrite, and
 `ref_fractional` keeps the heap versions of the last three as they were
-while an entry carried a fraction and not a mass. The versions must agree
+while an entry carried a fraction and not a mass, and the ready-time
+reduction as it was while it rebuilt every item. The versions must agree
 packing for packing (the reference's dense bins with the empty ones
 dropped), trace step for trace step (the new steps keep bin, action and
 item; the rendered text is compared whole), entry for entry (mass =
@@ -116,6 +117,23 @@ def test_fractional_greedy_matches_reference(inst):
             ref_fp = ref.solve_fractional_greedy(variant)
             assert fp == ref_fractional.to_masses(ref_fp, variant)
             assert value == ref.fractional_objective(ref_fp, variant)
+
+
+# ready times 0 to 6: only 1 and 2 are their own pair index; 0 maps to 1
+_READY_0_TO_6 = PackingInstance(capacity=4, items=_items(
+    *((1 + r % 3, 1 + r, r) for r in range(7))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=packing_instances())
+@_with_examples
+@example(inst=_READY_0_TO_6)
+def test_reduced_ready_times_matches_reference(inst):
+    out = reduced_ready_times(inst)
+    assert out == ref_fractional.reduced_ready_times(inst)
+    # an item whose ready time is its pair index is shared, not copied
+    for it, red in zip(inst.items, out.items):
+        assert (red is it) == (it.ready in (1, 2))
 
 
 def _same_verdict(fp, ref_fp, inst):
