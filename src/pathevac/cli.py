@@ -52,11 +52,11 @@ def _cmd_solve(args) -> int:
              report.left_reduction),
             ("right", report.right_packing, report.right_instance,
              report.right_reduction)):
-        if not pinst.items:
+        if not pinst.ids:
             print(f"{side}: empty")
             continue
         obj = packing_objective(packing, pinst)
-        print(f"{side}: {len(pinst.items)} groups in {max(packing.bins)} "
+        print(f"{side}: {len(pinst.ids)} groups in {max(packing.bins)} "
               f"bins, packing objective {obj}, delay cost {red.delay_cost}")
     if args.trace:
         for side, trace in (("left", report.left_trace),
@@ -168,7 +168,7 @@ def _cmd_gen(args) -> int:
 def _bench_packing(seed: int, args):
     """Item count and greedy, bound and oracle calls of a packing row."""
     pinst = instances.gen_random_packing(seed, _pack_params(args))
-    return (len(pinst.items),
+    return (len(pinst.ids),
             lambda: packing_objective(solve_greedy(pinst)[0], pinst),
             lambda: relax.fractional_bound(pinst),
             lambda: oracles.exact_packing_opt(pinst)[0])

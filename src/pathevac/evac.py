@@ -16,8 +16,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from . import relax
-from .model import (Packing, PackingInstance, PackingItem, PathInstance,
-                    Row, Schedule)
+from .model import Packing, PackingInstance, PathInstance, Row, Schedule
 from .packing import GreedyTrace, packing_objective, solve_greedy
 
 
@@ -54,9 +53,11 @@ def reduce_side(inst: PathInstance, side: str) \
     """Turn one side of the facility into a ready-time packing instance.
 
     Item sizes and weights carry over; ready time is the prefix distance to
-    the bottleneck's near node plus one. An empty side reduces to an empty
-    instance with zero delay cost. The reduction assumes one capacity on
-    every edge, so per-edge overrides raise NonUniformCapacityError.
+    the bottleneck's near node plus one. The side's groups become the four
+    columns of the packing instance, built once here; no `PackingItem` is
+    built. An empty side reduces to an empty instance with zero delay
+    cost. The reduction assumes one capacity on every edge, so per-edge
+    overrides raise NonUniformCapacityError.
     """
     if not inst.is_uniform:
         raise NonUniformCapacityError(
@@ -74,16 +75,17 @@ def reduce_side(inst: PathInstance, side: str) \
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not groups:
-        return (PackingInstance(capacity=inst.capacity, items=()),
+        return (PackingInstance.from_columns(inst.capacity, (), (), (), ()),
                 SideReduction(delay_cost=0))
     pos = _positions(inst)
     at_near = pos[near]
-    items = tuple([PackingItem(g.id, g.size, g.weight,
-                               abs(pos[g.node] - at_near) + 1)
-                   for g in groups])
-    weight_sum = sum(g.weight for g in groups)
-    return (PackingInstance(capacity=inst.capacity, items=items),
-            SideReduction(delay_cost=(inst.distance(edge) - 1) * weight_sum))
+    weights = tuple([g.weight for g in groups])
+    pinst = PackingInstance.from_columns(
+        inst.capacity, tuple([g.id for g in groups]),
+        tuple([g.size for g in groups]), weights,
+        tuple([abs(pos[g.node] - at_near) + 1 for g in groups]))
+    return (pinst, SideReduction(
+        delay_cost=(inst.distance(edge) - 1) * sum(weights)))
 
 
 def fractional_lower_bound(inst: PathInstance,
@@ -96,7 +98,7 @@ def fractional_lower_bound(inst: PathInstance,
     total = Fraction(0)
     for side in ("left", "right"):
         pinst, red = reduce_side(inst, side)
-        if pinst.items:
+        if pinst.ids:
             total += relax.fractional_bound(pinst, reduced_tau) \
                 + red.delay_cost
     return total

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Group, PathInstance, PackingInstance, PackingItem, Schedule
+from .model import Group, PathInstance, PackingInstance, Schedule
 
 _MASK = (1 << 64) - 1
 
@@ -108,13 +108,16 @@ def gen_random_packing(seed: int, params: PackParams = PackParams()) \
     rng = SplitMix64(seed)
     max_size = min(params.max_size or params.capacity, params.capacity)
     width = len(str(params.items))
-    items = tuple(PackingItem(
-        id=f"I{i:0{width}d}",
-        size=rng.randint(1, max_size),
-        weight=rng.randint(1, params.max_weight),
-        ready=rng.randint(1, params.max_ready))
-        for i in range(1, params.items + 1))
-    return PackingInstance(capacity=params.capacity, items=items)
+    sizes, weights, ready = [], [], []
+    for _ in range(params.items):
+        # one item's size, weight and ready time, drawn in that order
+        sizes.append(rng.randint(1, max_size))
+        weights.append(rng.randint(1, params.max_weight))
+        ready.append(rng.randint(1, params.max_ready))
+    return PackingInstance.from_columns(
+        params.capacity,
+        tuple([f"I{i:0{width}d}" for i in range(1, params.items + 1)]),
+        tuple(sizes), tuple(weights), tuple(ready))
 
 
 def gen_from_partition(values: Sequence[int]) -> PathInstance:

@@ -30,10 +30,11 @@ class InstanceError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# The value types built once per group or item (`Group`, `PackingItem`) are
-# frozen, slotted dataclasses whose `__init__` is written by hand: it fills
-# each slot through the slot's own member descriptor, bound once after the
-# class, where the generated one calls `object.__setattr__` per field.
+# The value types built once per group or item (`Group`, `PackingItem`) and
+# the packing side's columns (`PackingInstance`) are frozen, slotted
+# dataclasses whose `__init__` is written by hand: it fills each slot
+# through the slot's own member descriptor, bound once after the class,
+# where the generated one calls `object.__setattr__` per field.
 # Everything else (the fields, the frozen `__setattr__`, equality, hash,
 # repr and `dataclasses.replace`) is the dataclass's own.
 
@@ -119,17 +120,69 @@ _item_weight = PackingItem.weight.__set__
 _item_ready = PackingItem.ready.__set__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PackingInstance:
-    capacity: int
-    items: tuple[PackingItem, ...]
+    """Items to pack into bins of one capacity, held as four parallel
+    columns: entry k of `ids`, `sizes`, `weights` and `ready` is item k.
 
-    def item_by_id(self) -> dict[str, PackingItem]:
-        return {it.id: it for it in self.items}
+    `reduce_side` builds one from a side's groups with `from_columns`,
+    and the solvers, the pours and the checks of `pathevac.packing` and
+    `pathevac.relax` index the columns. `PackingInstance(capacity=...,
+    items=...)` builds one from `PackingItem`s, and `items` builds the
+    `PackingItem`s on each read, so only the readers, the tests and that
+    view build one.
+    """
+
+    capacity: int
+    # not `__init__` parameters, so `dataclasses.replace(inst, items=...)`
+    # goes through the constructor
+    ids: tuple[str, ...] = field(init=False)
+    sizes: tuple[int, ...] = field(init=False)
+    weights: tuple[int, ...] = field(init=False)
+    ready: tuple[int, ...] = field(init=False)  # earliest bin, >= 1
+
+    def __init__(self, capacity: int, items: Iterable[PackingItem]) -> None:
+        items = tuple(items)
+        _pinst_capacity(self, capacity)
+        _pinst_ids(self, tuple([it.id for it in items]))
+        _pinst_sizes(self, tuple([it.size for it in items]))
+        _pinst_weights(self, tuple([it.weight for it in items]))
+        _pinst_ready(self, tuple([it.ready for it in items]))
+
+    @classmethod
+    def from_columns(cls, capacity: int, ids: tuple[str, ...],
+                     sizes: tuple[int, ...], weights: tuple[int, ...],
+                     ready: tuple[int, ...]) -> "PackingInstance":
+        """Build from the four columns, kept as given: tuples of one
+        length, the ids distinct."""
+        inst = object.__new__(cls)
+        _pinst_capacity(inst, capacity)
+        _pinst_ids(inst, ids)
+        _pinst_sizes(inst, sizes)
+        _pinst_weights(inst, weights)
+        _pinst_ready(inst, ready)
+        return inst
+
+    @property
+    def items(self) -> tuple[PackingItem, ...]:
+        """The columns as `PackingItem`s, built anew on each read."""
+        return tuple(map(PackingItem, self.ids, self.sizes, self.weights,
+                         self.ready))
+
+    def positions(self) -> dict[str, int]:
+        """Item id -> the item's position in the columns."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def total_size(self) -> int:
-        return sum(it.size for it in self.items)
+        return sum(self.sizes)
+
+
+_pinst_capacity = PackingInstance.capacity.__set__
+_pinst_ids = PackingInstance.ids.__set__
+_pinst_sizes = PackingInstance.sizes.__set__
+_pinst_weights = PackingInstance.weights.__set__
+_pinst_ready = PackingInstance.ready.__set__
 
 
 @dataclass(frozen=True)
@@ -549,9 +602,11 @@ def serialize_packing_instance(inst: PackingInstance) -> str:
     """The canonical packing-instance text, the same bytes as `_dumps` of
     {"capacity", "items": [{"id", "size", "weight", "ready"}, ...]},
     written directly for the reason `serialize_schedule` is."""
-    items = [f'    {{\n      "id": {encode_basestring(it.id)},\n'
-             f'      "size": {it.size},\n      "weight": {it.weight},\n'
-             f'      "ready": {it.ready}\n    }}' for it in inst.items]
+    items = [f'    {{\n      "id": {encode_basestring(iid)},\n'
+             f'      "size": {size},\n      "weight": {weight},\n'
+             f'      "ready": {ready}\n    }}'
+             for iid, size, weight, ready in zip(
+                 inst.ids, inst.sizes, inst.weights, inst.ready)]
     return (f'{{\n  "capacity": {inst.capacity},\n'
             f'  "items": {_array(items)}\n}}\n')
 

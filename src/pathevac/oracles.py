@@ -29,9 +29,9 @@ def horizon_bound(inst: PackingInstance) -> int:
     the m + 1 bin indices from max ready to the bound one is empty, and any
     packing reaching past the bound can shift its latest bin down into it.
     """
-    if not inst.items:
+    if not inst.ids:
         return 0
-    return max(it.ready for it in inst.items) + len(inst.items)
+    return max(inst.ready) + len(inst.ids)
 
 
 def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
@@ -39,7 +39,7 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
 
     Searches bins 1..horizon_bound(inst), which contain some optimum.
     """
-    m = len(inst.items)
+    m = len(inst.ids)
     if m > 15:
         raise OracleBudgetExceeded(f"{m} items exceeds the 15-item budget")
     if m == 0:
@@ -48,13 +48,10 @@ def exact_packing_opt(inst: PackingInstance) -> tuple[int, Packing]:
     if t_max > 64:
         raise OracleBudgetExceeded(f"horizon {t_max} exceeds the 64-bin budget")
     value, assignment = kernels.solve_packing_dp(
-        [it.size for it in inst.items],
-        [it.weight for it in inst.items],
-        [it.ready for it in inst.items],
-        inst.capacity, t_max)
+        inst.sizes, inst.weights, inst.ready, inst.capacity, t_max)
     bins: dict[int, list[str]] = {}
-    for it, b in zip(inst.items, assignment):
-        bins.setdefault(b, []).append(it.id)
+    for iid, b in zip(inst.ids, assignment):
+        bins.setdefault(b, []).append(iid)
     return value, Packing(bins={b: tuple(bins[b]) for b in sorted(bins)})
 
 
@@ -290,27 +287,27 @@ def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
     transportation polytope has integral vertices, so the flow optimum
     equals the linear-program optimum).
     """
-    items = inst.items
-    m = len(items)
+    sizes = inst.sizes
+    m = len(sizes)
     if m == 0:
         return Fraction(0)
     total_size = inst.total_size
-    t_max = max(it.ready for it in items) + \
-        -(-total_size // inst.capacity)  # ceil division
+    t_max = max(inst.ready) + -(-total_size // inst.capacity)  # ceil division
     if m * t_max > 500_000:
         raise OracleBudgetExceeded(f"{m} items x {t_max} bins exceeds the "
                                    "flow-network budget")
-    scale = math.lcm(*(it.size for it in items))
-    first = min(it.ready for it in items)
+    scale = math.lcm(*sizes)
+    first = min(inst.ready)
     bin_node = m + 1 - first  # node of bin j is bin_node + j
     s = 0
     sink = bin_node + t_max + 1
     arcs = []
-    for i, it in enumerate(items):
-        arcs.append((s, 1 + i, it.size, 0))
-        unit = it.weight * (scale // it.size)
-        arcs.extend((1 + i, bin_node + j, it.size, j * unit)
-                    for j in range(it.ready, t_max + 1))
+    for i, (size, weight, ready) in enumerate(zip(sizes, inst.weights,
+                                                  inst.ready)):
+        arcs.append((s, 1 + i, size, 0))
+        unit = weight * (scale // size)
+        arcs.extend((1 + i, bin_node + j, size, j * unit)
+                    for j in range(ready, t_max + 1))
     arcs.extend((bin_node + j, sink, inst.capacity, 0)
                 for j in range(first, t_max + 1))
     flow, cost = _min_cost_flow(sink + 1, arcs, s, sink, total_size)

@@ -7,7 +7,9 @@ always placing the eligible item with the largest weight/size ratio, and
 closes the current bin the first time that item does not fit. Ratios are
 compared exactly after reducing each weight/size by its gcd; equal ratios
 go in instance order. Ranking once and keeping the eligible items in a
-heap makes the greedy O(n log n) in the number of items.
+heap makes the greedy O(n log n) in the number of items. Everything here
+reads a `PackingInstance` as its columns (ids, sizes, weights, ready
+times), through an id -> entry dict where it looks an item up.
 
 Eligibility is deliberately coarser than the ready times: an item with ready
 time r becomes eligible at the smallest odd bin index >= r. Aligning every
@@ -18,13 +20,14 @@ against the fractional relaxation.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heappop, heappush
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .model import Packing, PackingInstance, PackingItem
+from .model import Packing, PackingInstance
 
 
 def eligibility_threshold(ready: int) -> int:
@@ -37,7 +40,9 @@ def eligibility_threshold(ready: int) -> int:
 class GreedyStep(NamedTuple):
     """One decision of the greedy: place an item, close a bin, or jump.
 
-    A step is the decision alone, so recording it costs one 3-tuple.
+    A step is the decision alone, so recording it costs one 3-tuple; the
+    greedy builds it with `tuple.__new__`, at about half the cost of the
+    NamedTuple's own `__new__`.
     """
 
     bin: int
@@ -55,12 +60,16 @@ class GreedyTrace:
     def render(self) -> str:
         """Line-oriented dump, one decision per line.
 
-        Weights, sizes and the capacity come from the instance. A bin's
-        load is the running sum of sizes placed since the last close or
-        jump, and a jump goes to the next step's bin, where it places.
+        Weights, sizes and the capacity come from the instance's columns.
+        A bin's load is the running sum of sizes placed since the last
+        close or jump, and a jump goes to the next step's bin, where it
+        places.
         """
-        by_id = self.instance.item_by_id()
-        cap = self.instance.capacity
+        inst = self.instance
+        at = inst.positions()
+        sizes = inst.sizes
+        weights = inst.weights
+        cap = inst.capacity
         lines = []
         load = 0
         for k, (j, action, item_id) in enumerate(self.steps):
@@ -69,66 +78,84 @@ class GreedyTrace:
                           f"{self.steps[k + 1].bin}")
                 load = 0
             elif action == "close":
-                size = by_id[item_id].size
+                size = sizes[at[item_id]]
                 detail = f"close ({item_id} does not fit: {load}+{size}>{cap})"
                 load = 0
             else:
-                it = by_id[item_id]
-                load += it.size
-                detail = (f"place {item_id} (ratio {it.weight}/{it.size}, "
+                i = at[item_id]
+                size = sizes[i]
+                load += size
+                detail = (f"place {item_id} (ratio {weights[i]}/{size}, "
                           f"load {load}/{cap})")
             lines.append(f"bin {j}: {action} {detail}")
         return "\n".join(lines)
 
 
-def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
-    """The items by weight/size ratio, largest first, ties in instance order.
+def ratio_ranking(weights: Sequence[int], sizes: Sequence[int]) -> list[int]:
+    """The item positions by weight/size ratio, largest first, ties in
+    instance order.
 
     Each (weight, size) is reduced by its gcd, so 1/2, 2/4 and 3/6 are one
     ratio. Only the distinct ratios are compared, by integer cross-products;
-    the stable sort of the indices by ratio rank keeps instance order within
-    a tie.
+    the stable sort of the positions by ratio rank keeps instance order
+    within a tie.
     """
     keys = []
-    for it in items:
-        g = gcd(it.weight, it.size)
-        keys.append((it.weight // g, it.size // g))
+    append = keys.append
+    for w, s in zip(weights, sizes):
+        g = gcd(w, s)
+        append((w // g, s // g))
     # a before b when a's ratio is larger: w_a * s_b > w_b * s_a
     distinct = sorted(set(keys), key=cmp_to_key(
         lambda a, b: b[0] * a[1] - a[0] * b[1]))
     rank = {k: r for r, k in enumerate(distinct)}
-    ranks = [rank[k] for k in keys]
-    return [items[i] for i in sorted(range(len(items)),
-                                     key=ranks.__getitem__)]
+    ranks = list(map(rank.__getitem__, keys))
+    return sorted(range(len(ranks)), key=ranks.__getitem__)
+
+
+# a step as `GreedyStep(bin, action, item)` builds it, without the
+# Python-level `__new__` of the NamedTuple
+_step = tuple.__new__
 
 
 def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
     """Deterministic greedy packing in O(n log n) for n items.
 
-    Items are ranked once by `ratio_order`: largest weight/size ratio first,
-    exact ratio ties toward the earlier item in instance order. A pointer
-    over the items sorted by eligibility threshold admits them into a heap
-    of ranks as the bin index reaches their threshold, and the heap's top is
-    the item to place, so the heap holds exactly the eligible items. When it
-    is empty the index jumps straight to the threshold at the pointer, the
-    smallest among the rest. Replaying the returned trace reproduces the
-    packing. An item larger than the capacity fits no bin and raises
-    ValueError.
+    The greedy reads the instance's columns and builds no `PackingItem`.
+    Items are ranked once by `ratio_ranking` over the weight and size
+    columns: largest weight/size ratio first, exact ratio ties toward the
+    earlier item in instance order. A pointer over the items sorted by
+    eligibility threshold admits them into a heap of ranks as the bin
+    index reaches their threshold, and the heap's top is the item to
+    place, so the heap holds exactly the eligible items. When it is empty
+    the index jumps straight to the threshold at the pointer, the smallest
+    among the rest. Replaying the returned trace reproduces the packing.
+    An item larger than the capacity fits no bin and raises ValueError.
     """
     cap = inst.capacity
-    for it in inst.items:
-        if it.size > cap:
-            raise ValueError(f"item {it.id!r} of size {it.size} exceeds "
-                             f"the bin capacity {cap}")
-    # positions in `ranked` stand for items: the smallest is the best
-    ranked = ratio_order(inst.items)
-    n = len(ranked)
-    thresholds = [eligibility_threshold(it.ready) for it in ranked]
+    ids = inst.ids
+    sizes = inst.sizes
+    ready = inst.ready
+    if sizes and max(sizes) > cap:
+        k = next(k for k, s in enumerate(sizes) if s > cap)
+        raise ValueError(f"item {ids[k]!r} of size {sizes[k]} exceeds "
+                         f"the bin capacity {cap}")
+    # ranks stand for items: the smallest is the best
+    order = ratio_ranking(inst.weights, sizes)
+    n = len(order)
+    if ready and min(ready) < 1:
+        for i in order:     # raises on the best-ranked bad ready time
+            eligibility_threshold(ready[i])
+    r_ids = [ids[i] for i in order]
+    r_sizes = [sizes[i] for i in order]
+    # `eligibility_threshold` of each ready time, all >= 1 here
+    thresholds = [ready[i] | 1 for i in order]
     by_threshold = sorted(range(n), key=thresholds.__getitem__)
     p = 0
     heap: list[int] = []
     bins: dict[int, list[str]] = {}
     steps: list[GreedyStep] = []
+    record = steps.append
     j = 1
     load = 0
     while p < n or heap:
@@ -136,40 +163,46 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
             heappush(heap, by_threshold[p])
             p += 1
         if not heap:
-            steps.append(GreedyStep(j, "jump", None))
+            record(_step(GreedyStep, (j, "jump", None)))
             j = thresholds[by_threshold[p]]
             load = 0
             continue
-        it = ranked[heap[0]]
-        if load + it.size > cap:
-            steps.append(GreedyStep(j, "close", it.id))
+        r = heap[0]
+        iid = r_ids[r]
+        size = r_sizes[r]
+        if load + size > cap:
+            record(_step(GreedyStep, (j, "close", iid)))
             j += 1
             load = 0
             continue
-        steps.append(GreedyStep(j, "place", it.id))
+        record(_step(GreedyStep, (j, "place", iid)))
         heappop(heap)
-        bins.setdefault(j, []).append(it.id)
-        load += it.size
-    packing = Packing(bins={b: tuple(ids) for b, ids in bins.items()})
+        bin_ = bins.get(j)
+        if bin_ is None:
+            bins[j] = [iid]
+        else:
+            bin_.append(iid)
+        load += size
+    packing = Packing(bins={b: tuple(bin_) for b, bin_ in bins.items()})
     return packing, GreedyTrace(inst, tuple(steps))
 
 
-def _require_known(by_id: dict[str, PackingItem], ids: Sequence[str],
+def _require_known(known: Container[str], ids: Sequence[str],
                    j: int) -> None:
     """Raise ValueError naming the first id of bin j the instance lacks."""
     for item_id in ids:
-        if item_id not in by_id:
+        if item_id not in known:
             raise ValueError(f"unknown item {item_id!r} in bin {j}")
 
 
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:
     """Sum of weight * bin index over all packed items."""
-    by_id = inst.item_by_id()
+    weight = dict(zip(inst.ids, inst.weights))
     total = 0
     for j, bin_ in packing.bins.items():
-        _require_known(by_id, bin_, j)
+        _require_known(weight, bin_, j)
         for item_id in bin_:
-            total += by_id[item_id].weight * j
+            total += weight[item_id] * j
     return total
 
 
@@ -180,15 +213,15 @@ def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[st
     bins, so an item can only land in bin 2j after some item failed to fit
     in bin 2j-1, and that item is packed no later than bin 2j.
     """
-    by_id = inst.item_by_id()
+    size_of = dict(zip(inst.ids, inst.sizes))
     violations: list[str] = []
     for j, even in packing.bins.items():
         if j % 2 or not even:
             continue
         odd = packing.bins.get(j - 1, ())
-        _require_known(by_id, odd, j - 1)
-        _require_known(by_id, even, j)
-        size = sum(by_id[i].size for i in odd) + sum(by_id[i].size for i in even)
+        _require_known(size_of, odd, j - 1)
+        _require_known(size_of, even, j)
+        size = sum(size_of[i] for i in odd) + sum(size_of[i] for i in even)
         if size <= inst.capacity:
             violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "
                               f"{size} <= capacity {inst.capacity}")

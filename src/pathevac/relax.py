@@ -13,16 +13,17 @@ The fractional greedy ranks items by the integral greedy's rule (exact
 reduced weight/size ratio, then instance order) and runs in O(n log n) in
 the number of items. An entry carries the mass poured into its bin, an
 integer, so validation adds integers and a `Fraction` appears only in the
-objective, one per item size.
+objective, once per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 
-from .model import FractionalPacking, PackingInstance, PackingItem
-from .packing import ratio_order
+from .model import FractionalPacking, PackingInstance
+from .packing import ratio_ranking
 
 
 def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
@@ -34,16 +35,12 @@ def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
     relaxation the doubled fractional bound is not a valid certificate of
     the greedy (the even-tau counterexample is pinned in the tests).
 
-    Ready times 1 and 2 are already their own pair index, so the reduced
-    instance shares those (frozen) items and builds new ones only for the
-    rest.
+    The reduced instance shares the `ids`, `sizes` and `weights` columns
+    and maps the `ready` column alone; no `PackingItem` is built.
     """
-    return PackingInstance(
-        capacity=inst.capacity,
-        items=tuple([it if (pair := it.ready // 2 + 1) == it.ready
-                     else PackingItem(it.id, it.size, it.weight, pair)
-                     for it in inst.items]),
-    )
+    return PackingInstance.from_columns(
+        inst.capacity, inst.ids, inst.sizes, inst.weights,
+        tuple([r // 2 + 1 for r in inst.ready]))
 
 
 def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
@@ -51,44 +48,53 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
 
     Each bin is filled to capacity (or until no ready mass is left) from the
     ready items of the highest remaining ratio; ties break toward the
-    earlier item in instance order (`packing.ratio_order`, the greedy's
+    earlier item in instance order (`packing.ratio_ranking`, the greedy's
     rule). This greedy is optimal for the relaxation: if two bins carry mass
     against the ratio order, both items were ready at the earlier bin (the
     greedy never defers ready mass), so swapping equal mass between them
     keeps feasibility and does not increase cost.
 
-    Sizes and the capacity are integers, so every poured mass is one too,
-    and each entry carries it as it is: items enter a heap of ratio ranks
-    when the bin index reaches their ready time, and the index jumps to the
-    next ready time when the heap is empty.
+    The pour reads the instance's columns. Sizes and the capacity are
+    integers, so every poured mass is one too, and each entry carries it
+    as it is: items enter a heap of ratio ranks when the bin index reaches
+    their ready time, and the index jumps to the next ready time when the
+    heap is empty.
     """
-    # positions in `ranked` stand for items: the smallest is the best
-    ranked = ratio_order(inst.items)
-    n = len(ranked)
-    ready = [it.ready for it in ranked]
-    by_ready = sorted(range(n), key=ready.__getitem__)
-    remaining = [it.size for it in ranked]
+    ids = inst.ids
+    sizes = inst.sizes
+    ready = inst.ready
+    # ranks stand for items: the smallest is the best
+    order = ratio_ranking(inst.weights, sizes)
+    n = len(order)
+    r_ids = [ids[i] for i in order]
+    r_ready = [ready[i] for i in order]
+    remaining = [sizes[i] for i in order]
+    by_ready = sorted(range(n), key=r_ready.__getitem__)
+    cap = inst.capacity
     p = 0
     heap: list[int] = []
     entries: list[tuple[str, int, int]] = []
+    pour = entries.append
     j = 1
     while p < n or heap:
-        while p < n and ready[by_ready[p]] <= j:
+        while p < n and r_ready[by_ready[p]] <= j:
             heappush(heap, by_ready[p])
             p += 1
         if not heap:
-            j = ready[by_ready[p]]
+            j = r_ready[by_ready[p]]
             continue
-        space = inst.capacity
+        space = cap
         while space and heap:
             k = heap[0]
-            it = ranked[k]
-            take = remaining[k] if remaining[k] < space else space
-            entries.append((it.id, j, take))
-            remaining[k] -= take
-            space -= take
-            if not remaining[k]:
+            left = remaining[k]
+            if left <= space:
+                pour((r_ids[k], j, left))
+                space -= left
                 heappop(heap)
+            else:
+                pour((r_ids[k], j, space))
+                remaining[k] = left - space
+                space = 0
         j += 1
     return FractionalPacking(entries=tuple(entries))
 
@@ -96,30 +102,35 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
 def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[str]:
     """All constraint violations of a fractional packing; empty means feasible.
 
-    Per-item and per-bin masses add up as they come: ints from the pour,
-    `Fraction`s only where a hand-built packing splits a mass. Messages
-    show a mass as its fraction of the item's size.
+    Each entry finds its item's size and ready time in the instance's
+    columns through one id -> position dict. Per-item and per-bin masses
+    add up as they come: ints from the pour, `Fraction`s only where a
+    hand-built packing splits a mass. Messages show a mass as its fraction
+    of the item's size.
     """
-    by_id = inst.item_by_id()
+    ids = inst.ids
+    at = inst.positions()
+    sizes = inst.sizes
+    ready = inst.ready
     violations: list[str] = []
-    assigned: dict[str, int | Fraction] = {it.id: 0 for it in inst.items}
+    assigned: list[int | Fraction] = [0] * len(ids)
     loads: dict[int, int | Fraction] = {}
     for item_id, j, mass in fp.entries:
-        it = by_id.get(item_id)
-        if it is None:
+        k = at.get(item_id)
+        if k is None:
             violations.append(f"unknown item: {item_id!r}")
             continue
-        if mass <= 0 or mass > it.size:
+        size = sizes[k]
+        if mass <= 0 or mass > size:
             violations.append(f"fraction: item {item_id!r} carries "
-                              f"{Fraction(mass, it.size)} outside (0, 1]")
+                              f"{Fraction(mass, size)} outside (0, 1]")
             continue
-        if j < it.ready:
+        if j < ready[k]:
             violations.append(f"ready time: item {item_id!r} has mass in bin "
-                              f"{j} before ready time {it.ready}")
-        assigned[item_id] += mass
+                              f"{j} before ready time {ready[k]}")
+        assigned[k] += mass
         loads[j] = loads.get(j, 0) + mass
-    for item_id, mass in assigned.items():
-        size = by_id[item_id].size
+    for item_id, mass, size in zip(ids, assigned, sizes):
         if mass != size:
             violations.append(f"conservation: item {item_id!r} assigns total "
                               f"fraction {Fraction(mass, size)}, expected 1")
@@ -135,18 +146,24 @@ def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fracti
 
     Rejects infeasible input, naming the violated constraint. An entry
     costs j * weight * mass / size, so the sum is kept as one numerator per
-    item size and only the distinct sizes meet as `Fraction`s.
+    item size, and the numerators meet over the lcm of the distinct sizes:
+    one `Fraction` is built, where a sum of one `Fraction` per size builds
+    and adds several.
     """
     violations = validate_fractional(fp, inst)
     if violations:
         raise ValueError(f"infeasible fractional packing: {violations[0]}")
-    by_id = inst.item_by_id()
+    at = inst.positions()
+    sizes = inst.sizes
+    weights = inst.weights
     by_size: dict[int, int | Fraction] = {}
     for i, j, mass in fp.entries:
-        it = by_id[i]
-        by_size[it.size] = by_size.get(it.size, 0) + j * it.weight * mass
-    return sum((Fraction(num, size) for size, num in by_size.items()),
-               start=Fraction(0))
+        k = at[i]
+        size = sizes[k]
+        by_size[size] = by_size.get(size, 0) + j * weights[k] * mass
+    den = lcm(*by_size)
+    return Fraction(sum([num * (den // size) for size, num in by_size.items()]),
+                    den)
 
 
 def fractional_bound(inst: PackingInstance,

@@ -16,7 +16,7 @@ from ref_field_checks import _is_mapping, _loads
 
 def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
     """Re-execute a trace. The result must equal the original packing."""
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     bins: dict[int, list[str]] = {}
     placed: set[str] = set()
     for step in trace.steps:
@@ -36,7 +36,7 @@ def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
 
 def validate_packing(packing: Packing, inst: PackingInstance) -> list[str]:
     """All constraint violations of a packing; empty means feasible."""
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     violations: list[str] = []
     seen: dict[str, int] = {}
     for j, bin_ in packing.bins.items():
@@ -83,7 +83,7 @@ def paired_view(packing: Packing, inst: PackingInstance) \
     under halved ready times is at least this value, and the greedy
     objective is at most twice it.
     """
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     pairs: dict[int, list[str]] = {}
     for j, bin_ in packing.bins.items():
         _require_known(by_id, bin_, j)

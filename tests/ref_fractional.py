@@ -12,7 +12,7 @@ entry (mass = fraction × size) and violation for violation.
 `reduced_ready_times` is the reduction as it was while it rebuilt every
 item, even one whose ready time is already its pair index; the
 differential test requires the same instance from the one that shares
-those items.
+the id, size and weight columns and maps only the ready times.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from pathevac.model import FractionalPacking, PackingInstance, PackingItem
-from pathevac.packing import ratio_order
+from ref_items import ratio_order
 
 _ONE = Fraction(1)
 
@@ -40,7 +40,7 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
 
     Each bin is filled to capacity (or until no ready mass is left) from the
     ready items of the highest remaining ratio; ties break toward the
-    earlier item in instance order (`packing.ratio_order`, the greedy's
+    earlier item in instance order (`ref_items.ratio_order`, the greedy's
     rule). This greedy is optimal for the relaxation: if two bins carry mass
     against the ratio order, both items were ready at the earlier bin (the
     greedy never defers ready mass), so swapping equal mass between them
@@ -89,7 +89,7 @@ def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[st
     Per-item and per-bin masses (fraction times size) add up as ints while
     they are whole and fall back to `Fraction` otherwise.
     """
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     violations: list[str] = []
     assigned: dict[str, int | Fraction] = {it.id: 0 for it in inst.items}
     loads: dict[int, int | Fraction] = {}

@@ -143,7 +143,7 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
 
 def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[str]:
     """All constraint violations of a fractional packing; empty means feasible."""
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     violations: list[str] = []
     assigned: dict[str, Fraction] = {it.id: Fraction(0) for it in inst.items}
     loads: dict[int, Fraction] = {}
@@ -180,6 +180,6 @@ def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fracti
     violations = validate_fractional(fp, inst)
     if violations:
         raise ValueError(f"infeasible fractional packing: {violations[0]}")
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     return sum((Fraction(j) * by_id[i].weight * frac
                 for i, j, frac in fp.entries), start=Fraction(0))

@@ -21,7 +21,7 @@ from ref_greedy import RefPacking as Packing
 
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:
     """Sum of weight * bin index over all packed items."""
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     total = 0
     for j, bin_ in enumerate(packing.bins, start=1):
         for item_id in bin_:
@@ -38,7 +38,7 @@ def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[st
     bins, so an item can only land in bin 2j after some item failed to fit
     in bin 2j-1, and that item is packed no later than bin 2j.
     """
-    by_id = inst.item_by_id()
+    by_id = {it.id: it for it in inst.items}
     violations: list[str] = []
     npairs = (len(packing.bins) + 1) // 2
     for p in range(1, npairs + 1):

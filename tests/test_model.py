@@ -300,6 +300,37 @@ def test_packing_instance_round_trip():
         == serialize_packing_instance(inst)
 
 
+def test_packing_instance_is_columns_with_an_items_view():
+    items = (PackingItem("a", 3, 5, 1), PackingItem("é", 2, 1, 3))
+    inst = PackingInstance(capacity=4, items=items)
+    columns = (("a", "é"), (3, 2), (5, 1), (1, 3))
+    assert (inst.ids, inst.sizes, inst.weights, inst.ready) == columns
+    # both constructors give one instance, and the view gives the items
+    # back, built anew on each read
+    same = (PackingInstance.from_columns(4, *columns),
+            PackingInstance(4, iter(items)))
+    for other in same:
+        assert other == inst and hash(other) == hash(inst)
+        assert other.items == items
+    assert inst.items is not inst.items
+    assert inst != PackingInstance.from_columns(5, *columns)
+    assert inst.total_size == 5
+    assert inst.positions() == {"a": 0, "é": 1}
+    # `replace` builds through the constructor, from items
+    assert dataclasses.replace(inst, items=items[:1]) \
+        == PackingInstance.from_columns(4, ("a",), (3,), (5,), (1,))
+    for name in ("capacity", "ids", "sizes", "weights", "ready"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, ())
+    assert not hasattr(inst, "__dict__")
+    for again in (copy.copy(inst), copy.deepcopy(inst),
+                  pickle.loads(pickle.dumps(inst))):
+        assert type(again) is PackingInstance and again == inst
+    empty = PackingInstance(capacity=1, items=())
+    assert empty == PackingInstance.from_columns(1, (), (), (), ())
+    assert empty.items == () and empty.total_size == 0
+
+
 def test_packing_instance_size_over_capacity():
     with pytest.raises(InstanceError, match="exceeds"):
         parse_packing_instance(json.dumps({
