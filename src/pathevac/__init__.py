@@ -27,7 +27,7 @@ from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       horizon_bound)
 from .packing import (GreedyTrace, eligibility_threshold, packing_objective,
-                      pair_overflow_violations, solve_greedy)
+                      solve_greedy)
 from .relax import (fractional_bound, fractional_objective,
                     reduced_ready_times, solve_fractional_greedy,
                     validate_fractional)
@@ -42,7 +42,7 @@ __all__ = [
     "parse_schedule", "serialize_schedule",
     # packing
     "eligibility_threshold", "solve_greedy", "GreedyTrace",
-    "packing_objective", "pair_overflow_violations",
+    "packing_objective",
     # relaxation
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
     "validate_fractional", "fractional_bound",

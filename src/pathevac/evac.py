@@ -75,12 +75,12 @@ def reduce_side(inst: PathInstance, side: str) \
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not groups:
-        return (PackingInstance.from_columns(inst.capacity, (), (), (), ()),
+        return (PackingInstance(inst.capacity, (), (), (), ()),
                 SideReduction(delay_cost=0))
     pos = _positions(inst)
     at_near = pos[near]
     weights = tuple([g.weight for g in groups])
-    pinst = PackingInstance.from_columns(
+    pinst = PackingInstance(
         inst.capacity, tuple([g.id for g in groups]),
         tuple([g.size for g in groups]), weights,
         tuple([abs(pos[g.node] - at_near) + 1 for g in groups]))

@@ -114,7 +114,7 @@ def gen_random_packing(seed: int, params: PackParams = PackParams()) \
         sizes.append(rng.randint(1, max_size))
         weights.append(rng.randint(1, params.max_weight))
         ready.append(rng.randint(1, params.max_ready))
-    return PackingInstance.from_columns(
+    return PackingInstance(
         params.capacity,
         tuple([f"I{i:0{width}d}" for i in range(1, params.items + 1)]),
         tuple(sizes), tuple(weights), tuple(ready))

@@ -291,8 +291,8 @@ def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
     m = len(sizes)
     if m == 0:
         return Fraction(0)
-    total_size = inst.total_size
-    t_max = max(inst.ready) + -(-total_size // inst.capacity)  # ceil division
+    mass = sum(sizes)
+    t_max = max(inst.ready) + -(-mass // inst.capacity)  # ceil division
     if m * t_max > 500_000:
         raise OracleBudgetExceeded(f"{m} items x {t_max} bins exceeds the "
                                    "flow-network budget")
@@ -310,7 +310,7 @@ def exact_fractional_opt_mcf(inst: PackingInstance) -> Fraction:
                     for j in range(ready, t_max + 1))
     arcs.extend((bin_node + j, sink, inst.capacity, 0)
                 for j in range(first, t_max + 1))
-    flow, cost = _min_cost_flow(sink + 1, arcs, s, sink, total_size)
-    if flow != total_size:
+    flow, cost = _min_cost_flow(sink + 1, arcs, s, sink, mass)
+    if flow != mass:
         raise ValueError("transportation network failed to route all mass")
     return Fraction(cost, scale)

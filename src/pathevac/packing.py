@@ -14,8 +14,9 @@ times), through an id -> entry dict where it looks an item up.
 Eligibility is deliberately coarser than the ready times: an item with ready
 time r becomes eligible at the smallest odd bin index >= r. Aligning every
 entry to odd indices is what makes consecutive bin pairs overflow the
-capacity (see pair_overflow_violations) and yields the factor-2 guarantee
-against the fractional relaxation.
+capacity (the tests check it with `pair_overflow_violations` in
+`tests/checkers.py`) and yields the factor-2 guarantee against the
+fractional relaxation.
 """
 
 from __future__ import annotations
@@ -205,24 +206,3 @@ def packing_objective(packing: Packing, inst: PackingInstance) -> int:
             total += weight[item_id] * j
     return total
 
-
-def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[str]:
-    """Check that every pair with a non-empty even bin overflows the capacity.
-
-    Greedy outputs satisfy this by construction: entry is aligned to odd
-    bins, so an item can only land in bin 2j after some item failed to fit
-    in bin 2j-1, and that item is packed no later than bin 2j.
-    """
-    size_of = dict(zip(inst.ids, inst.sizes))
-    violations: list[str] = []
-    for j, even in packing.bins.items():
-        if j % 2 or not even:
-            continue
-        odd = packing.bins.get(j - 1, ())
-        _require_known(size_of, odd, j - 1)
-        _require_known(size_of, even, j)
-        size = sum(size_of[i] for i in odd) + sum(size_of[i] for i in even)
-        if size <= inst.capacity:
-            violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "
-                              f"{size} <= capacity {inst.capacity}")
-    return violations

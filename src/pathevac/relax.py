@@ -38,9 +38,8 @@ def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
     The reduced instance shares the `ids`, `sizes` and `weights` columns
     and maps the `ready` column alone; no `PackingItem` is built.
     """
-    return PackingInstance.from_columns(
-        inst.capacity, inst.ids, inst.sizes, inst.weights,
-        tuple([r // 2 + 1 for r in inst.ready]))
+    return PackingInstance(inst.capacity, inst.ids, inst.sizes, inst.weights,
+                           tuple([r // 2 + 1 for r in inst.ready]))
 
 
 def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:

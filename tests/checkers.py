@@ -1,6 +1,7 @@
 """Packing checkers that no command runs, kept for the tests: feasibility
 (`validate_packing`), the paired objective of the factor-2 argument
-(`paired_view`), a greedy trace re-executed to its packing
+(`paired_view`), the pair overflow that argument rests on
+(`pair_overflow_violations`), a greedy trace re-executed to its packing
 (`replay_trace`), and the reader of the packing file that
 `oracle --packing` writes as its witness (`parse_packing`).
 """
@@ -96,6 +97,28 @@ def paired_view(packing: Packing, inst: PackingInstance) \
         rows.append(PairRow(index=p, items=tuple(ids), size=size, weight=weight))
         total += p * weight
     return tuple(rows), total
+
+
+def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[str]:
+    """Check that every pair with a non-empty even bin overflows the capacity.
+
+    Greedy outputs satisfy this by construction: entry is aligned to odd
+    bins, so an item can only land in bin 2j after some item failed to fit
+    in bin 2j-1, and that item is packed no later than bin 2j.
+    """
+    size_of = dict(zip(inst.ids, inst.sizes))
+    violations: list[str] = []
+    for j, even in packing.bins.items():
+        if j % 2 or not even:
+            continue
+        odd = packing.bins.get(j - 1, ())
+        _require_known(size_of, odd, j - 1)
+        _require_known(size_of, even, j)
+        size = sum(size_of[i] for i in odd) + sum(size_of[i] for i in even)
+        if size <= inst.capacity:
+            violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "
+                              f"{size} <= capacity {inst.capacity}")
+    return violations
 
 
 def parse_packing(text: str) -> tuple[Packing, int | None]:

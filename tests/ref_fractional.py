@@ -21,18 +21,17 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from pathevac.model import FractionalPacking, PackingInstance, PackingItem
-from ref_items import ratio_order
+from ref_items import packing_instance, ratio_order
 
 _ONE = Fraction(1)
 
 
 def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
     """Same items with each ready time reduced to its pair index."""
-    return PackingInstance(
-        capacity=inst.capacity,
-        items=tuple([PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
-                     for it in inst.items]),
-    )
+    return packing_instance(
+        inst.capacity,
+        [PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
+         for it in inst.items])
 
 
 def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:

@@ -11,7 +11,9 @@ that view builds the items. They are deliberately left as they were, so
 the differential tests can compare the column forms of `pathevac.evac`,
 `pathevac.packing` and `pathevac.relax` with them instance for instance,
 packing for packing, step for step, line for line, entry for entry and
-violation for violation.
+violation for violation. `packing_instance` builds an instance from
+`PackingItem`s, as the item-form constructor did; the tests build their
+hand-made instances through it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,22 @@ from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from pathevac.evac import NonUniformCapacityError, SideReduction, _positions
 from pathevac.model import (FractionalPacking, Packing, PackingInstance,
                             PackingItem, PathInstance)
 from pathevac.packing import GreedyStep, GreedyTrace, eligibility_threshold
+
+
+def packing_instance(capacity: int,
+                     items: Iterable[PackingItem]) -> PackingInstance:
+    """The instance holding `items`, in order, as its four columns."""
+    items = tuple(items)
+    return PackingInstance(capacity, tuple([it.id for it in items]),
+                           tuple([it.size for it in items]),
+                           tuple([it.weight for it in items]),
+                           tuple([it.ready for it in items]))
 
 
 def reduce_side(inst: PathInstance, side: str) \
@@ -47,7 +59,7 @@ def reduce_side(inst: PathInstance, side: str) \
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not groups:
-        return (PackingInstance(capacity=inst.capacity, items=()),
+        return (packing_instance(inst.capacity, ()),
                 SideReduction(delay_cost=0))
     pos = _positions(inst)
     at_near = pos[near]
@@ -55,7 +67,7 @@ def reduce_side(inst: PathInstance, side: str) \
                                abs(pos[g.node] - at_near) + 1)
                    for g in groups])
     weight_sum = sum(g.weight for g in groups)
-    return (PackingInstance(capacity=inst.capacity, items=items),
+    return (packing_instance(inst.capacity, items),
             SideReduction(delay_cost=(inst.distance(edge) - 1) * weight_sum))
 
 

@@ -5,8 +5,8 @@ These are `packing_objective`, `pair_overflow_violations` and
 bins, bins[j-1] holding bin j's items, empty bins included. They walk
 every bin index up to the last one. They are deliberately left as they
 were, so the differential tests can compare the sparse versions in
-`pathevac.packing` and `pathevac.evac` with them value for value,
-violation for violation and move for move.
+`pathevac.packing`, `pathevac.evac` and `checkers` with them value for
+value, violation for violation and move for move.
 `assemble_schedule` also keeps the assembly that collected every route
 step in a (time, node) map, as `pathevac.evac` did before it built each
 move from its bin.

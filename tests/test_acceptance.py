@@ -8,21 +8,20 @@ verdicts land in the live pytest output.
 
 import itertools
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from brute import has_equal_split
-from checkers import validate_packing
-from pathevac import (GenParams, PackParams, PackingInstance, PackingItem,
-                      SplitMix64, bundled_examples, exact_dwsf_opt,
-                      exact_fractional_opt_mcf, exact_packing_opt,
-                      fractional_objective, gen_from_partition, gen_random,
-                      gen_random_packing, packing_objective,
-                      pair_overflow_violations, reduce_side,
-                      reduced_ready_times, schedule_objective, simulate,
-                      solve_fractional_greedy, solve_greedy, solve_report,
-                      validate_schedule)
+from checkers import pair_overflow_violations, validate_packing
+from pathevac import (GenParams, PackParams, SplitMix64, bundled_examples,
+                      exact_dwsf_opt, exact_fractional_opt_mcf,
+                      exact_packing_opt, fractional_objective,
+                      gen_from_partition, gen_random, gen_random_packing,
+                      packing_objective, reduce_side, reduced_ready_times,
+                      schedule_objective, simulate, solve_fractional_greedy,
+                      solve_greedy, solve_report, validate_schedule)
 from pathevac.evac import check_schedule
 
 _CACHE: dict[str, object] = {}
@@ -204,9 +203,7 @@ def test_criterion_6_pair_overflow(announce):
 
 
 def _with_halved_ready(inst):
-    return PackingInstance(capacity=inst.capacity, items=tuple(
-        PackingItem(id=it.id, size=it.size, weight=it.weight,
-                    ready=(it.ready + 1) // 2) for it in inst.items))
+    return replace(inst, ready=tuple((r + 1) // 2 for r in inst.ready))
 
 
 def test_criterion_7_relaxation_chain(announce):

@@ -7,13 +7,12 @@ from operator import attrgetter, itemgetter
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from checkers import validate_packing
+from checkers import pair_overflow_violations, validate_packing
 from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       Packing, PathInstance, Schedule, SimulationInfeasible,
                       assemble_schedule, fractional_lower_bound, gen_random,
-                      pair_overflow_violations, parse_instance,
-                      parse_schedule, reduce_side, render_table,
-                      schedule_objective, serialize_instance,
+                      parse_instance, parse_schedule, reduce_side,
+                      render_table, schedule_objective, serialize_instance,
                       serialize_schedule, simulate, solve_report,
                       validate_schedule)
 from pathevac.evac import _walk, check_schedule

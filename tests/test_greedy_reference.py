@@ -18,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import ref_fractional
 import ref_greedy
-from pathevac import (FractionalPacking, PackingInstance, PackingItem,
-                      fractional_objective, reduced_ready_times,
-                      solve_fractional_greedy, solve_greedy,
-                      validate_fractional)
+from pathevac import (FractionalPacking, PackingItem, fractional_objective,
+                      reduced_ready_times, solve_fractional_greedy,
+                      solve_greedy, validate_fractional)
+from ref_items import packing_instance
 
 # reduced ratios; scaled copies such as 1/2, 2/4, 3/6 tie only after reduction
 _BASE_RATIOS = ((1, 2), (1, 1), (2, 3), (3, 1))
@@ -33,16 +33,16 @@ def _items(*rows):
 
 
 # named shapes the strategy below also draws, pinned as explicit examples
-_TIES_AFTER_REDUCTION = PackingInstance(capacity=6, items=_items(
+_TIES_AFTER_REDUCTION = packing_instance(6, _items(
     (6, 3, 1), (2, 1, 1), (4, 2, 2), (1, 1, 1), (3, 3, 1), (4, 2, 1)))
-_ALL_EQUAL = PackingInstance(capacity=5, items=_items(
+_ALL_EQUAL = packing_instance(5, _items(
     (2, 4, 3), (1, 2, 1), (3, 6, 1), (2, 4, 2), (1, 2, 4)))
-_SPARSE_READY = PackingInstance(capacity=4, items=_items(
+_SPARSE_READY = packing_instance(4, _items(
     (3, 5, 81), (2, 1, 1), (4, 9, 42), (1, 7, 81), (2, 2, 43)))
-_SIZE_IS_CAPACITY = PackingInstance(capacity=3, items=_items(
+_SIZE_IS_CAPACITY = packing_instance(3, _items(
     (3, 2, 1), (3, 5, 1), (1, 1, 2), (3, 5, 3), (2, 4, 1)))
 _EXAMPLES = (_TIES_AFTER_REDUCTION, _ALL_EQUAL, _SPARSE_READY,
-             _SIZE_IS_CAPACITY, PackingInstance(capacity=1, items=()))
+             _SIZE_IS_CAPACITY, packing_instance(1, ()))
 
 
 @st.composite
@@ -73,7 +73,7 @@ def packing_instances(draw):
         ready = draw(st.integers(min_value=0, max_value=3)) * spread \
             + draw(st.integers(min_value=1, max_value=2))
         rows.append((size, weight, ready))
-    return PackingInstance(capacity=cap, items=_items(*rows))
+    return packing_instance(cap, _items(*rows))
 
 
 def _with_examples(test):
@@ -120,7 +120,7 @@ def test_fractional_greedy_matches_reference(inst):
 
 
 # ready times 0 to 6: only 1 and 2 are their own pair index; 0 maps to 1
-_READY_0_TO_6 = PackingInstance(capacity=4, items=_items(
+_READY_0_TO_6 = packing_instance(4, _items(
     *((1 + r % 3, 1 + r, r) for r in range(7))))
 
 
@@ -206,10 +206,10 @@ def test_split_masses_match_reference():
     fp = FractionalPacking(entries=(("x", 1, half), ("x", 2, half)))
     ref_fp = FractionalPacking(entries=(("x", 1, Fraction(1, 2)),
                                         ("x", 2, Fraction(1, 2))))
-    roomy = PackingInstance(capacity=3, items=(item,))
+    roomy = packing_instance(3, (item,))
     assert _same_verdict(fp, ref_fp, roomy) == []
     assert fractional_objective(fp, roomy) == Fraction(15, 2)
-    tight = PackingInstance(capacity=1, items=(item,))
+    tight = packing_instance(1, (item,))
     assert _same_verdict(fp, ref_fp, tight) == [
         "capacity: bin 1 holds size 3/2 > 1",
         "capacity: bin 2 holds size 3/2 > 1"]

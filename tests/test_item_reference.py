@@ -103,7 +103,7 @@ def _verdict(validate, objective, fp, inst):
         return violations, str(exc)
 
 
-_ABC = PackingInstance(capacity=4, items=(
+_ABC = ref_items.packing_instance(4, (
     PackingItem("a", 3, 5, 1), PackingItem("b", 2, 1, 3),
     PackingItem("c", 4, 2, 2)))
 

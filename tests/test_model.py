@@ -20,6 +20,7 @@ from pathevac.evac import _positions, fractional_lower_bound, solve_report
 from pathevac.model import (Move, Packing, PackingInstance, PackingItem,
                             Schedule)
 from checkers import parse_packing
+from ref_items import packing_instance
 from ref_parse_schedule import ref_parse_schedule
 from ref_serialize_instance import ref_serialize_instance
 from ref_serialize_packing import (ref_serialize_packing,
@@ -301,24 +302,25 @@ def test_packing_instance_round_trip():
 
 
 def test_packing_instance_is_columns_with_an_items_view():
-    items = (PackingItem("a", 3, 5, 1), PackingItem("é", 2, 1, 3))
-    inst = PackingInstance(capacity=4, items=items)
     columns = (("a", "é"), (3, 2), (5, 1), (1, 3))
+    inst = PackingInstance(4, *columns)
+    # the one constructor takes the capacity and the columns, kept as given
+    assert tuple(inspect.signature(PackingInstance).parameters) \
+        == ("capacity", "ids", "sizes", "weights", "ready")
     assert (inst.ids, inst.sizes, inst.weights, inst.ready) == columns
-    # both constructors give one instance, and the view gives the items
-    # back, built anew on each read
-    same = (PackingInstance.from_columns(4, *columns),
-            PackingInstance(4, iter(items)))
-    for other in same:
-        assert other == inst and hash(other) == hash(inst)
-        assert other.items == items
+    same = PackingInstance(capacity=4, ids=("a", "é"), sizes=(3, 2),
+                           weights=(5, 1), ready=(1, 3))
+    assert same == inst and hash(same) == hash(inst) and same is not inst
+    assert inst != PackingInstance(5, *columns)
+    # the view gives the items back, built anew on each read, and the
+    # tests' item-form helper gives the instance back from them
+    items = (PackingItem("a", 3, 5, 1), PackingItem("é", 2, 1, 3))
+    assert inst.items == items
     assert inst.items is not inst.items
-    assert inst != PackingInstance.from_columns(5, *columns)
-    assert inst.total_size == 5
+    assert packing_instance(4, items) == inst
     assert inst.positions() == {"a": 0, "é": 1}
-    # `replace` builds through the constructor, from items
-    assert dataclasses.replace(inst, items=items[:1]) \
-        == PackingInstance.from_columns(4, ("a",), (3,), (5,), (1,))
+    assert dataclasses.replace(inst, ready=(2, 2)) \
+        == PackingInstance(4, ("a", "é"), (3, 2), (5, 1), (2, 2))
     for name in ("capacity", "ids", "sizes", "weights", "ready"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inst, name, ())
@@ -326,9 +328,8 @@ def test_packing_instance_is_columns_with_an_items_view():
     for again in (copy.copy(inst), copy.deepcopy(inst),
                   pickle.loads(pickle.dumps(inst))):
         assert type(again) is PackingInstance and again == inst
-    empty = PackingInstance(capacity=1, items=())
-    assert empty == PackingInstance.from_columns(1, (), (), (), ())
-    assert empty.items == () and empty.total_size == 0
+    empty = PackingInstance(1, (), (), (), ())
+    assert empty.items == () and empty.positions() == {}
 
 
 def test_packing_instance_size_over_capacity():
@@ -824,8 +825,8 @@ def test_packing_writers_match_reference(seed, items, capacity, max_ready):
 
 
 def test_packing_instance_writer_matches_reference_on_special_instances():
-    empty = PackingInstance(capacity=3, items=())
-    escaped = PackingInstance(capacity=9, items=tuple(
+    empty = packing_instance(3, ())
+    escaped = packing_instance(9, tuple(
         PackingItem(iid, 1, 1, 1) for iid in ('"q"', "back\\slash",
                                               "\x00\x1f", "\u2028\u2029",
                                               "é日", "\U0001f600")))

@@ -20,6 +20,7 @@ from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       schedule_objective, simulate, solve_fractional_greedy,
                       solve_greedy, solve_report, validate_schedule)
 from pathevac import oracles
+from ref_items import packing_instance
 
 
 def test_oracles_import_nothing_from_the_solvers():
@@ -37,7 +38,7 @@ def test_oracles_import_nothing_from_the_solvers():
 # packing oracle
 
 def test_horizon_bound(abd, ready_pair):
-    assert horizon_bound(PackingInstance(capacity=3, items=())) == 0
+    assert horizon_bound(packing_instance(3, ())) == 0
     assert horizon_bound(abd) == 4
     assert horizon_bound(ready_pair) == 4
 
@@ -52,7 +53,7 @@ def test_packing_opt_frozen(abd):
 
 def test_packing_opt_singleton_bins():
     # no two of 3, 3, 2 share a bin of 4; heaviest-first is forced
-    inst = PackingInstance(capacity=4, items=(
+    inst = packing_instance(4, (
         PackingItem(id="a", size=3, weight=3, ready=1),
         PackingItem(id="b", size=3, weight=3, ready=1),
         PackingItem(id="c", size=2, weight=2, ready=1)))
@@ -62,18 +63,18 @@ def test_packing_opt_singleton_bins():
 
 
 def test_packing_opt_empty():
-    value, witness = exact_packing_opt(PackingInstance(capacity=1, items=()))
+    value, witness = exact_packing_opt(packing_instance(1, ()))
     assert (value, witness.bins) == (0, {})
 
 
 def test_packing_opt_budgets():
-    wide = PackingInstance(capacity=2, items=tuple(
+    wide = packing_instance(2, tuple(
         PackingItem(id=f"i{k}", size=1, weight=1, ready=1)
         for k in range(16)))
     with pytest.raises(OracleBudgetExceeded, match="15-item"):
         exact_packing_opt(wide)
     # horizon_bound = 65 + 1 bins
-    late = PackingInstance(capacity=1, items=(
+    late = packing_instance(1, (
         PackingItem(id="late", size=1, weight=1, ready=65),))
     with pytest.raises(OracleBudgetExceeded, match="horizon 66 exceeds the "
                                                    "64-bin"):
@@ -238,7 +239,7 @@ def test_dwsf_opt_bounds_the_solver(inst):
 
 @pytest.mark.parametrize("cap", [10, 100])
 def test_greedy_factor_2_is_tight_on_packing(cap):
-    inst = PackingInstance(capacity=cap, items=(
+    inst = packing_instance(cap, (
         PackingItem("a", 1, 1, 2), PackingItem("b", cap, cap, 2)))
     packing, _ = solve_greedy(inst)
     assert packing.bins == {3: ("a",), 4: ("b",)}
@@ -282,9 +283,14 @@ def test_fractional_mcf_frozen(abd):
     assert greedy == 21
 
 
+def test_fractional_mcf_empty():
+    value = exact_fractional_opt_mcf(PackingInstance(4, (), (), (), ()))
+    assert type(value) is Fraction and value == 0
+
+
 def test_fractional_mcf_budgets():
     # one item, 500_000 + 1 bins
-    late = PackingInstance(capacity=1, items=(
+    late = packing_instance(1, (
         PackingItem(id="late", size=1, weight=1, ready=500_000),))
     with pytest.raises(OracleBudgetExceeded, match="1 items x 500001 bins "
                                                    "exceeds the flow-network"):
@@ -293,7 +299,7 @@ def test_fractional_mcf_budgets():
 
 def test_fractional_mcf_skips_bins_below_every_ready_time():
     # 500_000 bins fit the budget; only the two from ready 499_999 are built
-    late = PackingInstance(capacity=1, items=(
+    late = packing_instance(1, (
         PackingItem(id="late", size=1, weight=1, ready=499_999),))
     start = time.perf_counter()
     assert exact_fractional_opt_mcf(late) == 499_999

@@ -3,14 +3,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checkers import paired_view, replay_trace, validate_packing
+from checkers import (paired_view, pair_overflow_violations, replay_trace,
+                      validate_packing)
 from pathevac import (GreedyTrace, PackingInstance, PackingItem,
-                      eligibility_threshold,
-                      fractional_objective, gen_random_packing, PackParams,
-                      packing_objective, pair_overflow_violations,
+                      eligibility_threshold, fractional_objective,
+                      gen_random_packing, PackParams, packing_objective,
                       reduced_ready_times, solve_fractional_greedy,
                       solve_greedy)
 from pathevac.model import Packing
+from ref_items import packing_instance
 
 
 def test_eligibility_threshold_is_odd_alignment():
@@ -39,7 +40,7 @@ def test_greedy_frozen_ready_jump(ready_pair):
 
 
 def test_greedy_empty_instance():
-    inst = PackingInstance(capacity=3, items=())
+    inst = packing_instance(3, ())
     packing, trace = solve_greedy(inst)
     assert packing.bins == {} and trace.steps == ()
     assert packing_objective(packing, inst) == 0
@@ -47,7 +48,7 @@ def test_greedy_empty_instance():
 
 def test_greedy_rejects_item_larger_than_capacity():
     # such an item fits no bin: placing it would close bins forever
-    inst = PackingInstance(capacity=2, items=(
+    inst = packing_instance(2, (
         PackingItem(id="a", size=1, weight=1, ready=1),
         PackingItem(id="b", size=3, weight=1, ready=1)))
     start = time.perf_counter()
@@ -57,8 +58,17 @@ def test_greedy_rejects_item_larger_than_capacity():
     assert time.perf_counter() - start < 1.0
 
 
+def test_greedy_rejects_a_ready_time_below_one():
+    # a code-built instance skips the reader's checks; the greedy names
+    # the best-ranked bad ready time, here b's (ratio 3) before c's
+    inst = PackingInstance(3, ("a", "b", "c"), (1, 1, 1), (1, 3, 2),
+                           (2, 0, -1))
+    with pytest.raises(ValueError, match=r"^ready time must be >= 1, got 0$"):
+        solve_greedy(inst)
+
+
 def test_greedy_ratio_tie_breaks_by_instance_order():
-    inst = PackingInstance(capacity=2, items=(
+    inst = packing_instance(2, (
         PackingItem(id="x", size=1, weight=1, ready=1),
         PackingItem(id="y", size=1, weight=1, ready=1),
         PackingItem(id="z", size=2, weight=2, ready=1),
@@ -101,7 +111,7 @@ def test_validate_packing_names_violations(abd):
 
 
 def test_validate_packing_ready_time():
-    inst = PackingInstance(capacity=4, items=(
+    inst = packing_instance(4, (
         PackingItem(id="G1", size=3, weight=3, ready=2),))
     violations = validate_packing(Packing(bins={1: ("G1",)}), inst)
     assert violations and "ready time" in violations[0]

@@ -27,9 +27,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import ref_greedy
 import ref_packing
+from checkers import pair_overflow_violations
 from pathevac import (Group, Packing, PackingInstance, PackingItem,
                       PathInstance, assemble_schedule, packing_objective,
-                      pair_overflow_violations, reduce_side, solve_greedy)
+                      reduce_side, solve_greedy)
+from ref_items import packing_instance
 from test_greedy_reference import packing_instances
 
 
@@ -212,7 +214,7 @@ def damaged_packings(draw):
 
 # ready times 1, 3 and 2: three origins on a side; every case also runs
 # the foreign packings and a facility at node n with a right packing
-_ABC = PackingInstance(capacity=10, items=(
+_ABC = packing_instance(10, (
     PackingItem(id="A", size=2, weight=1, ready=1),
     PackingItem(id="B", size=3, weight=2, ready=3),
     PackingItem(id="C", size=1, weight=3, ready=2)))

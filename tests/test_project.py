@@ -55,8 +55,6 @@ UNREAD_EXPORTS = {
     # through `check_schedule` as `pathevac validate` does (ROADMAP item 1)
     "simulate": "perfbench validate op",
     "validate_schedule": "perfbench validate op",
-    # kept for `solve --check` (ROADMAP item 3)
-    "pair_overflow_violations": "solve --check",
 }
 
 

@@ -1,19 +1,21 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ref_fractional
-from pathevac import (FractionalPacking, PackingInstance, PackingItem,
-                      PackParams, exact_fractional_opt_mcf, exact_packing_opt,
+from pathevac import (FractionalPacking, PackingItem, PackParams,
+                      exact_fractional_opt_mcf, exact_packing_opt,
                       fractional_bound, fractional_objective,
                       gen_random_packing, packing_objective,
                       reduced_ready_times, solve_fractional_greedy,
                       solve_greedy, validate_fractional)
+from ref_items import packing_instance
 
 
 def test_reduced_ready_times_use_pair_index():
-    inst = PackingInstance(capacity=3, items=tuple(
+    inst = packing_instance(3, tuple(
         PackingItem(id=f"i{r}", size=1, weight=1, ready=r)
         for r in range(1, 6)))
     reduced = reduced_ready_times(inst)
@@ -24,7 +26,7 @@ def test_pair_index_reduction_is_the_right_one():
     # all three items become eligible at bin 5 (pair 3); with ready times
     # merely halved (pair 2) the doubled fractional bound would fall below
     # the greedy value, so it could not certify the factor 2
-    inst = PackingInstance(capacity=4, items=(
+    inst = packing_instance(4, (
         PackingItem(id="I1", size=3, weight=6, ready=4),
         PackingItem(id="I2", size=1, weight=8, ready=4),
         PackingItem(id="I3", size=3, weight=3, ready=4)))
@@ -35,9 +37,7 @@ def test_pair_index_reduction_is_the_right_one():
     assert {it.ready for it in reduced.items} == {3}
     frac = fractional_objective(solve_fractional_greedy(reduced), reduced)
     assert greedy <= 2 * frac
-    halved = PackingInstance(capacity=4, items=tuple(
-        PackingItem(id=it.id, size=it.size, weight=it.weight,
-                    ready=(it.ready + 1) // 2) for it in inst.items))
+    halved = replace(inst, ready=tuple((r + 1) // 2 for r in inst.ready))
     loose = fractional_objective(solve_fractional_greedy(halved), halved)
     assert greedy > 2 * loose
 
@@ -76,7 +76,7 @@ def test_fractional_objective_rejects_infeasible(abd):
 
 
 def test_validate_fractional_ready_time():
-    inst = PackingInstance(capacity=4, items=(
+    inst = packing_instance(4, (
         PackingItem(id="G1", size=2, weight=1, ready=3),))
     fp = FractionalPacking(entries=(("G1", 1, 2),))
     violations = validate_fractional(fp, inst)
@@ -87,7 +87,7 @@ def test_fractional_bound(abd):
     assert fractional_bound(abd) == 21
     assert fractional_bound(abd, reduced_tau=True) == 21
     # ready 3 lies in pair 2, so the reduced bound prices bin 2
-    late = PackingInstance(capacity=1, items=(
+    late = packing_instance(1, (
         PackingItem(id="x", size=1, weight=5, ready=3),))
     assert fractional_bound(late) == 15
     assert fractional_bound(late, reduced_tau=True) == 10
