@@ -177,7 +177,7 @@ def _bench_packing(seed: int, args):
 def _bench_evac(seed: int, args):
     """Group count and greedy, bound and oracle calls of an evac row."""
     inst = instances.gen_random(seed, _gen_params(args))
-    return (len(inst.groups),
+    return (len(inst.ids),
             lambda: evac.solve_report(inst).objective,
             lambda: evac.fractional_lower_bound(inst),
             lambda: oracles.exact_dwsf_opt(inst)[0])

@@ -53,11 +53,11 @@ def reduce_side(inst: PathInstance, side: str) \
     """Turn one side of the facility into a ready-time packing instance.
 
     Item sizes and weights carry over; ready time is the prefix distance to
-    the bottleneck's near node plus one. The side's groups become the four
-    columns of the packing instance, built once here; no `PackingItem` is
-    built. An empty side reduces to an empty instance with zero delay
-    cost. The reduction assumes one capacity on every edge, so per-edge
-    overrides raise NonUniformCapacityError.
+    the bottleneck's near node plus one. One scan of `origins` finds the
+    side's groups, and an `itemgetter` of their positions gathers each
+    column; no `PackingItem` is built. An empty side reduces to an empty
+    instance with zero delay cost. The reduction assumes one capacity on
+    every edge, so per-edge overrides raise NonUniformCapacityError.
     """
     if not inst.is_uniform:
         raise NonUniformCapacityError(
@@ -65,25 +65,26 @@ def reduce_side(inst: PathInstance, side: str) \
             "this instance declares per-edge overrides")
     a = inst.facility
     if side == "left":
-        groups = [g for g in inst.groups if g.node < a]
+        ks = [k for k, v in enumerate(inst.origins) if v < a]
         near = a - 1
         edge = a - 1
     elif side == "right":
-        groups = [g for g in inst.groups if g.node > a]
+        ks = [k for k, v in enumerate(inst.origins) if v > a]
         near = a + 1
         edge = a
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not groups:
+    if not ks:
         return (PackingInstance(inst.capacity, (), (), (), ()),
                 SideReduction(delay_cost=0))
+    # `itemgetter` of one index gives the entry, not a 1-tuple
+    take = itemgetter(*ks) if len(ks) > 1 else lambda col: (col[ks[0]],)
     pos = _positions(inst)
-    at_near = pos[near]
-    weights = tuple([g.weight for g in groups])
+    ready_at = [abs(p - pos[near]) + 1 for p in pos]    # by node
+    weights = take(inst.weights)
     pinst = PackingInstance(
-        inst.capacity, tuple([g.id for g in groups]),
-        tuple([g.size for g in groups]), weights,
-        tuple([abs(pos[g.node] - at_near) + 1 for g in groups]))
+        inst.capacity, take(inst.ids), take(inst.sizes), weights,
+        tuple([ready_at[v] for v in take(inst.origins)]))
     return (pinst, SideReduction(
         delay_cost=(inst.distance(edge) - 1) * sum(weights)))
 
@@ -147,7 +148,7 @@ def assemble_schedule(inst: PathInstance, left: Packing,
     and one of the epochs that occur; nothing costs per epoch value.
     """
     a = inst.facility
-    node_of = {g.id: g.node for g in inst.groups}
+    node_of = dict(zip(inst.ids, inst.origins))
     pos = _positions(inst)
     # epoch -> its rows, by node
     at: dict[int, list[Row]] = {}
@@ -253,8 +254,8 @@ def _start(inst: PathInstance) -> dict[int, dict[str, None]]:
     """Node -> ids at epoch 0, in instance order, for every node of the
     path (insertion-ordered dicts used as ordered sets)."""
     at: dict[int, dict[str, None]] = {v: {} for v in range(1, inst.nodes + 1)}
-    for g in inst.groups:
-        at[g.node][g.id] = None
+    for gid, v in zip(inst.ids, inst.origins):
+        at[v][gid] = None
     return at
 
 
@@ -337,14 +338,17 @@ def _walk(inst: PathInstance, sched: Schedule,
     """
     a = inst.facility
     nodes = inst.nodes
-    size_of = {g.id: g.size for g in inst.groups}
-    # group id -> (the node it is at or headed to, the first epoch it may
-    # leave)
-    state = {g.id: (g.node, 0) for g in inst.groups}
+    # state: group id -> (the node it is at or headed to, the first epoch
+    # it may leave); one loop fills it, `size_of` and the facility arrivals
+    size_of, state, arrival_time = {}, {}, {}
+    for gid, v, size in zip(inst.ids, inst.origins, inst.sizes):
+        size_of[gid] = size
+        state[gid] = (v, 0)
+        if v == a:
+            arrival_time[gid] = 0
     early: list[str] = []   # the checks of a move on its own
     violations: list[str] = []
     report = violations.append
-    arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
     # edge k joins nodes k and k + 1; index 0 is unused
     dist = (0, *inst.distances)
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
@@ -436,10 +440,10 @@ def simulate(inst: PathInstance, sched: Schedule) -> SimulationTrace:
 def schedule_objective(trace: SimulationTrace, inst: PathInstance) -> int:
     """Weighted sum of arrival epochs; every group must arrive."""
     total = 0
-    for g in inst.groups:
-        if g.id not in trace.arrival_time:
-            raise ValueError(f"group {g.id!r} never arrives at the facility")
-        total += g.weight * trace.arrival_time[g.id]
+    for gid, w in zip(inst.ids, inst.weights):
+        if gid not in trace.arrival_time:
+            raise ValueError(f"group {gid!r} never arrives at the facility")
+        total += w * trace.arrival_time[gid]
     return total
 
 
@@ -448,9 +452,9 @@ def check_schedule(inst: PathInstance, sched: Schedule) \
     """One walk of a schedule: its trace and all its violations, the
     groups that never reach the facility included."""
     trace, violations = _walk(inst, sched)
-    for g in inst.groups:
-        if g.id not in trace.arrival_time:
-            violations.append(f"completion: group {g.id!r} never arrives "
+    for gid in inst.ids:
+        if gid not in trace.arrival_time:
+            violations.append(f"completion: group {gid!r} never arrives "
                               "at the facility")
     return trace, violations
 

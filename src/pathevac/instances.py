@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Group, PathInstance, PackingInstance, Schedule
+from .model import PathInstance, PackingInstance, Schedule
 
 _MASK = (1 << 64) - 1
 
@@ -75,18 +75,17 @@ def gen_random(seed: int, params: GenParams = GenParams()) -> PathInstance:
                      if params.allow_at_facility or v != facility]
     if not allowed_nodes and params.groups:
         raise ValueError("no node left to place groups on")
-    groups = []
+    origins, sizes, weights = [], [], []
+    for _ in range(params.groups):
+        # one group's node, size and weight, drawn in that order
+        origins.append(allowed_nodes[rng.randint(0, len(allowed_nodes) - 1)])
+        sizes.append(rng.randint(1, max_size))
+        weights.append(rng.randint(1, params.max_weight))
     width = len(str(params.groups))
-    for i in range(1, params.groups + 1):
-        node = allowed_nodes[rng.randint(0, len(allowed_nodes) - 1)]
-        groups.append(Group(
-            id=f"G{i:0{width}d}",
-            node=node,
-            size=rng.randint(1, max_size),
-            weight=rng.randint(1, params.max_weight)))
-    return PathInstance(nodes=params.nodes, facility=facility,
-                        capacity=params.capacity, distances=distances,
-                        groups=tuple(groups))
+    return PathInstance(
+        params.nodes, facility, params.capacity, distances,
+        tuple([f"G{i:0{width}d}" for i in range(1, params.groups + 1)]),
+        tuple(origins), tuple(sizes), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,10 @@ def gen_from_partition(values: Sequence[int]) -> PathInstance:
     if any(v > cap for v in vals):
         raise ValueError("a value exceeds half the total; it cannot cross")
     width = len(str(len(vals)))
-    groups = tuple(Group(id=f"G{i:0{width}d}", node=1, size=v, weight=v)
-                   for i, v in enumerate(vals, start=1))
-    return PathInstance(nodes=2, facility=2, capacity=cap,
-                        distances=(1,), groups=groups)
+    ids = tuple([f"G{i:0{width}d}" for i in range(1, len(vals) + 1)])
+    return PathInstance(nodes=2, facility=2, capacity=cap, distances=(1,),
+                        ids=ids, origins=(1,) * len(vals),
+                        sizes=tuple(vals), weights=tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,10 @@ class ExampleFixture:
 def _fig1a() -> ExampleFixture:
     # ten unit singletons, per-edge capacities 3 and 4: simulation/validation
     # territory (the solver itself requires a uniform capacity)
-    people = [Group(id=f"p{i:02d}", node=1 if i <= 4 else 2, size=1, weight=1)
-              for i in range(1, 11)]
-    inst = PathInstance(nodes=3, facility=3, capacity=3,
-                        distances=(1, 2), groups=tuple(people),
-                        edge_capacities=(3, 4))
+    inst = PathInstance(nodes=3, facility=3, capacity=3, distances=(1, 2),
+                        ids=tuple([f"p{i:02d}" for i in range(1, 11)]),
+                        origins=(1,) * 4 + (2,) * 6, sizes=(1,) * 10,
+                        weights=(1,) * 10, edge_capacities=(3, 4))
     rows = [
         (1, 1, ("p01", "p02", "p03")),
         (1, 2, ("p05", "p06", "p07", "p08")),
@@ -193,14 +191,10 @@ def _fig1a() -> ExampleFixture:
 def _fig1b() -> ExampleFixture:
     # four weighted groups; capacity 3 is the smallest value making the
     # reference schedule feasible
-    groups = (
-        Group(id="G11", node=1, size=2, weight=5),
-        Group(id="G12", node=1, size=2, weight=3),
-        Group(id="G21", node=2, size=3, weight=5),
-        Group(id="G22", node=2, size=3, weight=3),
-    )
-    inst = PathInstance(nodes=3, facility=3, capacity=3,
-                        distances=(1, 2), groups=groups)
+    inst = PathInstance(nodes=3, facility=3, capacity=3, distances=(1, 2),
+                        ids=("G11", "G12", "G21", "G22"),
+                        origins=(1, 1, 2, 2), sizes=(2, 2, 3, 3),
+                        weights=(5, 3, 5, 3))
     rows = [
         (1, 1, ("G11",)),
         (1, 2, ("G21",)),

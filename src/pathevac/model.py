@@ -30,19 +30,7 @@ class InstanceError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# `Group` and `PackingItem` are frozen, slotted dataclasses whose
-# `__init__` is written by hand: it fills each slot through the slot's own
-# member descriptor, bound once after the class, where the generated one
-# calls `object.__setattr__` per field. `parse_instance` builds one `Group`
-# per group. The `PackingInstance.items` view builds one `PackingItem` per
-# item, and the benchmark's timed certify reads that view once per side:
-# through a generated `__init__` the view of an 802-item side took 555
-# against 333 µs (best of 7 x 200, CPython 3.11.7, 2 vCPUs), where a
-# `dense` certify of two such sides takes about 3.5 ms. Everything else
-# (the fields, the frozen `__setattr__`, equality, hash, repr and
-# `dataclasses.replace`) is the dataclass's own.
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Group:
     """An indivisible evacuee group sitting at a node of the path."""
 
@@ -51,22 +39,12 @@ class Group:
     size: int    # head count; moves as one block against edge capacity
     weight: int  # cost multiplier on the arrival epoch
 
-    def __init__(self, id: str, node: int, size: int, weight: int) -> None:
-        _group_id(self, id)
-        _group_node(self, node)
-        _group_size(self, size)
-        _group_weight(self, weight)
 
-
-_group_id = Group.id.__set__
-_group_node = Group.node.__set__
-_group_size = Group.size.__set__
-_group_weight = Group.weight.__set__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathInstance:
-    """A path network on nodes 1..n with a facility and uniform capacity.
+    """A path network on nodes 1..n with a facility and uniform capacity;
+    group k is entry k of the `ids`, `origins`, `sizes` and `weights`
+    columns, kept as given, and only the `groups` view builds a `Group`.
 
     distances[k-1] is the travel time of edge {k, k+1}. edge_capacities,
     when present, are per-edge overrides honoured by validation and
@@ -79,13 +57,22 @@ class PathInstance:
     facility: int
     capacity: int
     distances: tuple[int, ...]
-    groups: tuple[Group, ...]
+    ids: tuple[str, ...]
+    origins: tuple[int, ...]    # each group's node, 1-based
+    sizes: tuple[int, ...]
+    weights: tuple[int, ...]
     edge_capacities: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         caps = self.edge_capacities
         if caps is not None and all(c == self.capacity for c in caps):
             object.__setattr__(self, "edge_capacities", None)
+
+    @property
+    def groups(self) -> tuple[Group, ...]:
+        """The columns as `Group`s, built anew on each read."""
+        return tuple(map(Group, self.ids, self.origins, self.sizes,
+                         self.weights))
 
     def distance(self, k: int) -> int:
         """Travel time of edge {k, k+1}."""
@@ -101,6 +88,13 @@ class PathInstance:
     def is_uniform(self) -> bool:
         return self.edge_capacities is None
 
+
+# `PackingItem`'s `__init__` is written by hand: it fills each slot through
+# the slot's member descriptor, bound once after the class, where the
+# generated one calls `object.__setattr__` per field. The benchmark's timed
+# certify reads the `PackingInstance.items` view once per side, and the
+# view of an 802-item side took 333 against 555 µs that way (best of 7 x
+# 200, CPython 3.11.7, 2 vCPUs). The rest is the dataclass's own.
 
 @dataclass(frozen=True, slots=True, init=False)
 class PackingItem:
@@ -349,7 +343,7 @@ def parse_instance(text: str) -> PathInstance:
             else:
                 overrides.append(None)
 
-    groups: list[Group] = []
+    ids, origins, sizes, weights = [], [], [], []   # the group columns
     raw_groups = data.get("groups")
     if type(raw_groups) is not list:
         errors.append("groups: expected a list")
@@ -357,7 +351,6 @@ def parse_instance(text: str) -> PathInstance:
     seen: set[str] = set()
     # an invalid `nodes` bounds no group node
     node_max = n if n_ok else math.inf
-    append = groups.append
     for idx, g in enumerate(raw_groups):
         if type(g) is not dict:
             errors.append(f"groups[{idx}]: expected an object")
@@ -380,29 +373,31 @@ def parse_instance(text: str) -> PathInstance:
         if type(w) is not int or w < 1:
             ok &= _require_int(errors, w, f"groups[{idx}].weight")
         if ok:
-            append(Group(gid, v, size, w))
+            ids.append(gid)
+            origins.append(v)
+            sizes.append(size)
+            weights.append(w)
 
     if errors:
         raise InstanceError(errors)
 
     cap = data["capacity"]
+    fac = data["facility"]
     caps = tuple(o if o is not None else cap for o in overrides)
-    inst = PathInstance(nodes=n, facility=data["facility"], capacity=cap,
-                        distances=tuple(distances), groups=tuple(groups),
-                        edge_capacities=caps)
+    inst = PathInstance(n, fac, cap, tuple(distances), tuple(ids),
+                        tuple(origins), tuple(sizes), tuple(weights), caps)
 
     # every group must fit through each edge on its way to the facility; a
     # group no larger than the narrowest edge, or one at the facility,
     # crosses no edge it does not fit
     narrowest = min(caps, default=cap)
-    fac = inst.facility
-    for g in inst.groups:
-        if g.size <= narrowest or g.node == fac:
+    for gid, v, size in zip(ids, origins, sizes):
+        if size <= narrowest or v == fac:
             continue
-        lo, hi = sorted((g.node, fac))
+        lo, hi = sorted((v, fac))
         for k in range(lo, hi):
-            if g.size > inst.edge_capacity(k):
-                errors.append(f"group {g.id!r}: size {g.size} exceeds capacity "
+            if size > inst.edge_capacity(k):
+                errors.append(f"group {gid!r}: size {size} exceeds capacity "
                               f"{inst.edge_capacity(k)} on edge {{{k},{k + 1}}}")
     if errors:
         raise InstanceError(errors)
@@ -565,9 +560,10 @@ def serialize_instance(inst: PathInstance) -> str:
             edges.append(f'{head},\n      "capacity": {caps[k - 1]}\n    }}')
         else:
             edges.append(head + "\n    }")
-    groups = [f'    {{\n      "id": {encode_basestring(g.id)},\n'
-              f'      "node": {g.node},\n      "size": {g.size},\n'
-              f'      "weight": {g.weight}\n    }}' for g in inst.groups]
+    groups = [f'    {{\n      "id": {encode_basestring(gid)},\n'
+              f'      "node": {v},\n      "size": {size},\n'
+              f'      "weight": {w}\n    }}' for gid, v, size, w
+              in zip(inst.ids, inst.origins, inst.sizes, inst.weights)]
     return (f'{{\n  "nodes": {inst.nodes},\n  "facility": {inst.facility},\n'
             f'  "capacity": {cap},\n  "edges": {_array(edges)},\n'
             f'  "groups": {_array(groups)}\n}}\n')

@@ -66,10 +66,10 @@ def _required_epochs(inst: PathInstance) -> int:
     req = 0
     for lo, hi, near, edge in ((1, a - 1, a - 1, a - 1),
                                (a + 1, inst.nodes, a + 1, a)):
-        side = [g for g in inst.groups if lo <= g.node <= hi]
+        side = [v for v in inst.origins if lo <= v <= hi]
         if not side:
             continue
-        taus = [abs(pos[g.node] - pos[near]) + 1 for g in side]
+        taus = [abs(pos[v] - pos[near]) + 1 for v in side]
         req = max(req, max(taus) + len(side) + inst.distance(edge) - 1)
     return req
 
@@ -84,10 +84,11 @@ def exact_dwsf_opt(inst: PathInstance) -> tuple[int, Schedule]:
     larger than an edge it must cross raises `ValueError`.
     """
     a = inst.facility
-    off = [g for g in inst.groups if g.node != a]
+    # the groups off the facility, as positions in the group columns
+    off = [k for k, v in enumerate(inst.origins) if v != a]
     if not off:
         return 0, Schedule.from_rows(())
-    origins = {g.node for g in off}
+    origins = {inst.origins[k] for k in off}
     if len(origins) == 1 and abs(next(iter(origins)) - a) == 1:
         if len(off) > 12:
             raise OracleBudgetExceeded(f"{len(off)} groups exceeds the "
@@ -125,7 +126,7 @@ def _maximal_departures(idxs: list[int], sizes: list[int], cap: int) \
 
 
 def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
-    """Memoized value iteration over group positions.
+    """Memoized value iteration over the positions of the groups `off`.
 
     A position (node, k) is a group that joins that node's occupancy in k
     epochs; k = 0 means it is there. Each epoch sends, from each node, an
@@ -144,10 +145,10 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
     optimal schedule into one whose every departure is maximal.
     """
     a = inst.facility
-    weights = [g.weight for g in off]
-    sizes = [g.size for g in off]
+    weights = [inst.weights[k] for k in off]
+    sizes = [inst.sizes[k] for k in off]
     done = (a, 0)
-    init = tuple((g.node, 0) for g in off)
+    init = tuple((inst.origins[k], 0) for k in off)
 
     memo: dict[tuple, int] = {}
     choice: dict[tuple, tuple[tuple, tuple]] = {}  # departures, next state
@@ -209,7 +210,7 @@ def _state_search(inst: PathInstance, off) -> tuple[int, Schedule]:
     while state in choice:  # until every group is at the facility
         combo, state = choice[state]
         for (v, chosen, _, _) in combo:
-            rows.append((t, v, tuple(off[i].id for i in chosen)))
+            rows.append((t, v, tuple(inst.ids[off[i]] for i in chosen)))
         t += 1
     return total, Schedule.from_rows(rows)
 

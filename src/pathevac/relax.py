@@ -107,8 +107,13 @@ def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[st
     hand-built packing splits a mass. Messages show a mass as its fraction
     of the item's size.
     """
+    return _violations(fp, inst, inst.positions())
+
+
+def _violations(fp: FractionalPacking, inst: PackingInstance,
+                at: dict[str, int]) -> list[str]:
+    """`validate_fractional` given the instance's `positions()`."""
     ids = inst.ids
-    at = inst.positions()
     sizes = inst.sizes
     ready = inst.ready
     violations: list[str] = []
@@ -147,12 +152,12 @@ def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fracti
     costs j * weight * mass / size, so the sum is kept as one numerator per
     item size, and the numerators meet over the lcm of the distinct sizes:
     one `Fraction` is built, where a sum of one `Fraction` per size builds
-    and adds several.
+    and adds several. The check and the sum share one id -> position dict.
     """
-    violations = validate_fractional(fp, inst)
+    at = inst.positions()
+    violations = _violations(fp, inst, at)
     if violations:
         raise ValueError(f"infeasible fractional packing: {violations[0]}")
-    at = inst.positions()
     sizes = inst.sizes
     weights = inst.weights
     by_size: dict[int, int | Fraction] = {}

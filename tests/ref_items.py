@@ -12,8 +12,9 @@ the differential tests can compare the column forms of `pathevac.evac`,
 `pathevac.packing` and `pathevac.relax` with them instance for instance,
 packing for packing, step for step, line for line, entry for entry and
 violation for violation. `packing_instance` builds an instance from
-`PackingItem`s, as the item-form constructor did; the tests build their
-hand-made instances through it.
+`PackingItem`s, as the item-form constructor did, and `path_instance` a
+path instance from `Group`s, as its group-form constructor did; the tests
+build their hand-made instances through them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from pathevac.evac import NonUniformCapacityError, SideReduction, _positions
-from pathevac.model import (FractionalPacking, Packing, PackingInstance,
-                            PackingItem, PathInstance)
+from pathevac.model import (FractionalPacking, Group, Packing,
+                            PackingInstance, PackingItem, PathInstance)
 from pathevac.packing import GreedyStep, GreedyTrace, eligibility_threshold
 
 
@@ -38,6 +39,20 @@ def packing_instance(capacity: int,
                            tuple([it.size for it in items]),
                            tuple([it.weight for it in items]),
                            tuple([it.ready for it in items]))
+
+
+def path_instance(nodes: int, facility: int, capacity: int,
+                  distances: tuple[int, ...], groups: Iterable[Group],
+                  edge_capacities: tuple[int, ...] | None = None) \
+        -> PathInstance:
+    """The path instance holding `groups`, in order, as its four group
+    columns."""
+    groups = tuple(groups)
+    return PathInstance(nodes, facility, capacity, distances,
+                        tuple([g.id for g in groups]),
+                        tuple([g.node for g in groups]),
+                        tuple([g.size for g in groups]),
+                        tuple([g.weight for g in groups]), edge_capacities)
 
 
 def reduce_side(inst: PathInstance, side: str) \

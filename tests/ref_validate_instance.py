@@ -18,6 +18,7 @@ from typing import Any
 
 from pathevac.model import Group, InstanceError, PathInstance
 from ref_field_checks import _is_mapping, _require_int
+from ref_items import path_instance
 
 
 def ref_validate_instance(data: Any) -> PathInstance:
@@ -99,7 +100,7 @@ def ref_validate_instance(data: Any) -> PathInstance:
 
     cap = data["capacity"]
     caps = tuple(o if o is not None else cap for o in overrides)
-    inst = PathInstance(
+    inst = path_instance(
         nodes=n,
         facility=data["facility"],
         capacity=cap,

@@ -17,6 +17,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
                       validate_schedule)
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
+from ref_items import path_instance
 from ref_logged_walk import ref_logged_walk
 from ref_walk import ref_walk, render
 import ref_move_schedule
@@ -76,7 +77,7 @@ def test_assemble_walks_routes_back(fixtures):
 
 def test_assemble_moves_the_part_of_a_bin_that_has_reached_a_node():
     # right side of a facility at node 1; node 2 is the near node
-    inst = PathInstance(
+    inst = path_instance(
         nodes=4, facility=1, capacity=10, distances=(1, 2, 1),
         groups=(Group("A", 4, 2, 1), Group("B", 3, 3, 1),
                 Group("C", 4, 1, 1), Group("D", 2, 4, 1)))
@@ -135,8 +136,8 @@ def test_fractional_lower_bound_rejects_per_edge_capacities(fixtures):
 
 
 def test_solve_all_at_facility():
-    inst = PathInstance(nodes=1, facility=1, capacity=2, distances=(),
-                        groups=(Group(id="g", node=1, size=1, weight=4),))
+    inst = path_instance(nodes=1, facility=1, capacity=2, distances=(),
+                         groups=(Group(id="g", node=1, size=1, weight=4),))
     report = solve_report(inst)
     sched, objective = report.schedule, report.objective
     assert sched.moves == ()
@@ -146,8 +147,8 @@ def test_solve_all_at_facility():
 def test_solve_rejects_group_larger_than_capacity():
     # parse_instance rejects this; an instance built in code reaches the
     # greedy, which must not close bins forever
-    inst = PathInstance(nodes=2, facility=2, capacity=2, distances=(1,),
-                        groups=(Group(id="g", node=1, size=3, weight=1),))
+    inst = path_instance(nodes=2, facility=2, capacity=2, distances=(1,),
+                         groups=(Group(id="g", node=1, size=3, weight=1),))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="item 'g' of size 3 exceeds the "
                                          "bin capacity 2"):
@@ -372,9 +373,9 @@ def test_validate_one_move_at_epoch_1e9(fixtures):
 
 def test_solve_and_validate_bottleneck_distance_1e9():
     d = 10 ** 9
-    inst = PathInstance(nodes=3, facility=3, capacity=4, distances=(2, d),
-                        groups=(Group(id="a", node=1, size=3, weight=5),
-                                Group(id="b", node=2, size=2, weight=1)))
+    inst = path_instance(nodes=3, facility=3, capacity=4, distances=(2, d),
+                         groups=(Group(id="a", node=1, size=3, weight=5),
+                                 Group(id="b", node=2, size=2, weight=1)))
     start = time.perf_counter()
     report = solve_report(inst)
     sched, objective = report.schedule, report.objective
@@ -390,9 +391,9 @@ def test_solve_validate_certify_non_bottleneck_distance_1e9():
     # a reaches the bottleneck at epoch d + 1, so its bin index is d + 1;
     # only the two occupied bins are stored
     d = 10 ** 9
-    inst = PathInstance(nodes=3, facility=3, capacity=4, distances=(d, 1),
-                        groups=(Group(id="a", node=1, size=3, weight=5),
-                                Group(id="b", node=2, size=2, weight=1)))
+    inst = path_instance(nodes=3, facility=3, capacity=4, distances=(d, 1),
+                         groups=(Group(id="a", node=1, size=3, weight=5),
+                                 Group(id="b", node=2, size=2, weight=1)))
     start = time.perf_counter()
     report = solve_report(inst)
     violations = validate_schedule(inst, report.schedule)

@@ -20,7 +20,7 @@ from pathevac.evac import _positions, fractional_lower_bound, solve_report
 from pathevac.model import (Move, Packing, PackingInstance, PackingItem,
                             Schedule)
 from checkers import parse_packing
-from ref_items import packing_instance
+from ref_items import packing_instance, path_instance
 from ref_parse_schedule import ref_parse_schedule
 from ref_serialize_instance import ref_serialize_instance
 from ref_serialize_packing import (ref_serialize_packing,
@@ -157,7 +157,7 @@ def test_capacity_check_costs_one_step_per_group(monkeypatch):
     inst = parse_instance(text)
     bound = fractional_lower_bound(inst, True)
     assert time.process_time() - start < 1.0
-    assert len(inst.groups) == n and bound > 0
+    assert len(inst.ids) == n and bound > 0
 
 
 def test_one_node_path_is_valid():
@@ -330,6 +330,51 @@ def test_packing_instance_is_columns_with_an_items_view():
         assert type(again) is PackingInstance and again == inst
     empty = PackingInstance(1, (), (), (), ())
     assert empty.items == () and empty.positions() == {}
+
+
+def test_path_instance_is_columns_with_a_groups_view():
+    path = (3, 2, 4, (1, 2))
+    columns = (("a", "é"), (1, 3), (3, 2), (5, 1))
+    inst = PathInstance(*path, *columns)
+    # the one constructor takes the path and the group columns, kept as
+    # given
+    assert tuple(inspect.signature(PathInstance).parameters) == (
+        "nodes", "facility", "capacity", "distances", "ids", "origins",
+        "sizes", "weights", "edge_capacities")
+    assert (inst.ids, inst.origins, inst.sizes, inst.weights) == columns
+    assert inst.edge_capacities is None and inst.is_uniform
+    same = PathInstance(nodes=3, facility=2, capacity=4, distances=(1, 2),
+                        ids=("a", "é"), origins=(1, 3), sizes=(3, 2),
+                        weights=(5, 1))
+    assert same == inst and hash(same) == hash(inst) and same is not inst
+    assert inst != PathInstance(3, 2, 5, (1, 2), *columns)
+    # the view gives the groups back, built anew on each read, and the
+    # tests' group-form helper gives the instance back from them
+    groups = (Group("a", 1, 3, 5), Group("é", 3, 2, 1))
+    assert inst.groups == groups
+    assert inst.groups is not inst.groups
+    assert all(g is not h for g, h in zip(inst.groups, inst.groups))
+    assert path_instance(*path, groups) == inst
+    assert dataclasses.replace(inst, origins=(3, 1)) \
+        == PathInstance(*path, ("a", "é"), (3, 1), (3, 2), (5, 1))
+    # overrides that all equal the uniform capacity fold into None, through
+    # the constructor and through `replace`
+    assert PathInstance(*path, *columns, (4, 4)) == inst
+    assert dataclasses.replace(inst, edge_capacities=(4, 4)) == inst
+    wide = PathInstance(*path, *columns, (4, 5))
+    assert wide.edge_capacities == (4, 5) and not wide.is_uniform
+    assert wide != inst and wide.edge_capacity(2) == 5
+    for name in ("nodes", "facility", "capacity", "distances", "ids",
+                 "origins", "sizes", "weights", "edge_capacities"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, ())
+    assert not hasattr(inst, "__dict__")
+    for value in (inst, wide):
+        for again in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(again) is PathInstance and again == value
+    empty = PathInstance(1, 1, 1, (), (), (), (), ())
+    assert empty.groups == () and empty.is_uniform
 
 
 def test_packing_instance_size_over_capacity():
@@ -724,11 +769,9 @@ _ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 
 
 @settings(max_examples=200)
-@given(data=st.data(), types=st.sampled_from([
-    (Group, ref_value_types.Group),
-    (PackingItem, ref_value_types.PackingItem)]))
-def test_value_types_match_reference(data, types):
-    cls, ref = types
+@given(data=st.data())
+def test_value_types_match_reference(data):
+    cls, ref = PackingItem, ref_value_types.PackingItem
     fields = [(f.name, f.type) for f in dataclasses.fields(ref)]
     assert [(f.name, f.type) for f in dataclasses.fields(cls)] == fields
     assert cls.__slots__ == ref.__slots__
@@ -791,11 +834,11 @@ def test_instance_writer_matches_reference(seed, nodes, groups, capacity,
 
 
 def test_instance_writer_matches_reference_on_special_instances(fixtures):
-    one_node = PathInstance(nodes=1, facility=1, capacity=2, distances=(),
-                            groups=(Group("A", 1, 1, 1),))
-    no_groups = PathInstance(nodes=3, facility=2, capacity=2,
-                             distances=(1, 5), groups=())
-    escaped = PathInstance(
+    one_node = path_instance(nodes=1, facility=1, capacity=2, distances=(),
+                             groups=(Group("A", 1, 1, 1),))
+    no_groups = path_instance(nodes=3, facility=2, capacity=2,
+                              distances=(1, 5), groups=())
+    escaped = path_instance(
         nodes=2, facility=2, capacity=9, distances=(1,), groups=tuple(
             Group(gid, 1, 1, 1) for gid in ('"q"', "back\\slash", "\x00\x1f",
                                             "\u2028\u2029", "é日",

@@ -12,7 +12,7 @@ import ref_state_search
 from brute import brute_packing_opt
 from checkers import validate_packing
 from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
-                      PackingInstance, PackingItem, PathInstance,
+                      PackingInstance, PackingItem,
                       exact_dwsf_opt, exact_fractional_opt_mcf,
                       exact_packing_opt, fractional_bound,
                       fractional_objective, gen_from_partition, gen_random,
@@ -20,7 +20,7 @@ from pathevac import (GenParams, Group, OracleBudgetExceeded, PackParams,
                       schedule_objective, simulate, solve_fractional_greedy,
                       solve_greedy, solve_report, validate_schedule)
 from pathevac import oracles
-from ref_items import packing_instance
+from ref_items import packing_instance, path_instance
 
 
 def test_oracles_import_nothing_from_the_solvers():
@@ -110,9 +110,9 @@ def test_dwsf_opt_frozen(fixtures):
 
 
 def test_dwsf_opt_right_side_long_edge():
-    inst = PathInstance(nodes=2, facility=1, capacity=2, distances=(3,),
-                        groups=(Group(id="g1", node=2, size=1, weight=2),
-                                Group(id="g2", node=2, size=2, weight=1)))
+    inst = path_instance(nodes=2, facility=1, capacity=2, distances=(3,),
+                         groups=(Group(id="g1", node=2, size=1, weight=2),
+                                 Group(id="g2", node=2, size=2, weight=1)))
     value, witness = exact_dwsf_opt(inst)
     assert value == 10
     assert [(m.time, m.node, m.groups) for m in witness.moves] == [
@@ -120,27 +120,27 @@ def test_dwsf_opt_right_side_long_edge():
 
 
 def test_dwsf_opt_all_at_facility():
-    inst = PathInstance(nodes=2, facility=1, capacity=1, distances=(1,),
-                        groups=(Group(id="g", node=1, size=1, weight=9),))
+    inst = path_instance(nodes=2, facility=1, capacity=1, distances=(1,),
+                         groups=(Group(id="g", node=1, size=1, weight=9),))
     value, witness = exact_dwsf_opt(inst)
     assert value == 0
     assert witness.moves == ()
 
 
 def test_dwsf_opt_budgets():
-    crowd = PathInstance(nodes=2, facility=2, capacity=1, distances=(1,),
-                         groups=tuple(Group(id=f"g{k}", node=1, size=1,
-                                            weight=1) for k in range(13)))
+    crowd = path_instance(nodes=2, facility=2, capacity=1, distances=(1,),
+                          groups=tuple(Group(id=f"g{k}", node=1, size=1,
+                                             weight=1) for k in range(13)))
     with pytest.raises(OracleBudgetExceeded, match="single-origin"):
         exact_dwsf_opt(crowd)
-    spread = PathInstance(nodes=3, facility=3, capacity=1, distances=(1, 1),
-                          groups=tuple(Group(id=f"g{k}", node=1 + k % 2,
-                                             size=1, weight=1)
-                                       for k in range(6)))
+    spread = path_instance(nodes=3, facility=3, capacity=1, distances=(1, 1),
+                           groups=tuple(Group(id=f"g{k}", node=1 + k % 2,
+                                              size=1, weight=1)
+                                        for k in range(6)))
     with pytest.raises(OracleBudgetExceeded, match="5-group"):
         exact_dwsf_opt(spread)
-    far = PathInstance(nodes=4, facility=4, capacity=1, distances=(5, 5, 5),
-                       groups=(Group(id="g", node=1, size=1, weight=1),))
+    far = path_instance(nodes=4, facility=4, capacity=1, distances=(5, 5, 5),
+                        groups=(Group(id="g", node=1, size=1, weight=1),))
     with pytest.raises(OracleBudgetExceeded, match="12-epoch"):
         exact_dwsf_opt(far)
 
@@ -181,7 +181,7 @@ def test_state_search_matches_the_reference_searches():
         origin = rng.choice([v for v in (facility - 1, facility + 1)
                              if 1 <= v <= nodes])
         capacity = rng.randint(2, 9)
-        inst = PathInstance(
+        inst = path_instance(
             nodes=nodes, facility=facility, capacity=capacity,
             distances=tuple(rng.randint(1, 3) for _ in range(nodes - 1)),
             groups=tuple(Group(id=f"g{k}", node=origin,
@@ -194,14 +194,14 @@ def test_state_search_matches_the_reference_searches():
 
 @pytest.mark.parametrize("inst", [
     # one origin next to the facility; g1 never fits its edge
-    PathInstance(nodes=2, facility=2, capacity=2, distances=(1,),
-                 groups=(Group(id="g1", node=1, size=3, weight=1),
-                         Group(id="g2", node=1, size=1, weight=1))),
+    path_instance(nodes=2, facility=2, capacity=2, distances=(1,),
+                  groups=(Group(id="g1", node=1, size=3, weight=1),
+                          Group(id="g2", node=1, size=1, weight=1))),
     # g1 crosses edge 1 and then never fits edge 2
-    PathInstance(nodes=3, facility=3, capacity=3, distances=(1, 2),
-                 edge_capacities=(3, 1),
-                 groups=(Group(id="g1", node=1, size=2, weight=1),
-                         Group(id="g2", node=2, size=1, weight=1))),
+    path_instance(nodes=3, facility=3, capacity=3, distances=(1, 2),
+                  edge_capacities=(3, 1),
+                  groups=(Group(id="g1", node=1, size=2, weight=1),
+                          Group(id="g2", node=2, size=1, weight=1))),
 ], ids=["single-origin", "state-search"])
 def test_dwsf_opt_rejects_a_group_larger_than_its_edge(inst):
     with pytest.raises(ValueError, match="no feasible departure from a "
@@ -252,9 +252,9 @@ def test_greedy_factor_2_is_tight_on_packing(cap):
 def test_greedy_factor_2_is_tight_on_a_path(d):
     # both groups at node 1, one epoch from the bottleneck's near node 2;
     # the bottleneck edge of length d adds 11 (d - 1) to both objectives
-    inst = PathInstance(nodes=3, facility=3, capacity=10, distances=(1, d),
-                        groups=(Group(id="a", node=1, size=1, weight=1),
-                                Group(id="b", node=1, size=10, weight=10)))
+    inst = path_instance(nodes=3, facility=3, capacity=10, distances=(1, d),
+                         groups=(Group(id="a", node=1, size=1, weight=1),
+                                 Group(id="b", node=1, size=10, weight=10)))
     assert solve_report(inst).objective == 43 + 11 * (d - 1)
     assert exact_dwsf_opt(inst)[0] == 23 + 11 * (d - 1)
 

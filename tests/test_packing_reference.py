@@ -31,7 +31,7 @@ from checkers import pair_overflow_violations
 from pathevac import (Group, Packing, PackingInstance, PackingItem,
                       PathInstance, assemble_schedule, packing_objective,
                       reduce_side, solve_greedy)
-from ref_items import packing_instance
+from ref_items import packing_instance, path_instance
 from test_greedy_reference import packing_instances
 
 
@@ -54,7 +54,7 @@ def _right_side(inst: PackingInstance) -> PathInstance:
     readies = sorted({it.ready for it in inst.items} - {1})
     node_of = {1: 2, **{r: k for k, r in enumerate(readies, start=3)}}
     gaps = [b - a for a, b in zip([1, *readies], readies)]
-    path = PathInstance(
+    path = path_instance(
         nodes=2 + len(readies), facility=1, capacity=inst.capacity,
         distances=(2, *gaps),
         groups=tuple(Group(id=it.id, node=node_of[it.ready], size=it.size,
@@ -69,8 +69,7 @@ def _left_side(inst: PackingInstance) -> PathInstance:
     right = _right_side(inst)
     n = right.nodes
     path = replace(right, facility=n, distances=right.distances[::-1],
-                   groups=tuple(replace(g, node=n + 1 - g.node)
-                                for g in right.groups))
+                   origins=tuple([n + 1 - v for v in right.origins]))
     assert reduce_side(path, "left")[0] == inst
     return path
 
@@ -81,7 +80,7 @@ def _two_sided(inst: PackingInstance) -> PathInstance:
     at the facility."""
     right = _right_side(inst)
     m = right.nodes - 1                 # the nodes of one side
-    path = PathInstance(
+    path = path_instance(
         nodes=2 * m + 1, facility=m + 1, capacity=inst.capacity,
         distances=right.distances[::-1] + right.distances,
         groups=(*(replace(g, id="L" + g.id, node=m + 2 - g.node)
