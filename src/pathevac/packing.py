@@ -4,10 +4,10 @@ Items have sizes, weights, and ready times (earliest usable bin). Bins are
 indexed 1, 2, ... and each holds total size at most the capacity; an item
 packed into bin j incurs cost weight * j. The greedy packs bins in order,
 always placing the eligible item with the largest weight/size ratio, and
-closes the current bin the first time that item does not fit. Ratios are
-compared exactly after reducing each weight/size by its gcd; equal ratios
-go in instance order. Ranking once and keeping the eligible items in a
-heap makes the greedy O(n log n) in the number of items. Everything here
+closes the current bin the first time that item does not fit. One sort
+ranks the ratios exactly, on float keys while max weight * max size is
+below 2^51 and on `Fraction` keys above; ties go in instance order. A
+heap of the eligible items makes the greedy O(n log n). Everything here
 reads a `PackingInstance` as its columns (ids, sizes, weights, ready
 times), through an id -> entry dict where it looks an item up.
 
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Container
 from dataclasses import dataclass
-from functools import cmp_to_key
+from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from operator import truediv
 from typing import NamedTuple, Sequence
 
 from .model import Packing, PackingInstance
@@ -94,24 +94,22 @@ class GreedyTrace:
 
 def ratio_ranking(weights: Sequence[int], sizes: Sequence[int]) -> list[int]:
     """The item positions by weight/size ratio, largest first, ties in
-    instance order.
+    instance order; weights and sizes are ints >= 1.
 
-    Each (weight, size) is reduced by its gcd, so 1/2, 2/4 and 3/6 are one
-    ratio. Only the distinct ratios are compared, by integer cross-products;
-    the stable sort of the positions by ratio rank keeps instance order
-    within a tie.
+    One stable sort on one key per item; `reverse=True` keeps equal keys
+    in instance order. While max(weights) * max(sizes) < 2^51 the key is
+    the float w / s, and it is exact: int/int division rounds correctly,
+    so equal ratios (1/2, 2/4, 3/6) get one float; distinct ratios
+    w1/s1 > w2/s2 differ by a relative gap >= 1/(w1*s2) > 2^-51, while
+    two reals that round to one float differ by at most one ulp, 2^-52
+    of it, so their floats differ and, rounding being monotone, keep
+    their order. Past the guard the key is the exact `Fraction` w / s.
     """
-    keys = []
-    append = keys.append
-    for w, s in zip(weights, sizes):
-        g = gcd(w, s)
-        append((w // g, s // g))
-    # a before b when a's ratio is larger: w_a * s_b > w_b * s_a
-    distinct = sorted(set(keys), key=cmp_to_key(
-        lambda a, b: b[0] * a[1] - a[0] * b[1]))
-    rank = {k: r for r, k in enumerate(distinct)}
-    ranks = list(map(rank.__getitem__, keys))
-    return sorted(range(len(ranks)), key=ranks.__getitem__)
+    if weights and max(weights) * max(sizes) < 2 ** 51:
+        key = list(map(truediv, weights, sizes))
+    else:
+        key = list(map(Fraction, weights, sizes))
+    return sorted(range(len(key)), key=key.__getitem__, reverse=True)
 
 
 # a step as `GreedyStep(bin, action, item)` builds it, without the

@@ -10,10 +10,10 @@ greedy's bins (2j-1, 2j) into pair j keeps the solution feasible for the
 reduced instance, and doubling pair indices recovers bin indices.
 
 The fractional greedy ranks items by the integral greedy's rule (exact
-reduced weight/size ratio, then instance order) and runs in O(n log n) in
-the number of items. An entry carries the mass poured into its bin, an
-integer, so validation adds integers and a `Fraction` appears only in the
-objective, once per call.
+weight/size ratio, as a float key below 2^51 and a `Fraction` above, then
+instance order) and runs in O(n log n) in the number of items. An entry
+carries the mass poured into its bin, an integer, so validation adds
+integers and a `Fraction` appears only in the objective, once per call.
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ that view builds the items. They are deliberately left as they were, so
 the differential tests can compare the column forms of `pathevac.evac`,
 `pathevac.packing` and `pathevac.relax` with them instance for instance,
 packing for packing, step for step, line for line, entry for entry and
-violation for violation. `packing_instance` builds an instance from
-`PackingItem`s, as the item-form constructor did, and `path_instance` a
-path instance from `Group`s, as its group-form constructor did; the tests
-build their hand-made instances through them.
+violation for violation. `ratio_ranking` is the gcd and cross-product
+ranking that `ratio_order` reads, kept as the reference for the
+float/`Fraction` key of `packing.ratio_ranking`. `packing_instance`
+builds an instance from `PackingItem`s, as the item-form constructor
+did, and `path_instance` a path instance from `Group`s, as its
+group-form constructor did; the tests build their hand-made instances
+through them.
 """
 
 from __future__ import annotations
@@ -86,25 +89,33 @@ def reduce_side(inst: PathInstance, side: str) \
             SideReduction(delay_cost=(inst.distance(edge) - 1) * weight_sum))
 
 
-def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
-    """The items by weight/size ratio, largest first, ties in instance order.
+def ratio_ranking(weights: Sequence[int], sizes: Sequence[int]) -> list[int]:
+    """`packing.ratio_ranking` as it was before its float/`Fraction` key:
+    the item positions by weight/size ratio, largest first, ties in
+    instance order.
 
     Each (weight, size) is reduced by its gcd, so 1/2, 2/4 and 3/6 are one
     ratio. Only the distinct ratios are compared, by integer cross-products;
-    the stable sort of the indices by ratio rank keeps instance order within
-    a tie.
+    the stable sort of the positions by ratio rank keeps instance order
+    within a tie.
     """
     keys = []
-    for it in items:
-        g = gcd(it.weight, it.size)
-        keys.append((it.weight // g, it.size // g))
+    for w, s in zip(weights, sizes):
+        g = gcd(w, s)
+        keys.append((w // g, s // g))
     # a before b when a's ratio is larger: w_a * s_b > w_b * s_a
     distinct = sorted(set(keys), key=cmp_to_key(
         lambda a, b: b[0] * a[1] - a[0] * b[1]))
     rank = {k: r for r, k in enumerate(distinct)}
     ranks = [rank[k] for k in keys]
-    return [items[i] for i in sorted(range(len(items)),
-                                     key=ranks.__getitem__)]
+    return sorted(range(len(ranks)), key=ranks.__getitem__)
+
+
+def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
+    """The items by weight/size ratio, largest first, ties in instance
+    order, as `ratio_ranking` ranks them."""
+    return [items[i] for i in ratio_ranking([it.weight for it in items],
+                                            [it.size for it in items])]
 
 
 def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:

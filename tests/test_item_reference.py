@@ -8,14 +8,17 @@ five path shapes of the benchmark workloads, both forms must give equal
 packing instances and delay costs, equal packings, equal steps (each
 still a `GreedyStep`), identical rendered traces, identical pour entries
 and bound `Fraction`s, and, on hand-built bad fractional packings, the
-same violations word for word.
+same violations word for word. The float/`Fraction` key of
+`ratio_ranking` must rank as the reference's gcd and cross-products do,
+around its 2^51 guard and on ints past 2^53, and the greedy and the
+pours must agree on instances built from such columns.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ref_items
 from pathevac import (FractionalPacking, GenParams, PackingInstance,
@@ -93,6 +96,115 @@ def test_path_sides_match_item_reference(seed, shape):
         _same_greedy(pinst)
         if pinst.ids:
             _same_pours(pinst)
+
+
+# the float key's guard on max(weights) * max(sizes)
+_GUARD = 2 ** 51
+
+
+@st.composite
+def ratio_columns(draw):
+    """Weight and size columns for `ratio_ranking`, in one of three modes.
+
+    `small`: ints up to 20 and 12, from none to a dozen items. `guard`:
+    bounds whose product is just below, or at or just above, 2^51, 2^52
+    or 2^53, with one item at both bounds, and neighbouring ratios
+    m - 1/s and m - 1/(s - 1), whose relative gap 1/(w1*s2) is the
+    smallest the bounds admit; past 2^51 such floats can collide. `big`:
+    ints past 2^53 and near 10^20, a few apart, so that distinct ratios
+    can share a float. Every mode plants scaled copies k*w / k*s of drawn
+    ratios, and the rows come in any order.
+    """
+    mode = draw(st.sampled_from(("small", "guard", "big")))
+    rows = []
+    if mode == "small":
+        w_max, s_max = 20, 12
+        n = draw(st.integers(min_value=0, max_value=12))
+        for _ in range(n):
+            rows.append((draw(st.integers(1, w_max)),
+                         draw(st.integers(1, s_max))))
+    elif mode == "guard":
+        s_max = draw(st.one_of(st.integers(2, 2 ** 24),
+                               st.integers(1, 24).map(lambda k: 2 ** k)))
+        top = draw(st.sampled_from((_GUARD, 2 * _GUARD, 4 * _GUARD)))
+        w_max = (top - 1) // s_max + draw(st.sampled_from((0, 1)))
+        rows.append((w_max, s_max))
+        for _ in range(draw(st.integers(0, 4))):
+            s1 = draw(st.one_of(st.just(s_max), st.integers(2, s_max)))
+            m_max = (w_max + 1) // s1
+            m = draw(st.one_of(st.just(m_max), st.integers(1, m_max)))
+            if m * (s1 - 1) >= 2:
+                rows += [(s1 * m - 1, s1), (m * (s1 - 1) - 1, s1 - 1)]
+        for _ in range(draw(st.integers(0, 4))):
+            rows.append((draw(st.integers(1, w_max)),
+                         draw(st.integers(1, s_max))))
+    else:
+        w_max = s_max = None
+        bases = st.sampled_from((2 ** 53, 2 ** 64, 10 ** 20))
+        near = st.tuples(bases, st.integers(-3, 3)).map(sum)
+        for _ in range(draw(st.integers(1, 8))):
+            rows.append((draw(near),
+                         draw(st.one_of(st.integers(1, 4), near))))
+    for w, s in list(rows):
+        k_max = 9 if w_max is None else min(w_max // w, s_max // s, 9)
+        if k_max >= 2 and draw(st.booleans()):
+            k = draw(st.integers(2, k_max))
+            rows.append((k * w, k * s))
+    rows = draw(st.permutations(rows))
+    return tuple(w for w, _ in rows), tuple(s for _, s in rows)
+
+
+# m = 2^11 and s = 2^20, the largest bounds of the guard mode's ratio pair
+_NEIGHBOURS = ((2 ** 11 * (2 ** 20 - 1) - 1, 2 ** 31 - 1),
+               (2 ** 20 - 1, 2 ** 20))
+# neighbours m - 1/s, m - 1/(s - 1) at m = 38, s = 15207665: the product of
+# the bounds is below 2^53, and the two ratios share a float
+_SHARED_FLOAT = ((577891231, 577891269), (15207664, 15207665))
+
+
+@settings(max_examples=500, deadline=None)
+@given(columns=ratio_columns())
+@example(columns=((), ()))
+@example(columns=((7,), (3,)))
+@example(columns=((2, 1, 3, 4), (4, 2, 6, 8)))
+@example(columns=_NEIGHBOURS)
+@example(columns=_SHARED_FLOAT)
+@example(columns=((2 ** 53, 2 ** 53 + 1), (1, 1)))
+@example(columns=((2 ** 53 + 1, 2 ** 53), (1, 1)))
+@example(columns=((10 ** 20, 10 ** 20 + 1, 2 * 10 ** 20 + 2), (3, 3, 6)))
+def test_ratio_ranking_matches_reference(columns):
+    weights, sizes = columns
+    assert ratio_ranking(weights, sizes) \
+        == ref_items.ratio_ranking(weights, sizes)
+
+
+def test_ratio_ranking_keys():
+    # below the guard the nearest ratios still get distinct floats
+    (w2, w1), (s2, s1) = _NEIGHBOURS
+    assert max(w1, w2) * max(s1, s2) < _GUARD
+    assert w1 / s1 > w2 / s2
+    assert ratio_ranking(*_NEIGHBOURS) == [1, 0]
+    # but a guard at 2^53 would not do: these two ratios share a float
+    (w2, w1), (s2, s1) = _SHARED_FLOAT
+    assert max(w1, w2) * max(s1, s2) < 2 ** 53
+    assert w1 * s2 > w2 * s1 and w1 / s1 == w2 / s2
+    assert ratio_ranking(*_SHARED_FLOAT) == [1, 0]
+    # past it, 2^53 + 1 and 2^53 round to one float, and the Fraction key
+    # still ranks the larger first
+    assert float(2 ** 53 + 1) == float(2 ** 53)
+    assert ratio_ranking((2 ** 53, 2 ** 53 + 1), (1, 1)) == [1, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=ratio_columns(), data=st.data())
+def test_big_ratio_instances_match_item_reference(columns, data):
+    weights, sizes = columns
+    cap = max(sizes, default=1) * data.draw(st.integers(1, 3))
+    ready = tuple(data.draw(st.integers(1, 4)) for _ in weights)
+    inst = PackingInstance(cap, tuple(f"i{k}" for k in range(len(sizes))),
+                           sizes, weights, ready)
+    _same_greedy(inst)
+    _same_pours(inst)
 
 
 def _verdict(validate, objective, fp, inst):
