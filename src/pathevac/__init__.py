@@ -29,8 +29,7 @@ from .oracles import (OracleBudgetExceeded, exact_dwsf_opt,
 from .packing import (GreedyTrace, eligibility_threshold, packing_objective,
                       solve_greedy)
 from .relax import (fractional_bound, fractional_objective,
-                    reduced_ready_times, solve_fractional_greedy,
-                    validate_fractional)
+                    reduced_ready_times, solve_fractional_greedy)
 
 __all__ = [
     "__version__",
@@ -45,7 +44,7 @@ __all__ = [
     "packing_objective",
     # relaxation
     "reduced_ready_times", "solve_fractional_greedy", "fractional_objective",
-    "validate_fractional", "fractional_bound",
+    "fractional_bound",
     # evacuation
     "reduce_side", "fractional_lower_bound", "assemble_schedule",
     "solve_report",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 import time
 
@@ -90,11 +91,8 @@ def _cmd_oracle(args) -> int:
             raise InstanceError(["oracle: --fractional needs --packing"])
         inst = parse_instance(_read(args.instance))
         opt, schedule = oracles.exact_dwsf_opt(inst)
-        # the document `serialize_schedule` writes: the rows of a
-        # `Schedule` are in (time, node) order
-        doc = {"opt": opt, "witness": {"moves": [
-            {"time": t, "node": v, "groups": list(ids)}
-            for t, v, ids in schedule.rows]}}
+        doc = {"opt": opt,
+               "witness": json.loads(serialize_schedule(schedule))}
     elif args.fractional:
         pinst = parse_packing_instance(_read(args.packing))
         value = oracles.exact_fractional_opt_mcf(pinst)

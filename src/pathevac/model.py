@@ -570,16 +570,13 @@ def serialize_instance(inst: PathInstance) -> str:
 
 
 def serialize_packing_instance(inst: PackingInstance) -> str:
-    """The canonical packing-instance text, the same bytes as `_dumps` of
-    {"capacity", "items": [{"id", "size", "weight", "ready"}, ...]},
-    written directly for the reason `serialize_schedule` is."""
-    items = [f'    {{\n      "id": {encode_basestring(iid)},\n'
-             f'      "size": {size},\n      "weight": {weight},\n'
-             f'      "ready": {ready}\n    }}'
-             for iid, size, weight, ready in zip(
-                 inst.ids, inst.sizes, inst.weights, inst.ready)]
-    return (f'{{\n  "capacity": {inst.capacity},\n'
-            f'  "items": {_array(items)}\n}}\n')
+    """The canonical packing-instance text: `_dumps` of {"capacity",
+    "items": [{"id", "size", "weight", "ready"}, ...]}. Only `gen
+    --packing` writes it, so the plain encoder is fast enough."""
+    return _dumps({"capacity": inst.capacity, "items": [
+        {"id": iid, "size": size, "weight": weight, "ready": ready}
+        for iid, size, weight, ready in zip(
+            inst.ids, inst.sizes, inst.weights, inst.ready)]})
 
 
 # one move of a schedule file, filled by `%` with its time, its node and its

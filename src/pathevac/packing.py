@@ -9,7 +9,8 @@ ranks the ratios exactly, on float keys while max weight * max size is
 below 2^51 and on `Fraction` keys above; ties go in instance order. A
 heap of the eligible items makes the greedy O(n log n). Everything here
 reads a `PackingInstance` as its columns (ids, sizes, weights, ready
-times), through an id -> entry dict where it looks an item up.
+times), through an id -> entry dict where it looks an item up; the
+objective prices a packing in one pass over its bins.
 
 Eligibility is deliberately coarser than the ready times: an item with ready
 time r becomes eligible at the smallest odd bin index >= r. Aligning every
@@ -21,7 +22,6 @@ fractional relaxation.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -186,21 +186,15 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
     return packing, GreedyTrace(inst, tuple(steps))
 
 
-def _require_known(known: Container[str], ids: Sequence[str],
-                   j: int) -> None:
-    """Raise ValueError naming the first id of bin j the instance lacks."""
-    for item_id in ids:
-        if item_id not in known:
-            raise ValueError(f"unknown item {item_id!r} in bin {j}")
-
-
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:
-    """Sum of weight * bin index over all packed items."""
-    weight = dict(zip(inst.ids, inst.weights))
+    """Sum of weight * bin index over all packed items, in one pass; the
+    first id the instance lacks, in bin order, raises ValueError."""
+    weight = dict(zip(inst.ids, inst.weights)).get
     total = 0
     for j, bin_ in packing.bins.items():
-        _require_known(weight, bin_, j)
         for item_id in bin_:
-            total += weight[item_id] * j
+            w = weight(item_id)
+            if w is None:
+                raise ValueError(f"unknown item {item_id!r} in bin {j}")
+            total += w * j
     return total
-

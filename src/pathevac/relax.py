@@ -12,8 +12,9 @@ reduced instance, and doubling pair indices recovers bin indices.
 The fractional greedy ranks items by the integral greedy's rule (exact
 weight/size ratio, as a float key below 2^51 and a `Fraction` above, then
 instance order) and runs in O(n log n) in the number of items. An entry
-carries the mass poured into its bin, an integer, so validation adds
-integers and a `Fraction` appears only in the objective, once per call.
+carries the mass poured into its bin, an integer, so the objective's one
+pass over the entries checks them and sums them in integers, and a
+`Fraction` appears only in its result, once per call.
 """
 
 from __future__ import annotations
@@ -98,27 +99,29 @@ def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:
     return FractionalPacking(entries=tuple(entries))
 
 
-def validate_fractional(fp: FractionalPacking, inst: PackingInstance) -> list[str]:
-    """All constraint violations of a fractional packing; empty means feasible.
+def _checked(fp: FractionalPacking, inst: PackingInstance) \
+        -> tuple[list[str], dict[int, int | Fraction]]:
+    """All constraint violations of a fractional packing, empty when it is
+    feasible, and its objective's numerators by item size.
 
-    Each entry finds its item's size and ready time in the instance's
-    columns through one id -> position dict. Per-item and per-bin masses
-    add up as they come: ints from the pour, `Fraction`s only where a
-    hand-built packing splits a mass. Messages show a mass as its fraction
-    of the item's size.
+    One pass over the entries finds each item's size, weight and ready
+    time in the instance's columns through one id -> position dict.
+    Per-item and per-bin masses add up as they come: ints from the pour,
+    `Fraction`s only where a hand-built packing splits a mass. An entry
+    that names a known item with a mass in (0, size] adds
+    j * weight * mass to its size's numerator, so the numerators are the
+    objective's only where the list is empty. Messages show a mass as its
+    fraction of the item's size.
     """
-    return _violations(fp, inst, inst.positions())
-
-
-def _violations(fp: FractionalPacking, inst: PackingInstance,
-                at: dict[str, int]) -> list[str]:
-    """`validate_fractional` given the instance's `positions()`."""
+    at = inst.positions()
     ids = inst.ids
     sizes = inst.sizes
+    weights = inst.weights
     ready = inst.ready
     violations: list[str] = []
     assigned: list[int | Fraction] = [0] * len(ids)
     loads: dict[int, int | Fraction] = {}
+    by_size: dict[int, int | Fraction] = {}
     for item_id, j, mass in fp.entries:
         k = at.get(item_id)
         if k is None:
@@ -134,6 +137,7 @@ def _violations(fp: FractionalPacking, inst: PackingInstance,
                               f"{j} before ready time {ready[k]}")
         assigned[k] += mass
         loads[j] = loads.get(j, 0) + mass
+        by_size[size] = by_size.get(size, 0) + j * weights[k] * mass
     for item_id, mass, size in zip(ids, assigned, sizes):
         if mass != size:
             violations.append(f"conservation: item {item_id!r} assigns total "
@@ -142,29 +146,21 @@ def _violations(fp: FractionalPacking, inst: PackingInstance,
         if load > inst.capacity:
             violations.append(f"capacity: bin {j} holds size {load} > "
                               f"{inst.capacity}")
-    return violations
+    return violations, by_size
 
 
 def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fraction:
     """Exact objective of a feasible fractional packing.
 
-    Rejects infeasible input, naming the violated constraint. An entry
-    costs j * weight * mass / size, so the sum is kept as one numerator per
-    item size, and the numerators meet over the lcm of the distinct sizes:
-    one `Fraction` is built, where a sum of one `Fraction` per size builds
-    and adds several. The check and the sum share one id -> position dict.
+    Rejects infeasible input, naming the first violation `_checked`
+    finds. An entry costs j * weight * mass / size, so the check's pass
+    keeps the sum as one numerator per item size, and the numerators
+    meet over the lcm of the distinct sizes: one `Fraction` is built,
+    where a sum of one `Fraction` per size builds and adds several.
     """
-    at = inst.positions()
-    violations = _violations(fp, inst, at)
+    violations, by_size = _checked(fp, inst)
     if violations:
         raise ValueError(f"infeasible fractional packing: {violations[0]}")
-    sizes = inst.sizes
-    weights = inst.weights
-    by_size: dict[int, int | Fraction] = {}
-    for i, j, mass in fp.entries:
-        k = at[i]
-        size = sizes[k]
-        by_size[size] = by_size.get(size, 0) + j * weights[k] * mass
     den = lcm(*by_size)
     return Fraction(sum([num * (den // size) for size, num in by_size.items()]),
                     den)

@@ -2,17 +2,29 @@
 (`validate_packing`), the paired objective of the factor-2 argument
 (`paired_view`), the pair overflow that argument rests on
 (`pair_overflow_violations`), a greedy trace re-executed to its packing
-(`replay_trace`), and the reader of the packing file that
+(`replay_trace`), the feasibility of a fractional packing
+(`validate_fractional`), and the reader of the packing file that
 `oracle --packing` writes as its witness (`parse_packing`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 
-from pathevac.model import InstanceError, Packing, PackingInstance
-from pathevac.packing import GreedyTrace, _require_known
+from pathevac.model import (FractionalPacking, InstanceError, Packing,
+                            PackingInstance)
+from pathevac.packing import GreedyTrace
+from pathevac.relax import _checked
 from ref_field_checks import _is_mapping, _loads
+
+
+def _require_known(known: Container[str], ids: Sequence[str],
+                   j: int) -> None:
+    """Raise ValueError naming the first id of bin j the instance lacks."""
+    for item_id in ids:
+        if item_id not in known:
+            raise ValueError(f"unknown item {item_id!r} in bin {j}")
 
 
 def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
@@ -119,6 +131,13 @@ def pair_overflow_violations(packing: Packing, inst: PackingInstance) -> list[st
             violations.append(f"pair {j // 2}: bins {j - 1},{j} hold size "
                               f"{size} <= capacity {inst.capacity}")
     return violations
+
+
+def validate_fractional(fp: FractionalPacking,
+                        inst: PackingInstance) -> list[str]:
+    """All constraint violations of a fractional packing, in the order
+    `fractional_objective` finds them; empty means feasible."""
+    return _checked(fp, inst)[0]
 
 
 def parse_packing(text: str) -> tuple[Packing, int | None]:

@@ -32,6 +32,23 @@ PACKINGS = {f"pack{seed}": ["gen", "--packing", "--seed", str(seed),
                             "--items", "9", "--max-ready", "12"]
             for seed in range(1, 7)}
 
+# instance name -> the CLI arguments that write it, for `oracle --instance`:
+# fig1b, and twelve groups at one node next to the facility
+ORACLE_INSTANCES = {
+    "fig1b": INSTANCES["fig1b"],
+    "gen4-twelve": ["gen", "--seed", "4", "--nodes", "2", "--groups", "12",
+                    "--capacity", "20", "--facility", "2"],
+}
+
+# instance name -> sha256 of the stdout of `oracle --instance`, the bytes
+# CI's standard-library step hashes: the optimum and its witness schedule
+ORACLE_STDOUT = {
+    "fig1b":
+        "851e0249c07af4a25520c1b280106737b5d5d1846f3a8ba8c7ed4f5c06c7f72b",
+    "gen4-twelve":
+        "57c85cc957abbf321685cf689e5d5e74e547aea9ad42cdb787075f8596678f33",
+}
+
 # rejected instance documents: every violation kind of a group entry in
 # one, and route capacity violations (checked only once every entry is
 # valid) in the other, so the message order is pinned end to end
@@ -190,6 +207,16 @@ def test_packing_commands(name, tmp_path, capsys):
     got = {"oracle": _run(capsys, ["oracle", "--packing", pinst])[1],
            "lowerbound": _run(capsys, ["lowerbound", "--packing", pinst])[1]}
     assert got == {cmd: GOLDEN[f"{name} {cmd}"] for cmd in got}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_oracle_instance_stdout(name, tmp_path, capsys):
+    inst = str(_write_input(tmp_path, capsys, name, ORACLE_INSTANCES[name]))
+    assert main(["oracle", "--instance", inst]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == ORACLE_STDOUT[name]
 
 
 def test_some_witness_has_empty_bins(tmp_path, capsys):

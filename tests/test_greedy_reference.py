@@ -18,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import ref_fractional
 import ref_greedy
+from checkers import validate_fractional
 from pathevac import (FractionalPacking, PackingItem, fractional_objective,
                       reduced_ready_times, solve_fractional_greedy,
-                      solve_greedy, validate_fractional)
+                      solve_greedy)
 from ref_items import packing_instance
 
 # reduced ratios; scaled copies such as 1/2, 2/4, 3/6 tie only after reduction

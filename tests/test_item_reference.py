@@ -21,11 +21,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ref_items
+from checkers import validate_fractional
 from pathevac import (FractionalPacking, GenParams, PackingInstance,
                       PackingItem, fractional_objective, gen_random,
                       packing_objective, reduce_side, reduced_ready_times,
-                      solve_fractional_greedy, solve_greedy,
-                      validate_fractional)
+                      solve_fractional_greedy, solve_greedy)
 from pathevac.packing import GreedyStep, ratio_ranking
 from test_greedy_reference import _with_examples, packing_instances
 
@@ -245,6 +245,30 @@ def test_bad_fractional_packings_match_item_reference(entries, first):
                                ref_items.fractional_objective, fp, _ABC)
     assert verdict[0][0] == first
     assert verdict[1] == f"infeasible fractional packing: {first}"
+
+
+def test_every_violation_kind_at_once_matches_item_reference():
+    # masses out of range, an unknown id and an early bin among the
+    # entries, in entry order, where an early mass out of range is named
+    # once, for its range; then conservation in instance order and
+    # capacity in bin order, as one pass over the entries finds them
+    fp = FractionalPacking(entries=(
+        ("b", 3, 2), ("c", 3, 4), ("a", 1, 5), ("x", 2, 1), ("b", 2, 1),
+        ("c", 1, 0)))
+    violations = [
+        "fraction: item 'a' carries 5/3 outside (0, 1]",
+        "unknown item: 'x'",
+        "ready time: item 'b' has mass in bin 2 before ready time 3",
+        "fraction: item 'c' carries 0 outside (0, 1]",
+        "conservation: item 'a' assigns total fraction 0, expected 1",
+        "conservation: item 'b' assigns total fraction 3/2, expected 1",
+        "capacity: bin 3 holds size 6 > 4",
+    ]
+    error = f"infeasible fractional packing: {violations[0]}"
+    assert _verdict(validate_fractional, fractional_objective, fp, _ABC) \
+        == _verdict(ref_items.validate_fractional,
+                    ref_items.fractional_objective, fp, _ABC) \
+        == (violations, error)
 
 
 _DAMAGE = ("unknown", "nonpositive", "above_size", "early", "drop", "merge")

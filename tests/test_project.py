@@ -55,10 +55,6 @@ UNREAD_EXPORTS = {
     # through `check_schedule` as `pathevac validate` does (ROADMAP item 1)
     "simulate": "perfbench validate op",
     "validate_schedule": "perfbench validate op",
-    # the public check of a fractional packing; `fractional_objective`
-    # runs its body, `relax._violations`, with the position dict it sums
-    # over, so the package builds that dict once per objective
-    "validate_fractional": "public check, body shared by the objective",
 }
 
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ref_fractional
+from checkers import validate_fractional
 from pathevac import (FractionalPacking, PackingItem, PackParams,
                       exact_fractional_opt_mcf, exact_packing_opt,
                       fractional_bound, fractional_objective,
                       gen_random_packing, packing_objective,
                       reduced_ready_times, solve_fractional_greedy,
-                      solve_greedy, validate_fractional)
+                      solve_greedy)
 from ref_items import packing_instance
 
 
