@@ -13,7 +13,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import relax
 from .model import Packing, PackingInstance, PathInstance, Row, Schedule
@@ -324,6 +324,12 @@ def _walk(inst: PathInstance, sched: Schedule,
     that state, at a couple of dict operations per named group; the cost
     follows the number of moves, never the epoch values.
 
+    A node's hop (its edge's length, the next node toward the facility and
+    that edge's capacity) is worked out at the first move from it and kept
+    for this walk only, so the walk does no per-node set-up. A move that
+    names one group, off the facility and from epoch 1 on, makes the same
+    checks in a short branch, without the duplicate scan or per-id loop.
+
     Groups named in a bad move simply do not move, so one violation never
     cascades into spurious ones downstream. The checks of a move on its
     own (off the path, before epoch 1, an unknown or doubled id) are
@@ -349,71 +355,96 @@ def _walk(inst: PathInstance, sched: Schedule,
     early: list[str] = []   # the checks of a move on its own
     violations: list[str] = []
     report = violations.append
-    # edge k joins nodes k and k + 1; index 0 is unused
-    dist = (0, *inst.distances)
-    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
+    distances, caps = inst.distances, inst.edge_capacities
+    # a node on the path other than the facility -> (its edge's length - 1,
+    # the next node toward the facility, that edge's capacity)
+    hops: dict[int, tuple[int, int, int]] = {}
     named_t = 0             # the epoch of the last move naming a group
     top = 0                 # the latest landing epoch
     for t, v, ids in sched.rows:
-        if v < 1 or v > nodes:
-            early.append(f"unknown: node {v} outside the path "
-                         f"(move at time {t})")
-            continue
+        hop = hops.get(v)
+        if hop is None:
+            if v < 1 or v > nodes:
+                early.append(f"unknown: node {v} outside the path "
+                             f"(move at time {t})")
+                continue
+            if v != a:
+                k = v - 1 if v < a else v - 2     # edge v or v - 1
+                hop = hops[v] = (distances[k] - 1, v + 1 if v < a else v - 1,
+                                 inst.capacity if caps is None else caps[k])
         if t < 1:
             early.append(f"time: move at time {t}, node {v} before epoch 1")
             continue
-        if len(ids) > 1 and len(set(ids)) != len(ids):
-            kept: dict[str, None] = {}
-            for gid in ids:
-                if gid not in size_of:
-                    early.append(f"unknown: group {gid!r} in move at "
-                                 f"time {t}, node {v}")
-                elif gid in kept:
-                    early.append(f"duplicate: group {gid!r} twice in "
-                                 f"move at time {t}, node {v}")
-                else:
-                    kept[gid] = None
-            ids = tuple(kept)
-        if v == a:
-            named = False
-            for gid in ids:
-                if gid in size_of:
-                    named = True
-                else:
-                    early.append(f"unknown: group {gid!r} in move at "
-                                 f"time {t}, node {v}")
-            if named:
-                named_t = t
-                report(f"direction: move at the facility node {a} at time {t}")
-            continue
-        edge = v if v < a else v - 1
-        land = t + dist[edge] - 1
-        u = v + 1 if v < a else v - 1
-        there = (u, land + 1)
-        size = 0
-        stay = ()   # the named ids that do not leave
-        for gid in ids:
+        if len(ids) == 1 and hop is not None:
+            # one group off the facility: it leaves whole or not at all
+            gid = ids[0]
             s = state.get(gid)
             if s is None:
                 early.append(f"unknown: group {gid!r} in move at time "
                              f"{t}, node {v}")
-                stay += (gid,)
                 continue
             named_t = t
-            if s[0] == v and s[1] <= t:
-                state[gid] = there
-                size += size_of[gid]
-            else:
+            if s[0] != v or s[1] > t:
                 report(f"presence: group {gid!r} not at node {v} at time {t}")
-                stay += (gid,)
-        if len(stay) == len(ids):   # nothing leaves, or the move is empty
-            continue
-        if stay:
-            # the ids are distinct here
-            ids = [gid for gid in ids if gid not in stay]
-        if size > caps[edge]:
+                continue
+            lag, u, cap = hop
+            land = t + lag
+            state[gid] = (u, land + 1)
+            size = size_of[gid]
+        else:
+            if len(ids) > 1 and len(set(ids)) != len(ids):
+                kept: dict[str, None] = {}
+                for gid in ids:
+                    if gid not in size_of:
+                        early.append(f"unknown: group {gid!r} in move at "
+                                     f"time {t}, node {v}")
+                    elif gid in kept:
+                        early.append(f"duplicate: group {gid!r} twice in "
+                                     f"move at time {t}, node {v}")
+                    else:
+                        kept[gid] = None
+                ids = tuple(kept)
+            if v == a:
+                named = False
+                for gid in ids:
+                    if gid in size_of:
+                        named = True
+                    else:
+                        early.append(f"unknown: group {gid!r} in move at "
+                                     f"time {t}, node {v}")
+                if named:
+                    named_t = t
+                    report(f"direction: move at the facility node {a} at "
+                           f"time {t}")
+                continue
+            lag, u, cap = hop
+            land = t + lag
+            there = (u, land + 1)
+            size = 0
+            stay = ()   # the named ids that do not leave
+            for gid in ids:
+                s = state.get(gid)
+                if s is None:
+                    early.append(f"unknown: group {gid!r} in move at time "
+                                 f"{t}, node {v}")
+                    stay += (gid,)
+                    continue
+                named_t = t
+                if s[0] == v and s[1] <= t:
+                    state[gid] = there
+                    size += size_of[gid]
+                else:
+                    report(f"presence: group {gid!r} not at node {v} at "
+                           f"time {t}")
+                    stay += (gid,)
+            if len(stay) == len(ids):   # nothing leaves, or the move is empty
+                continue
+            if stay:
+                # the ids are distinct here
+                ids = [gid for gid in ids if gid not in stay]
+        if size > cap:
             report(f"capacity: departure from node {v} at time {t} "
-                   f"carries size {size} > capacity {caps[edge]}")
+                   f"carries size {size} > capacity {cap}")
         if log is not None:
             log((t, v, ids, land, u))
         if land > top:
@@ -438,24 +469,27 @@ def simulate(inst: PathInstance, sched: Schedule) -> SimulationTrace:
 
 
 def schedule_objective(trace: SimulationTrace, inst: PathInstance) -> int:
-    """Weighted sum of arrival epochs; every group must arrive."""
-    total = 0
-    for gid, w in zip(inst.ids, inst.weights):
-        if gid not in trace.arrival_time:
-            raise ValueError(f"group {gid!r} never arrives at the facility")
-        total += w * trace.arrival_time[gid]
-    return total
+    """Weighted sum of arrival epochs, in one C-level sum; the first group
+    in instance order that never arrives raises ValueError."""
+    try:
+        return sum(map(mul, inst.weights,
+                       map(trace.arrival_time.__getitem__, inst.ids)))
+    except KeyError as missing:
+        gid = missing.args[0]
+    raise ValueError(f"group {gid!r} never arrives at the facility")
 
 
 def check_schedule(inst: PathInstance, sched: Schedule) \
         -> tuple[SimulationTrace, list[str]]:
     """One walk of a schedule: its trace and all its violations, the
-    groups that never reach the facility included."""
+    groups that never reach the facility included, which are looked for
+    only when fewer groups arrived than the instance holds."""
     trace, violations = _walk(inst, sched)
-    for gid in inst.ids:
-        if gid not in trace.arrival_time:
-            violations.append(f"completion: group {gid!r} never arrives "
-                              "at the facility")
+    if len(trace.arrival_time) < len(inst.ids):
+        for gid in inst.ids:
+            if gid not in trace.arrival_time:
+                violations.append(f"completion: group {gid!r} never "
+                                  "arrives at the facility")
     return trace, violations
 
 

@@ -1,45 +1,34 @@
-"""The one-pass schedule walk that always logged its departures, kept as a
+"""The one-pass schedule walk over (time, node, ids) rows, kept as a
 test-only reference.
 
-This is `pathevac.evac._walk` as it was while every walk appended one
-(epoch, node, ids, landing epoch, landing node) tuple per departure, read
-or not. It is deliberately left as it was, so the differential tests can
-require the same violations, arrivals, horizon and departure log from the
-walk that logs only when a sink is passed.
-
-Only the packaging of its result differs from that walk: the reference
-returns its log in a `RefLoggedTrace`, where `SimulationTrace` now keeps
-only the arrivals and the horizon, and `render_table` walks the schedule
-again with a sink to collect the log.
+This is `pathevac.evac._walk` as it was before each node's hop was kept
+on first use and a move naming one group took its own short branch: every
+move redid its edge, landing and next-node arithmetic from per-walk
+distance and capacity tuples, and ran the general per-id loop. It is
+deliberately left as it was, so the differential tests can require the
+same violations, arrivals, horizon and departure log from the walk that
+replaced it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable
 
+from pathevac.evac import SimulationTrace, _Departure
 from pathevac.model import PathInstance, Schedule
 
 
-@dataclass(frozen=True)
-class RefLoggedTrace:
-    """What the reference walk records: its departure log, as it built it."""
-
-    instance: PathInstance
-    departures: list[tuple[int, int, Sequence[str], int, int]]
-    arrival_time: dict[str, int]                      # facility arrivals only
-    horizon: int
-
-
-def ref_logged_walk(inst: PathInstance, sched: Schedule) \
-        -> tuple[RefLoggedTrace, list[str]]:
+def ref_row_walk(inst: PathInstance, sched: Schedule,
+                 log: Callable[[_Departure], object] | None = None) \
+        -> tuple[SimulationTrace, list[str]]:
     """Shared engine: run the schedule, collecting violations as they occur.
 
-    One pass over the moves, which a `Schedule` holds in (time, node)
-    order. Each group carries the node it is at or headed to and the first
-    epoch it may leave: a group that departs at t over an edge of length d
-    lands at t + d - 1 and may leave again from t + d on, so a distance-1
-    hop lands in its own epoch and cannot leave before the next one.
+    One pass over the schedule's (time, node, ids) rows, which it holds in
+    (time, node) order; the walk builds no `Move`. Each group carries the
+    node it is at or headed to and the first epoch it may leave: a group
+    that departs at t over an edge of length d lands at t + d - 1 and may
+    leave again from t + d on, so a distance-1 hop lands in its own epoch
+    and cannot leave before the next one.
     Presence, capacity, direction, arrivals and the horizon all follow from
     that state, at a couple of dict operations per named group; the cost
     follows the number of moves, never the epoch values.
@@ -49,28 +38,31 @@ def ref_logged_walk(inst: PathInstance, sched: Schedule) \
     own (off the path, before epoch 1, an unknown or doubled id) are
     reported first, then presence, direction and capacity, each part in
     the order of the moves.
+
+    `log`, when given, is fed each departure as (epoch, node, ids,
+    landing epoch, landing node), in (time, node) order. Without it the
+    walk keeps nothing per move: what it holds when it ends is the
+    per-group state, the arrivals and the violations.
     """
     a = inst.facility
     nodes = inst.nodes
-    size_of = {g.id: g.size for g in inst.groups}
-    # group id -> (the node it is at or headed to, the first epoch it may
-    # leave)
-    state = {g.id: (g.node, 0) for g in inst.groups}
+    # state: group id -> (the node it is at or headed to, the first epoch
+    # it may leave); one loop fills it, `size_of` and the facility arrivals
+    size_of, state, arrival_time = {}, {}, {}
+    for gid, v, size in zip(inst.ids, inst.origins, inst.sizes):
+        size_of[gid] = size
+        state[gid] = (v, 0)
+        if v == a:
+            arrival_time[gid] = 0
     early: list[str] = []   # the checks of a move on its own
     violations: list[str] = []
     report = violations.append
-    arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
     # edge k joins nodes k and k + 1; index 0 is unused
     dist = (0, *inst.distances)
     caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
-    departures: list[tuple[int, int, Sequence[str], int, int]] = []
-    log = departures.append
     named_t = 0             # the epoch of the last move naming a group
     top = 0                 # the latest landing epoch
-    for m in sched.moves:
-        t = m.time
-        v = m.node
-        ids = m.groups
+    for t, v, ids in sched.rows:
         if v < 1 or v > nodes:
             early.append(f"unknown: node {v} outside the path "
                          f"(move at time {t})")
@@ -130,7 +122,8 @@ def ref_logged_walk(inst: PathInstance, sched: Schedule) \
         if size > caps[edge]:
             report(f"capacity: departure from node {v} at time {t} "
                    f"carries size {size} > capacity {caps[edge]}")
-        log((t, v, ids, land, u))
+        if log is not None:
+            log((t, v, ids, land, u))
         if land > top:
             top = land
         if u == a:
@@ -139,7 +132,6 @@ def ref_logged_walk(inst: PathInstance, sched: Schedule) \
             for gid in ids:
                 arrival_time[gid] = land
 
-    trace = RefLoggedTrace(instance=inst, departures=departures,
-                           arrival_time=arrival_time,
-                           horizon=max(named_t, top))
+    trace = SimulationTrace(arrival_time=arrival_time,
+                            horizon=max(named_t, top))
     return trace, early + violations

@@ -18,7 +18,7 @@ from pathevac import (GenParams, Group, Move, NonUniformCapacityError,
 from pathevac.evac import _walk, check_schedule
 from ref_event_walk import ref_event_walk
 from ref_items import path_instance
-from ref_logged_walk import ref_logged_walk
+from ref_row_walk import ref_row_walk
 from ref_walk import ref_walk, render
 import ref_move_schedule
 
@@ -212,8 +212,11 @@ def test_validate_schedule_reports_completion(fixtures):
 def test_objective_requires_arrival(fixtures):
     inst = fixtures["fig1b"].instance
     trace = simulate(inst, Schedule(moves=()))
-    with pytest.raises(ValueError, match="never arrives"):
+    with pytest.raises(ValueError, match="never arrives") as err:
         schedule_objective(trace, inst)
+    # the first group in instance order that never arrives is named
+    assert str(err.value) == (f"group {inst.ids[0]!r} never arrives at "
+                              "the facility")
 
 
 def test_render_table(fixtures):
@@ -276,6 +279,103 @@ def test_duplicate_group_in_one_move(fixtures):
     assert violations == [
         "duplicate: group 'G21' twice in move at time 1, node 2"]
     assert trace.arrival_time == {"G21": 2}
+
+
+# ---------------------------------------------------------------------------
+# moves naming one group, which take the walk's short branch off the
+# facility, each against the walk they replaced
+
+def _one_group_walk(inst: PathInstance, sched: Schedule):
+    """The walk's trace, violations and departure log, required equal to
+    those of `ref_row_walk`."""
+    deps: list = []
+    trace, violations = _walk(inst, sched, deps.append)
+    ref_deps: list = []
+    ref_trace, ref_violations = ref_row_walk(inst, sched, ref_deps.append)
+    assert violations == ref_violations
+    assert trace.arrival_time == ref_trace.arrival_time
+    assert trace.horizon == ref_trace.horizon
+    assert deps == ref_deps
+    return trace, violations, deps
+
+
+def test_one_group_unknown_id(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 1, ("ghost",)), Move(2, 2, ("G21",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["unknown: group 'ghost' in move at time 1, node 1"]
+    assert trace.arrival_time == {"G21": 3} and trace.horizon == 3
+
+
+def test_one_group_not_at_the_node(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 1, ("G21",)),))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["presence: group 'G21' not at node 1 at time 1"]
+    assert deps == [] and trace.arrival_time == {} and trace.horizon == 1
+
+
+def test_one_group_in_transit_on_a_long_edge():
+    # g lands on node 2 at epoch 3 and may leave it from epoch 4 on
+    inst = path_instance(nodes=3, facility=3, capacity=3, distances=(3, 1),
+                         groups=(Group(id="g", node=1, size=1, weight=1),))
+    sched = Schedule(moves=(Move(1, 1, ("g",)), Move(3, 2, ("g",)),
+                            Move(4, 2, ("g",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["presence: group 'g' not at node 2 at time 3"]
+    assert deps == [(1, 1, ("g",), 3, 2), (4, 2, ("g",), 4, 3)]
+    assert trace.arrival_time == {"g": 4} and trace.horizon == 4
+
+
+def test_one_group_at_the_facility(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 3, ("G21",)),))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["direction: move at the facility node 3 at time 1"]
+    assert deps == [] and trace.horizon == 1
+
+
+def test_one_group_off_the_path(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 0, ("G21",)), Move(1, 4, ("G21",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["unknown: node 0 outside the path (move at time 1)",
+                          "unknown: node 4 outside the path (move at time 1)"]
+    assert deps == [] and trace.horizon == 0
+
+
+def test_one_group_before_epoch_1(fixtures):
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(0, 2, ("G21",)), Move(1, 2, ("G21",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["time: move at time 0, node 2 before epoch 1"]
+    assert trace.arrival_time == {"G21": 2}
+
+
+def test_one_group_wider_than_an_overridden_edge():
+    # `parse_instance` rejects a group larger than an edge on its route, so
+    # the instance is built in code: edge {2,3} carries 2, g has size 3
+    inst = path_instance(nodes=3, facility=3, capacity=4, distances=(1, 1),
+                         groups=(Group(id="g", node=1, size=3, weight=1),),
+                         edge_capacities=(4, 2))
+    sched = Schedule(moves=(Move(1, 1, ("g",)), Move(2, 2, ("g",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert violations == ["capacity: departure from node 2 at time 2 "
+                          "carries size 3 > capacity 2"]
+    assert trace.arrival_time == {"g": 2}
+
+
+def test_one_group_departure_and_landing_sink_entries(fixtures):
+    # G11 crosses the distance-1 edge, then lands on the facility one epoch
+    # after leaving node 2 over the distance-2 edge; each entry carries the
+    # row's own ids tuple
+    inst = fixtures["fig1b"].instance
+    sched = Schedule(moves=(Move(1, 1, ("G11",)), Move(2, 2, ("G11",))))
+    trace, violations, deps = _one_group_walk(inst, sched)
+    assert deps == [(1, 1, ("G11",), 1, 2), (2, 2, ("G11",), 3, 3)]
+    assert all(dep[2] is ids for dep, (_t, _v, ids) in zip(deps, sched.rows))
+    assert trace.arrival_time == {"G11": 3} and trace.horizon == 3
+    assert violations == []
 
 
 def test_two_moves_at_one_time_and_node():
@@ -734,7 +834,8 @@ def test_walk_matches_event_walk_reference(inst, data):
 
 
 # ---------------------------------------------------------------------------
-# the walk, which logs on demand, against the walk that always logged
+# the walk against its predecessor, which worked out every move's hop and
+# ran the per-id loop on every move
 
 @settings(max_examples=300, deadline=None)
 @given(inst=_any_distance_instances, data=st.data())
@@ -744,11 +845,12 @@ def test_walk_matches_logged_walk_reference(inst, data):
     inst = _with_edge_capacities(inst, data)
     deps: list = []
     trace, violations = _walk(inst, sched, deps.append)
-    ref_trace, ref_violations = ref_logged_walk(inst, sched)
+    ref_deps: list = []
+    ref_trace, ref_violations = ref_row_walk(inst, sched, ref_deps.append)
     assert violations == ref_violations
     assert trace.arrival_time == ref_trace.arrival_time
     assert trace.horizon == ref_trace.horizon
-    assert deps == ref_trace.departures
+    assert deps == ref_deps
 
 
 # ---------------------------------------------------------------------------
