@@ -5,7 +5,9 @@ and `fractional_objective` as they were before the O(n log n) rewrite in
 `pathevac.packing` and `pathevac.relax`, together with the eagerly
 formatted trace classes the greedy filled. They rescan the eligible items
 on every decision (O(n^2)) and keep every mass as a `Fraction`. The greedy
-returns its dense bin tuple, empty bins included, as a `RefPacking`. They are
+returns its dense bin tuple, empty bins included, as a `RefPacking`, and
+an entry of the pour carries the fraction of its item's size, which
+`to_masses` turns into the mass an entry carries today. They are
 deliberately left as they were, so the differential tests can compare the
 rewrites with them packing for packing, trace step for trace step, entry
 for entry and violation for violation.
@@ -183,3 +185,16 @@ def fractional_objective(fp: FractionalPacking, inst: PackingInstance) -> Fracti
     by_id = {it.id: it for it in inst.items}
     return sum((Fraction(j) * by_id[i].weight * frac
                 for i, j, frac in fp.entries), start=Fraction(0))
+
+
+def to_masses(fp: FractionalPacking, inst: PackingInstance) -> FractionalPacking:
+    """The same packing with each fraction replaced by its mass (fraction ×
+    size): an int where it is whole, as the pour gives it, and a `Fraction`
+    otherwise. An entry for an unknown id keeps its fraction."""
+    size = {it.id: it.size for it in inst.items}
+    entries = []
+    for item_id, j, frac in fp.entries:
+        mass = frac * size.get(item_id, 1)
+        entries.append((item_id, j, mass.numerator if mass.denominator == 1
+                        else mass))
+    return FractionalPacking(entries=tuple(entries))

@@ -2,11 +2,11 @@
 
 These are `reduce_side`, `ratio_order`, `solve_greedy`,
 `GreedyTrace.render` (here `render`), `packing_objective`,
-`solve_fractional_greedy`, `validate_fractional` and
-`fractional_objective` as they were while a `PackingInstance` held a
-tuple of frozen `PackingItem`s: the reduction builds one item per group,
-and every solver and check reads the items by attribute, through an
-id -> item dict where it looks one up. Each reads `inst.items` once, and
+`reduced_ready_times`, `solve_fractional_greedy`, `validate_fractional`
+and `fractional_objective` as they were while a `PackingInstance` held a
+tuple of frozen `PackingItem`s: the reductions build one item per group
+or item, and every solver and check reads the items by attribute, through
+an id -> item dict where it looks one up. Each reads `inst.items` once, and
 that view builds the items. They are deliberately left as they were, so
 the differential tests can compare the column forms of `pathevac.evac`,
 `pathevac.packing` and `pathevac.relax` with them instance for instance,
@@ -197,6 +197,15 @@ def packing_objective(packing: Packing, inst: PackingInstance) -> int:
         for item_id in bin_:
             total += by_id[item_id].weight * j
     return total
+
+
+def reduced_ready_times(inst: PackingInstance) -> PackingInstance:
+    """Same items with each ready time reduced to its pair index, every
+    item rebuilt, even one whose ready time is already its pair index."""
+    return packing_instance(
+        inst.capacity,
+        [PackingItem(it.id, it.size, it.weight, it.ready // 2 + 1)
+         for it in inst.items])
 
 
 def solve_fractional_greedy(inst: PackingInstance) -> FractionalPacking:

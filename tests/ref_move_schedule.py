@@ -1,28 +1,28 @@
 """The `Move`-based schedule, kept as a test-only reference.
 
 These are `pathevac.model.Schedule`, the schedule reader with its object
-hook, the schedule writer, and `pathevac.evac.assemble_schedule` and
-`_walk`, as they were while a `Schedule` held one `Move` per move and
-every one of them built or read a `Move` per move. They are deliberately
-left as they were, so the differential tests can require equal schedules,
-the same bytes, and the same walk results and violations from the code
-that keeps (time, node, ids) rows. Each function reads only `moves` of the
-schedule it is given, so it runs on a `pathevac.model.Schedule` as well,
-through its `Move` view. The one change since is that `_walk` builds the
-`SimulationTrace` of today, which keeps only the arrivals and the horizon.
+hook, the schedule writer and `pathevac.evac.assemble_schedule`, as they
+were while a `Schedule` held one `Move` per move and every one of them
+built or read a `Move` per move. They are deliberately left as they were,
+so the differential tests can require equal schedules, or the same error,
+and the same bytes from the code that keeps (time, node, ids) rows. Each
+function reads only `moves` of the schedule it is given, so it runs on a
+`pathevac.model.Schedule` as well, through its `Move` view. The
+assembly keeps its own copy of `pathevac.evac._raise_first_fault`, which
+is unchanged since, so that a fault there does not reach both sides of
+the differential.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Any
 
-from pathevac.evac import (SimulationTrace, _Departure, _positions,
-                           _raise_first_fault)
+from pathevac.evac import _positions
 from pathevac.model import (InstanceError, Move, Packing, PathInstance,
                             _array, _document, _require_int)
 
@@ -195,7 +195,22 @@ def serialize_schedule(sched: Schedule) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the assembly and the walk
+# the assembly
+
+def _raise_first_fault(packing: Packing, node_of: dict[str, int],
+                       lag: dict[int, int]) -> None:
+    """Raise the error of a side's first bad id in packing order: an
+    unknown group, or a group whose bin is earlier than its ready time."""
+    for t_cross, bin_ in packing.bins.items():
+        for gid in bin_:
+            o = node_of.get(gid)
+            if o is None:
+                raise ValueError(f"packing references unknown group {gid!r}")
+            if o in lag and lag[o] >= t_cross:
+                raise ValueError(
+                    f"group {gid!r} in bin {t_cross} cannot reach the "
+                    f"bottleneck in time (ready-time violation)")
+
 
 def assemble_schedule(inst: PathInstance, left: Packing,
                       right: Packing) -> Schedule:
@@ -277,120 +292,3 @@ def assemble_schedule(inst: PathInstance, left: Packing,
         moves += at[t]
     return Schedule(moves=tuple(moves))
 
-
-def _walk(inst: PathInstance, sched: Schedule,
-          log: Callable[[_Departure], object] | None = None) \
-        -> tuple[SimulationTrace, list[str]]:
-    """Shared engine: run the schedule, collecting violations as they occur.
-
-    One pass over the moves, which a `Schedule` holds in (time, node)
-    order. Each group carries the node it is at or headed to and the first
-    epoch it may leave: a group that departs at t over an edge of length d
-    lands at t + d - 1 and may leave again from t + d on, so a distance-1
-    hop lands in its own epoch and cannot leave before the next one.
-    Presence, capacity, direction, arrivals and the horizon all follow from
-    that state, at a couple of dict operations per named group; the cost
-    follows the number of moves, never the epoch values.
-
-    Groups named in a bad move simply do not move, so one violation never
-    cascades into spurious ones downstream. The checks of a move on its
-    own (off the path, before epoch 1, an unknown or doubled id) are
-    reported first, then presence, direction and capacity, each part in
-    the order of the moves.
-
-    `log`, when given, is fed each departure as (epoch, node, ids,
-    landing epoch, landing node), in (time, node) order. Without it the
-    walk keeps nothing per move: what it holds when it ends is the
-    per-group state, the arrivals and the violations.
-    """
-    a = inst.facility
-    nodes = inst.nodes
-    size_of = {g.id: g.size for g in inst.groups}
-    # group id -> (the node it is at or headed to, the first epoch it may
-    # leave)
-    state = {g.id: (g.node, 0) for g in inst.groups}
-    early: list[str] = []   # the checks of a move on its own
-    violations: list[str] = []
-    report = violations.append
-    arrival_time = {g.id: 0 for g in inst.groups if g.node == a}
-    # edge k joins nodes k and k + 1; index 0 is unused
-    dist = (0, *inst.distances)
-    caps = (0, *(inst.edge_capacities or (inst.capacity,) * (nodes - 1)))
-    named_t = 0             # the epoch of the last move naming a group
-    top = 0                 # the latest landing epoch
-    for m in sched.moves:
-        t = m.time
-        v = m.node
-        ids = m.groups
-        if v < 1 or v > nodes:
-            early.append(f"unknown: node {v} outside the path "
-                         f"(move at time {t})")
-            continue
-        if t < 1:
-            early.append(f"time: move at time {t}, node {v} before epoch 1")
-            continue
-        if len(ids) > 1 and len(set(ids)) != len(ids):
-            kept: dict[str, None] = {}
-            for gid in ids:
-                if gid not in size_of:
-                    early.append(f"unknown: group {gid!r} in move at "
-                                 f"time {t}, node {v}")
-                elif gid in kept:
-                    early.append(f"duplicate: group {gid!r} twice in "
-                                 f"move at time {t}, node {v}")
-                else:
-                    kept[gid] = None
-            ids = tuple(kept)
-        if v == a:
-            named = False
-            for gid in ids:
-                if gid in size_of:
-                    named = True
-                else:
-                    early.append(f"unknown: group {gid!r} in move at "
-                                 f"time {t}, node {v}")
-            if named:
-                named_t = t
-                report(f"direction: move at the facility node {a} at time {t}")
-            continue
-        edge = v if v < a else v - 1
-        land = t + dist[edge] - 1
-        u = v + 1 if v < a else v - 1
-        there = (u, land + 1)
-        size = 0
-        stay = ()   # the named ids that do not leave
-        for gid in ids:
-            s = state.get(gid)
-            if s is None:
-                early.append(f"unknown: group {gid!r} in move at time "
-                             f"{t}, node {v}")
-                stay += (gid,)
-                continue
-            named_t = t
-            if s[0] == v and s[1] <= t:
-                state[gid] = there
-                size += size_of[gid]
-            else:
-                report(f"presence: group {gid!r} not at node {v} at time {t}")
-                stay += (gid,)
-        if len(stay) == len(ids):   # nothing leaves, or the move is empty
-            continue
-        if stay:
-            # the ids are distinct here
-            ids = [gid for gid in ids if gid not in stay]
-        if size > caps[edge]:
-            report(f"capacity: departure from node {v} at time {t} "
-                   f"carries size {size} > capacity {caps[edge]}")
-        if log is not None:
-            log((t, v, ids, land, u))
-        if land > top:
-            top = land
-        if u == a:
-            # a group at the facility never departs, so it lands there at
-            # most once
-            for gid in ids:
-                arrival_time[gid] = land
-
-    trace = SimulationTrace(arrival_time=arrival_time,
-                            horizon=max(named_t, top))
-    return trace, early + violations

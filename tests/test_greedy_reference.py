@@ -1,23 +1,23 @@
 """Differential tests: the O(n log n) greedies against the list scans.
 
-`ref_greedy` keeps the greedy packer, the fractional greedy and the
-fractional validation as they were before the heap rewrite, and
-`ref_fractional` keeps the heap versions of the last three as they were
-while an entry carried a fraction and not a mass, and the ready-time
-reduction as it was while it rebuilt every item. The versions must agree
-packing for packing (the reference's dense bins with the empty ones
-dropped), trace step for trace step (the new steps keep bin, action and
-item; the rendered text is compared whole), entry for entry (mass =
-fraction × size) and violation for violation.
+`ref_greedy` keeps the greedy packer, the fractional greedy, the
+fractional validation and the pricing as they were before the heap
+rewrite, while an entry carried a fraction and not a mass. The versions
+must agree packing for packing (the reference's dense bins with the empty
+ones dropped), trace step for trace step (the new steps keep bin, action
+and item; the rendered text is compared whole), entry for entry (mass =
+fraction × size) and violation for violation. Packings damaged as
+fractions are also checked against `ref_items`, the mass-entry checks
+that the column ones replaced, and the ready-time reduction against
+`ref_items.reduced_ready_times`, which rebuilt every item.
 """
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import ref_fractional
 import ref_greedy
+import ref_items
 from checkers import validate_fractional
 from pathevac import (FractionalPacking, PackingItem, fractional_objective,
                       reduced_ready_times, solve_fractional_greedy,
@@ -114,10 +114,9 @@ def test_fractional_greedy_matches_reference(inst):
         assert validate_fractional(fp, variant) == []
         value = fractional_objective(fp, variant)
         assert type(value) is Fraction
-        for ref in (ref_fractional, ref_greedy):
-            ref_fp = ref.solve_fractional_greedy(variant)
-            assert fp == ref_fractional.to_masses(ref_fp, variant)
-            assert value == ref.fractional_objective(ref_fp, variant)
+        ref_fp = ref_greedy.solve_fractional_greedy(variant)
+        assert fp == ref_greedy.to_masses(ref_fp, variant)
+        assert value == ref_greedy.fractional_objective(ref_fp, variant)
 
 
 # ready times 0 to 6: only 1 and 2 are their own pair index; 0 maps to 1
@@ -131,32 +130,32 @@ _READY_0_TO_6 = packing_instance(4, _items(
 @example(inst=_READY_0_TO_6)
 def test_reduced_ready_times_matches_reference(inst):
     out = reduced_ready_times(inst)
-    assert out == ref_fractional.reduced_ready_times(inst)
+    assert out == ref_items.reduced_ready_times(inst)
     # only the ready times change: the other columns are shared, not copied
     assert out.ids is inst.ids
     assert out.sizes is inst.sizes
     assert out.weights is inst.weights
 
 
+def _verdict(validate, objective, fp, inst):
+    """The violations of `fp` and the objective's value or raised text."""
+    violations = validate(fp, inst)
+    try:
+        return violations, objective(fp, inst)
+    except ValueError as exc:
+        return violations, str(exc)
+
+
 def _same_verdict(fp, ref_fp, inst):
-    """`fp` (masses) and `ref_fp` (its fractions) get the same violations
-    and the same raised text, or the same value, from the new functions
-    and from both references."""
-    violations = validate_fractional(fp, inst)
-    for ref in (ref_fractional, ref_greedy):
-        assert violations == ref.validate_fractional(ref_fp, inst)
-    if violations:
-        with pytest.raises(ValueError) as new:
-            fractional_objective(fp, inst)
-        for ref in (ref_fractional, ref_greedy):
-            with pytest.raises(ValueError) as old:
-                ref.fractional_objective(ref_fp, inst)
-            assert str(new.value) == str(old.value)
-    else:
-        value = fractional_objective(fp, inst)
-        for ref in (ref_fractional, ref_greedy):
-            assert value == ref.fractional_objective(ref_fp, inst)
-    return violations
+    """`fp` (masses) and `ref_fp` (its fractions) get the same verdict from
+    the new functions, from `ref_greedy` (fractions) and from `ref_items`
+    (masses); returns the violations."""
+    verdict = _verdict(validate_fractional, fractional_objective, fp, inst)
+    assert verdict == _verdict(ref_greedy.validate_fractional,
+                               ref_greedy.fractional_objective, ref_fp, inst)
+    assert verdict == _verdict(ref_items.validate_fractional,
+                               ref_items.fractional_objective, fp, inst)
+    return verdict[0]
 
 
 _DAMAGE = ("shift", "scale", "drop", "nonpositive", "above_one", "unknown")
@@ -188,7 +187,7 @@ def test_validation_of_damaged_packings_matches_reference(inst, reduced,
                                                           data):
     # damaged as fractions, then handed over as masses
     target = reduced_ready_times(inst) if reduced else inst
-    entries = list(ref_fractional.solve_fractional_greedy(target).entries)
+    entries = list(ref_greedy.solve_fractional_greedy(target).entries)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         if not entries:
             break
@@ -196,7 +195,7 @@ def test_validation_of_damaged_packings_matches_reference(inst, reduced,
                 data.draw(st.integers(min_value=0,
                                       max_value=len(entries) - 1)), data)
     ref_fp = FractionalPacking(entries=tuple(entries))
-    _same_verdict(ref_fractional.to_masses(ref_fp, target), ref_fp, target)
+    _same_verdict(ref_greedy.to_masses(ref_fp, target), ref_fp, target)
 
 
 def test_split_masses_match_reference():

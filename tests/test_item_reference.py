@@ -27,7 +27,7 @@ from pathevac import (FractionalPacking, GenParams, PackingInstance,
                       packing_objective, reduce_side, reduced_ready_times,
                       solve_fractional_greedy, solve_greedy)
 from pathevac.packing import GreedyStep, ratio_ranking
-from test_greedy_reference import _with_examples, packing_instances
+from test_greedy_reference import _verdict, _with_examples, packing_instances
 
 
 def _same_greedy(inst: PackingInstance) -> None:
@@ -205,14 +205,6 @@ def test_big_ratio_instances_match_item_reference(columns, data):
                            sizes, weights, ready)
     _same_greedy(inst)
     _same_pours(inst)
-
-
-def _verdict(validate, objective, fp, inst):
-    violations = validate(fp, inst)
-    try:
-        return violations, objective(fp, inst)
-    except ValueError as exc:
-        return violations, str(exc)
 
 
 _ABC = ref_items.packing_instance(4, (

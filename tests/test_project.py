@@ -1,9 +1,9 @@
 """The packaging metadata in pyproject.toml, and `__all__`, against the
-package itself.
+package itself, and the test-only references against the tests.
 
 The tests import the package from src/ and never install it, so nothing
 else would notice a console script, a version or an `__all__` that has
-drifted.
+drifted, or a reference left behind by the differential that read it.
 """
 
 import ast
@@ -23,6 +23,7 @@ except ModuleNotFoundError:
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = Path(pathevac.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +75,23 @@ def test_every_export_is_read_in_the_package():
     assert sorted(exported - read - UNREAD_EXPORTS.keys()) == []
     # an exemption lapses once its name is exported and read
     assert sorted(UNREAD_EXPORTS.keys() - (exported - read)) == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The absolute module names that `path` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+def test_every_reference_is_imported_by_another_test_module():
+    # a deleted differential takes its reference with it
+    refs = {path.stem for path in TESTS.glob("ref_*.py")}
+    assert refs
+    for path in TESTS.glob("*.py"):
+        refs -= _imported_modules(path) - {path.stem}
+    assert sorted(refs) == []

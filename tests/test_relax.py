@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ref_fractional
+import ref_greedy
 from checkers import validate_fractional
 from pathevac import (FractionalPacking, PackingItem, PackParams,
                       exact_fractional_opt_mcf, exact_packing_opt,
@@ -49,8 +49,8 @@ def test_fractional_greedy_frozen(abd):
     assert fractional_objective(fp, abd) == 21
     # bin 1 carries all of A (size 5) and five sixths of B (size 6)
     assert fp.entries == (("A", 1, 5), ("B", 1, 5), ("B", 2, 1), ("D", 2, 4))
-    assert fp == ref_fractional.to_masses(
-        ref_fractional.solve_fractional_greedy(abd), abd)
+    assert fp == ref_greedy.to_masses(
+        ref_greedy.solve_fractional_greedy(abd), abd)
 
 
 def test_fractional_respects_ready_times(ready_pair):
@@ -70,9 +70,9 @@ def test_fractional_objective_rejects_infeasible(abd):
             ((("A", 1, Fraction(2)),), "fraction")):
         ref = FractionalPacking(entries=fractions)
         with pytest.raises(ValueError, match=match) as err:
-            fractional_objective(ref_fractional.to_masses(ref, abd), abd)
+            fractional_objective(ref_greedy.to_masses(ref, abd), abd)
         with pytest.raises(ValueError) as ref_err:
-            ref_fractional.fractional_objective(ref, abd)
+            ref_greedy.fractional_objective(ref, abd)
         assert str(err.value) == str(ref_err.value)
 
 

@@ -1,15 +1,12 @@
 """Differential tests: the schedule assembly and writer against the ones
 they replaced.
 
-`ref_assemble.assemble_schedule` collected a (time, node, ids) tuple per
-move, sorted them and then built the moves; the assembly in
-`pathevac.evac` builds them in (time, node) order, as does the one in
-`ref_move_schedule`, which builds a `Move` per move where the one in
-`pathevac.evac` builds a (time, node, ids) row. The writers in
-`ref_serialize_schedule` formatted each move on its own; the ones in
-`ref_move_schedule` and `pathevac.model` fill one template with one `%`.
-The assemblies must give equal `Schedule`s, or raise the same first
-error, and every writer the same bytes, on:
+The assembly in `ref_move_schedule` builds a `Move` per move where the one
+in `pathevac.evac` builds a (time, node, ids) row, and its writer reads
+the `Move`s; both assemblies build the moves in (time, node) order, and
+both writers fill one template with one `%`. The assemblies must give
+equal `Schedule`s, or raise the same first error, and the writers the
+bytes `json.dumps` writes, on:
 - `gen_random` instances in the shapes of the four benchmark workloads,
   at small sizes, with their greedy packings;
 - those packings with foreign ids (groups at the facility or on the other
@@ -25,13 +22,11 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-import ref_assemble
 import ref_move_schedule
 from pathevac import (GenParams, Packing, PathInstance, Schedule,
                       assemble_schedule, gen_random, reduce_side,
                       serialize_schedule, solve_greedy)
-from ref_serialize_schedule import (ref_serialize_schedule,
-                                    ref_serialize_schedule_per_move)
+from test_model import json_schedule_text
 
 # the path shapes of the benchmark workloads; the group counts are the
 # largest drawn here
@@ -62,26 +57,23 @@ def _solved(draw, shapes=_SHAPES):
 
 
 def _same_outcome(inst: PathInstance, left: Packing, right: Packing):
-    """What the three assemblies give, required equal: the schedule, or
-    the error raised; a schedule must then give the same bytes from every
-    writer."""
+    """What the two assemblies give, required equal: the schedule, or the
+    error raised; a schedule must then give the bytes of `json.dumps` from
+    both writers."""
     outcomes = []
-    for assemble in (assemble_schedule, ref_assemble.assemble_schedule,
-                     ref_move_schedule.assemble_schedule):
+    for assemble in (assemble_schedule, ref_move_schedule.assemble_schedule):
         try:
             outcomes.append(("ok", assemble(inst, left, right)))
         except ValueError as exc:
             outcomes.append(("raise", str(exc)))
-    new, old, moved = outcomes
-    assert new == old
+    new, moved = outcomes
     assert moved[0] == new[0]
     if new[0] == "raise":
         assert moved == new
         return new
     assert type(moved[1]) is ref_move_schedule.Schedule
     assert Schedule(moves=moved[1].moves) == new[1]
-    text = ref_serialize_schedule(old[1])
-    assert ref_serialize_schedule_per_move(old[1]) == text
+    text = json_schedule_text(moved[1].moves)
     assert ref_move_schedule.serialize_schedule(moved[1]) == text
     assert serialize_schedule(new[1]) == text
     return new
