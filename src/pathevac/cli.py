@@ -62,7 +62,7 @@ def _cmd_solve(args) -> int:
     if args.trace:
         for side, trace in (("left", report.left_trace),
                             ("right", report.right_trace)):
-            if trace.steps:
+            if trace.instance.ids:
                 print(f"--- {side} greedy trace")
                 print(trace.render())
     if args.output == "-":

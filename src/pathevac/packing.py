@@ -5,12 +5,14 @@ indexed 1, 2, ... and each holds total size at most the capacity; an item
 packed into bin j incurs cost weight * j. The greedy packs bins in order,
 always placing the eligible item with the largest weight/size ratio, and
 closes the current bin the first time that item does not fit. One sort
-ranks the ratios exactly, on float keys while max weight * max size is
-below 2^51 and on `Fraction` keys above; ties go in instance order. A
-heap of the eligible items makes the greedy O(n log n). Everything here
-reads a `PackingInstance` as its columns (ids, sizes, weights, ready
-times), through an id -> entry dict where it looks an item up; the
-objective prices a packing in one pass over its bins.
+on float keys ranks the ratios exactly while max weight * max size is
+below 2^51; above it, only the runs of equal floats are sorted again on
+`Fraction` keys. Ties go in instance order. A heap of the eligible items
+makes the greedy O(n log n), and it records its decisions only for a
+trace that is read. Everything here reads a `PackingInstance` as its
+columns (ids, sizes, weights, ready times), through an id -> entry dict
+where it looks an item up; the objective prices a packing in one pass
+over its bins.
 
 Eligibility is deliberately coarser than the ready times: an item with ready
 time r becomes eligible at the smallest odd bin index >= r. Aligning every
@@ -25,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import groupby
 from operator import truediv
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import Packing, PackingInstance
 
@@ -53,10 +56,20 @@ class GreedyStep(NamedTuple):
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """The greedy's decisions on `instance`, in the order it made them."""
+    """The greedy's decisions on `instance`, in the order it made them.
+
+    `solve_greedy` records no decision. Each read of `steps` runs the
+    greedy again with a recorder and returns what it recorded, so a solve
+    that prints no trace pays nothing for one.
+    """
 
     instance: PackingInstance
-    steps: tuple[GreedyStep, ...]
+
+    @property
+    def steps(self) -> tuple[GreedyStep, ...]:
+        steps: list[GreedyStep] = []
+        _greedy(self.instance, steps.append)
+        return tuple(steps)
 
     def render(self) -> str:
         """Line-oriented dump, one decision per line.
@@ -71,12 +84,13 @@ class GreedyTrace:
         sizes = inst.sizes
         weights = inst.weights
         cap = inst.capacity
+        steps = self.steps
         lines = []
         load = 0
-        for k, (j, action, item_id) in enumerate(self.steps):
+        for k, (j, action, item_id) in enumerate(steps):
             if action == "jump":
                 detail = ("no eligible items, jump to bin "
-                          f"{self.steps[k + 1].bin}")
+                          f"{steps[k + 1].bin}")
                 load = 0
             elif action == "close":
                 size = sizes[at[item_id]]
@@ -96,20 +110,34 @@ def ratio_ranking(weights: Sequence[int], sizes: Sequence[int]) -> list[int]:
     """The item positions by weight/size ratio, largest first, ties in
     instance order; weights and sizes are ints >= 1.
 
-    One stable sort on one key per item; `reverse=True` keeps equal keys
-    in instance order. While max(weights) * max(sizes) < 2^51 the key is
-    the float w / s, and it is exact: int/int division rounds correctly,
-    so equal ratios (1/2, 2/4, 3/6) get one float; distinct ratios
-    w1/s1 > w2/s2 differ by a relative gap >= 1/(w1*s2) > 2^-51, while
-    two reals that round to one float differ by at most one ulp, 2^-52
-    of it, so their floats differ and, rounding being monotone, keep
-    their order. Past the guard the key is the exact `Fraction` w / s.
+    One stable sort on the float w / s; `reverse=True` keeps equal keys
+    in instance order. While max(weights) * max(sizes) < 2^51 that key is
+    exact: int/int division rounds correctly, so equal ratios (1/2, 2/4,
+    3/6) get one float; distinct ratios w1/s1 > w2/s2 differ by a
+    relative gap >= 1/(w1*s2) > 2^-51, while two reals that round to one
+    float differ by at most one ulp, 2^-52 of it, so their floats differ
+    and, rounding being monotone, keep their order. Past the guard,
+    monotone rounding still orders distinct floats exactly, so only each
+    run of equal floats is sorted again, stably, by the exact `Fraction`
+    w / s. A ratio past the float range makes every key a `Fraction`.
     """
-    if weights and max(weights) * max(sizes) < 2 ** 51:
+    exact = not weights or max(weights) * max(sizes) < 2 ** 51
+    try:
         key = list(map(truediv, weights, sizes))
-    else:
+    except OverflowError:
         key = list(map(Fraction, weights, sizes))
-    return sorted(range(len(key)), key=key.__getitem__, reverse=True)
+        exact = True
+    order = sorted(range(len(key)), key=key.__getitem__, reverse=True)
+    if exact:
+        return order
+    ranked: list[int] = []
+    for _, run in groupby(order, key.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda i: Fraction(weights[i], sizes[i]),
+                     reverse=True)
+        ranked += run
+    return ranked
 
 
 # a step as `GreedyStep(bin, action, item)` builds it, without the
@@ -128,9 +156,17 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
     index reaches their threshold, and the heap's top is the item to
     place, so the heap holds exactly the eligible items. When it is empty
     the index jumps straight to the threshold at the pointer, the smallest
-    among the rest. Replaying the returned trace reproduces the packing.
+    among the rest. The trace records nothing here: reading its steps
+    runs the greedy again, and replaying them reproduces the packing.
     An item larger than the capacity fits no bin and raises ValueError.
     """
+    return _greedy(inst, None), GreedyTrace(inst)
+
+
+def _greedy(inst: PackingInstance,
+            record: Callable[[GreedyStep], object] | None) -> Packing:
+    """The greedy of `solve_greedy`; `record`, when given, gets each
+    decision as a `GreedyStep`, in order."""
     cap = inst.capacity
     ids = inst.ids
     sizes = inst.sizes
@@ -153,8 +189,6 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
     p = 0
     heap: list[int] = []
     bins: dict[int, list[str]] = {}
-    steps: list[GreedyStep] = []
-    record = steps.append
     j = 1
     load = 0
     while p < n or heap:
@@ -162,7 +196,8 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
             heappush(heap, by_threshold[p])
             p += 1
         if not heap:
-            record(_step(GreedyStep, (j, "jump", None)))
+            if record is not None:
+                record(_step(GreedyStep, (j, "jump", None)))
             j = thresholds[by_threshold[p]]
             load = 0
             continue
@@ -170,11 +205,13 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
         iid = r_ids[r]
         size = r_sizes[r]
         if load + size > cap:
-            record(_step(GreedyStep, (j, "close", iid)))
+            if record is not None:
+                record(_step(GreedyStep, (j, "close", iid)))
             j += 1
             load = 0
             continue
-        record(_step(GreedyStep, (j, "place", iid)))
+        if record is not None:
+            record(_step(GreedyStep, (j, "place", iid)))
         heappop(heap)
         bin_ = bins.get(j)
         if bin_ is None:
@@ -182,8 +219,7 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
         else:
             bin_.append(iid)
         load += size
-    packing = Packing(bins={b: tuple(bin_) for b, bin_ in bins.items()})
-    return packing, GreedyTrace(inst, tuple(steps))
+    return Packing(bins={b: tuple(bin_) for b, bin_ in bins.items()})
 
 
 def packing_objective(packing: Packing, inst: PackingInstance) -> int:

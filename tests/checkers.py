@@ -1,20 +1,20 @@
 """Packing checkers that no command runs, kept for the tests: feasibility
 (`validate_packing`), the paired objective of the factor-2 argument
 (`paired_view`), the pair overflow that argument rests on
-(`pair_overflow_violations`), a greedy trace re-executed to its packing
-(`replay_trace`), the feasibility of a fractional packing
+(`pair_overflow_violations`), a greedy trace's steps re-executed to their
+packing (`replay_trace`), the feasibility of a fractional packing
 (`validate_fractional`), and the reader of the packing file that
 `oracle --packing` writes as its witness (`parse_packing`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass
 
 from pathevac.model import (FractionalPacking, InstanceError, Packing,
                             PackingInstance)
-from pathevac.packing import GreedyTrace
+from pathevac.packing import GreedyStep
 from pathevac.relax import _checked
 from ref_field_checks import _is_mapping, _loads
 
@@ -27,12 +27,14 @@ def _require_known(known: Container[str], ids: Sequence[str],
             raise ValueError(f"unknown item {item_id!r} in bin {j}")
 
 
-def replay_trace(trace: GreedyTrace, inst: PackingInstance) -> Packing:
-    """Re-execute a trace. The result must equal the original packing."""
+def replay_trace(steps: Iterable[GreedyStep],
+                 inst: PackingInstance) -> Packing:
+    """Re-execute a greedy trace's steps. The result must equal the
+    original packing."""
     by_id = {it.id: it for it in inst.items}
     bins: dict[int, list[str]] = {}
     placed: set[str] = set()
-    for step in trace.steps:
+    for step in steps:
         if step.action == "place":
             if step.item is None or step.item not in by_id:
                 raise ValueError(f"trace places unknown item {step.item!r}")

@@ -11,9 +11,12 @@ that view builds the items. They are deliberately left as they were, so
 the differential tests can compare the column forms of `pathevac.evac`,
 `pathevac.packing` and `pathevac.relax` with them instance for instance,
 packing for packing, step for step, line for line, entry for entry and
-violation for violation. `ratio_ranking` is the gcd and cross-product
-ranking that `ratio_order` reads, kept as the reference for the
-float/`Fraction` key of `packing.ratio_ranking`. `packing_instance`
+violation for violation. `solve_greedy` returns the steps it recorded
+next to the packing, and `render` reads an instance and steps, since a
+`GreedyTrace` holds only its instance and records its steps when they are
+read. `ratio_ranking` is the gcd and cross-product ranking that
+`ratio_order` reads, kept as the reference for the float and `Fraction`
+keys of `packing.ratio_ranking`. `packing_instance`
 builds an instance from `PackingItem`s, as the item-form constructor
 did, and `path_instance` a path instance from `Group`s, as its
 group-form constructor did; the tests build their hand-made instances
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 from pathevac.evac import NonUniformCapacityError, SideReduction, _positions
 from pathevac.model import (FractionalPacking, Group, Packing,
                             PackingInstance, PackingItem, PathInstance)
-from pathevac.packing import GreedyStep, GreedyTrace, eligibility_threshold
+from pathevac.packing import GreedyStep, eligibility_threshold
 
 
 def packing_instance(capacity: int,
@@ -118,9 +121,11 @@ def ratio_order(items: Sequence[PackingItem]) -> list[PackingItem]:
                                             [it.size for it in items])]
 
 
-def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
-    """Deterministic greedy packing in O(n log n) for n items, the steps
-    built by the NamedTuple's own constructor."""
+def solve_greedy(inst: PackingInstance) \
+        -> tuple[Packing, tuple[GreedyStep, ...]]:
+    """Deterministic greedy packing in O(n log n) for n items, and its
+    steps, each built by the NamedTuple's own constructor as the greedy
+    makes it."""
     cap = inst.capacity
     items = inst.items
     for it in items:
@@ -158,20 +163,20 @@ def solve_greedy(inst: PackingInstance) -> tuple[Packing, GreedyTrace]:
         bins.setdefault(j, []).append(it.id)
         load += it.size
     packing = Packing(bins={b: tuple(ids) for b, ids in bins.items()})
-    return packing, GreedyTrace(inst, tuple(steps))
+    return packing, tuple(steps)
 
 
-def render(trace: GreedyTrace) -> str:
+def render(inst: PackingInstance, steps: Sequence[GreedyStep]) -> str:
     """`GreedyTrace.render`: one decision per line, the weights and sizes
     read from the instance's items."""
-    by_id = {it.id: it for it in trace.instance.items}
-    cap = trace.instance.capacity
+    by_id = {it.id: it for it in inst.items}
+    cap = inst.capacity
     lines = []
     load = 0
-    for k, (j, action, item_id) in enumerate(trace.steps):
+    for k, (j, action, item_id) in enumerate(steps):
         if action == "jump":
             detail = ("no eligible items, jump to bin "
-                      f"{trace.steps[k + 1].bin}")
+                      f"{steps[k + 1].bin}")
             load = 0
         elif action == "close":
             size = by_id[item_id].size

@@ -4,8 +4,9 @@ With the cyclic collector off, each run below must leave `gc.collect()`
 nothing to free: everything it made is freed by reference counting alone.
 That is the premise on which `cli.main` could run with the collector off
 (ROADMAP item 7). The CLI's argument parser still makes cycles (a bare
-`argparse.ArgumentParser()` already does), so it is not run here. The
-schedule reader runs on its fast path (validate) and through its fallback:
+`argparse.ArgumentParser()` already does), so it is not run here. A solve
+also reads both sides' greedy steps and renders them, which runs the
+greedy again with a recorder. The schedule reader runs on its fast path (validate) and through its fallback:
 a reversed file, which it accepts, and a truncated one, which it rejects.
 """
 
@@ -40,7 +41,11 @@ _PACKING = gen_random_packing(3, PackParams(items=40, max_ready=30))
 
 
 def _solve():
-    serialize_schedule(solve_report(parse_instance(_TEXT)).schedule)
+    report = solve_report(parse_instance(_TEXT))
+    serialize_schedule(report.schedule)
+    for trace in (report.left_trace, report.right_trace):
+        assert trace.steps
+        trace.render()
 
 
 def _validate():

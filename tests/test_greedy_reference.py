@@ -92,13 +92,14 @@ def test_greedy_matches_reference(inst):
     assert packing.bins == {j: bin_ for j, bin_ in
                             enumerate(ref_packing.bins, start=1) if bin_}
     assert max(packing.bins, default=0) == len(ref_packing.bins)
-    assert trace.steps == tuple((s.bin, s.action, s.item)
-                                for s in ref_trace.steps)
+    steps = trace.steps
+    assert steps == tuple((s.bin, s.action, s.item)
+                          for s in ref_trace.steps)
     assert trace.render() == ref_trace.render()
     # the renderer reads a jump's target from the next step, a place
-    for k, step in enumerate(trace.steps):
+    for k, step in enumerate(steps):
         if step.action == "jump":
-            after = trace.steps[k + 1]
+            after = steps[k + 1]
             assert after.action == "place" and after.bin > step.bin
 
 
@@ -213,3 +214,17 @@ def test_split_masses_match_reference():
     assert _same_verdict(fp, ref_fp, tight) == [
         "capacity: bin 1 holds size 3/2 > 1",
         "capacity: bin 2 holds size 3/2 > 1"]
+
+
+def test_capacity_violations_come_in_bin_order():
+    # two over-full bins whose entries come last bin first: the messages
+    # still name bin 1 before bin 3
+    inst = packing_instance(3, _items(*((2, 1, 1),) * 5))
+    bins = (3, 3, 1, 1, 1)
+    fp = FractionalPacking(entries=tuple(
+        (f"i{k}", j, 2) for k, j in enumerate(bins)))
+    ref_fp = FractionalPacking(entries=tuple(
+        (f"i{k}", j, Fraction(1)) for k, j in enumerate(bins)))
+    assert _same_verdict(fp, ref_fp, inst) == [
+        "capacity: bin 1 holds size 6 > 3",
+        "capacity: bin 3 holds size 4 > 3"]

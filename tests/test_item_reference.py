@@ -34,14 +34,15 @@ def _same_greedy(inst: PackingInstance) -> None:
     ranked = [inst.ids[k] for k in ratio_ranking(inst.weights, inst.sizes)]
     assert ranked == [it.id for it in ref_items.ratio_order(inst.items)]
     packing, trace = solve_greedy(inst)
-    ref_packing, ref_trace = ref_items.solve_greedy(inst)
+    ref_packing, ref_steps = ref_items.solve_greedy(inst)
     assert packing == ref_packing
     assert list(packing.bins) == list(ref_packing.bins)
-    assert trace.instance == ref_trace.instance
-    assert trace.steps == ref_trace.steps
-    assert all(type(step) is GreedyStep for step in trace.steps)
-    assert trace.render() == ref_items.render(ref_trace) \
-        == ref_items.render(trace)
+    assert trace.instance == inst
+    steps = trace.steps
+    assert steps == ref_steps
+    assert all(type(step) is GreedyStep for step in steps)
+    assert trace.render() == ref_items.render(inst, ref_steps) \
+        == ref_items.render(inst, steps)
     assert packing_objective(packing, inst) \
         == ref_items.packing_objective(packing, inst)
 
@@ -104,7 +105,7 @@ _GUARD = 2 ** 51
 
 @st.composite
 def ratio_columns(draw):
-    """Weight and size columns for `ratio_ranking`, in one of three modes.
+    """Weight and size columns for `ratio_ranking`, in one of four modes.
 
     `small`: ints up to 20 and 12, from none to a dozen items. `guard`:
     bounds whose product is just below, or at or just above, 2^51, 2^52
@@ -112,10 +113,13 @@ def ratio_columns(draw):
     m - 1/s and m - 1/(s - 1), whose relative gap 1/(w1*s2) is the
     smallest the bounds admit; past 2^51 such floats can collide. `big`:
     ints past 2^53 and near 10^20, a few apart, so that distinct ratios
-    can share a float. Every mode plants scaled copies k*w / k*s of drawn
-    ratios, and the rows come in any order.
+    can share a float. `range`: ints near 10^400 or 2^1074 and ints up
+    to 4, so that ratios underflow to 0.0 or to the smallest subnormals,
+    share floats near 1, and, in half the draws, pass the float range.
+    Every mode plants scaled copies k*w / k*s of drawn ratios, and the
+    rows come in any order.
     """
-    mode = draw(st.sampled_from(("small", "guard", "big")))
+    mode = draw(st.sampled_from(("small", "guard", "big", "range")))
     rows = []
     if mode == "small":
         w_max, s_max = 20, 12
@@ -138,6 +142,17 @@ def ratio_columns(draw):
         for _ in range(draw(st.integers(0, 4))):
             rows.append((draw(st.integers(1, w_max)),
                          draw(st.integers(1, s_max))))
+    elif mode == "range":
+        w_max = s_max = None
+        huge = st.tuples(st.sampled_from((10 ** 400, 2 ** 1074)),
+                         st.integers(-3, 3)).map(sum)
+        small = st.integers(1, 4)
+        kinds = [(small, huge), (huge, huge), (small, small)]
+        if draw(st.booleans()):
+            kinds.append((huge, small))
+        for _ in range(draw(st.integers(1, 8))):
+            w, s = draw(st.sampled_from(kinds))
+            rows.append((draw(w), draw(s)))
     else:
         w_max = s_max = None
         bases = st.sampled_from((2 ** 53, 2 ** 64, 10 ** 20))
@@ -172,6 +187,9 @@ _SHARED_FLOAT = ((577891231, 577891269), (15207664, 15207665))
 @example(columns=((2 ** 53, 2 ** 53 + 1), (1, 1)))
 @example(columns=((2 ** 53 + 1, 2 ** 53), (1, 1)))
 @example(columns=((10 ** 20, 10 ** 20 + 1, 2 * 10 ** 20 + 2), (3, 3, 6)))
+@example(columns=((10 ** 400, 10 ** 400 + 1), (1, 1)))
+@example(columns=((1, 3, 2, 1), (10 ** 400, 10 ** 400, 10 ** 400, 1)))
+@example(columns=((1, 1, 1), (2 ** 1075, 2 ** 1074 + 1, 2 ** 1074)))
 def test_ratio_ranking_matches_reference(columns):
     weights, sizes = columns
     assert ratio_ranking(weights, sizes) \
@@ -193,6 +211,15 @@ def test_ratio_ranking_keys():
     # still ranks the larger first
     assert float(2 ** 53 + 1) == float(2 ** 53)
     assert ratio_ranking((2 ** 53, 2 ** 53 + 1), (1, 1)) == [1, 0]
+    # ratios that underflow to 0.0 are one run of equal floats, settled
+    # by the Fraction key
+    assert 3 / 10 ** 400 == 2 / 10 ** 400 == 0.0
+    assert ratio_ranking((2, 3, 1), (10 ** 400, 10 ** 400, 1)) == [2, 1, 0]
+    # a ratio past the float range makes every key a Fraction
+    with pytest.raises(OverflowError):
+        10 ** 400 / 1
+    assert ratio_ranking((10 ** 400, 10 ** 400 + 1, 1), (1, 1, 1)) \
+        == [1, 0, 2]
 
 
 @settings(max_examples=150, deadline=None)

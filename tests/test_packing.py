@@ -1,16 +1,19 @@
+import gc
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ref_items
 from checkers import (paired_view, pair_overflow_violations, replay_trace,
                       validate_packing)
-from pathevac import (GreedyTrace, PackingInstance, PackingItem,
-                      eligibility_threshold, fractional_objective,
+from pathevac import (GenParams, PackingInstance, PackingItem,
+                      eligibility_threshold, fractional_objective, gen_random,
                       gen_random_packing, PackParams, packing_objective,
                       reduced_ready_times, solve_fractional_greedy,
-                      solve_greedy)
+                      solve_greedy, solve_report)
 from pathevac.model import Packing
+from pathevac.packing import GreedyStep
 from ref_items import packing_instance
 
 
@@ -81,7 +84,7 @@ def test_greedy_ratio_tie_breaks_by_instance_order():
 def test_trace_replay_reproduces_packing(abd, ready_pair):
     for inst in (abd, ready_pair):
         packing, trace = solve_greedy(inst)
-        assert replay_trace(trace, inst) == packing
+        assert replay_trace(trace.steps, inst) == packing
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -93,11 +96,33 @@ def test_trace_replay_reproduces_packing(abd, ready_pair):
     (lambda steps: steps[:1], "trace does not place every item"),
 ], ids=["unknown", "twice", "action", "unplaced"])
 def test_trace_replay_rejects_a_damaged_trace(abd, damage, message):
-    _, trace = solve_greedy(abd)
-    assert trace.steps[0].item == "A"
+    steps = solve_greedy(abd)[1].steps
+    assert steps[0].item == "A"
     with pytest.raises(ValueError) as err:
-        replay_trace(GreedyTrace(abd, damage(trace.steps)), abd)
+        replay_trace(damage(steps), abd)
     assert str(err.value) == message
+
+
+def _steps_alive() -> int:
+    return sum(type(o) is GreedyStep for o in gc.get_objects())
+
+
+def test_a_solve_records_no_step_until_its_trace_is_read():
+    inst = gen_random(5, GenParams(nodes=12, groups=60, capacity=10,
+                                   max_size=10, max_distance=3))
+    gc.collect()
+    before = _steps_alive()
+    report = solve_report(inst)
+    assert _steps_alive() == before
+    for pinst, trace in ((report.left_instance, report.left_trace),
+                         (report.right_instance, report.right_trace)):
+        assert pinst.ids and trace.instance is pinst
+        steps = trace.steps
+        # the scan sees the steps it holds, and only those
+        assert _steps_alive() == before + len(steps) > before
+        # each read runs the greedy again, to the reference's steps
+        assert trace.steps == steps == ref_items.solve_greedy(pinst)[1]
+        del steps
 
 
 def test_validate_packing_names_violations(abd):
@@ -148,7 +173,7 @@ def test_greedy_output_invariants(inst):
     # feasible, complete, deterministic, replayable
     assert validate_packing(packing, inst) == []
     assert solve_greedy(inst)[0] == packing
-    assert replay_trace(trace, inst) == packing
+    assert replay_trace(trace.steps, inst) == packing
     # only occupied bins are stored, in ascending index order
     assert list(packing.bins) == sorted(packing.bins)
     assert all(packing.bins.values())
