@@ -18,7 +18,7 @@ from . import evac, instances, oracles, relax
 from .model import (InstanceError, _dumps, parse_instance,
                     parse_packing_instance, parse_schedule,
                     serialize_instance, serialize_packing_instance,
-                    serialize_schedule)
+                    serialize_schedule, write_schedule)
 from .packing import packing_objective, solve_greedy
 
 
@@ -46,7 +46,8 @@ def _cmd_solve(args) -> int:
     # a file is written before the report, so a path that cannot be
     # written leaves nothing on stdout
     if args.output not in (None, "-"):
-        _write(args.output, serialize_schedule(report.schedule))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_schedule(report.schedule, fh)
     print(f"objective {report.objective}")
     for side, packing, pinst, red in (
             ("left", report.left_packing, report.left_instance,
@@ -66,7 +67,7 @@ def _cmd_solve(args) -> int:
                 print(f"--- {side} greedy trace")
                 print(trace.render())
     if args.output == "-":
-        _write(args.output, serialize_schedule(report.schedule))
+        write_schedule(report.schedule, sys.stdout)
     return 0
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, TextIO
 
 
 class InstanceError(ValueError):
@@ -579,35 +579,65 @@ def serialize_packing_instance(inst: PackingInstance) -> str:
             inst.ids, inst.sizes, inst.weights, inst.ready)]})
 
 
-# one move of a schedule file, filled by `%` with its time, its node and its
-# rendered group list; `%s` renders an int as an f-string does
-_MOVE = ('    {\n      "time": %s,\n      "node": %s,\n'
-         '      "groups": %s\n    }')
+# the rows `write_schedule` renders and hands its file per write
+_CHUNK = 4096
+
+
+def _write_rows(rows: tuple[Row, ...], write: Callable[[str], object],
+                chunk: int) -> None:
+    """Pass the canonical schedule text of `rows` to `write`, one string
+    per `chunk` rows. An entry is three shared pieces: its epoch's head (a
+    comma, then the entry up to the node), rendered when the epoch changes;
+    its node's middle, rendered once per node; and its group list's tail,
+    rendered once per distinct list (`assemble_schedule` gives every row
+    along a bin's route the same tuple). No int becomes text per row, each
+    chunk is one join, and the first entry drops its head's comma."""
+    if not rows:
+        write('{\n  "moves": []\n}\n')
+        return
+    mids: dict[int, str] = {}
+    tails: dict[tuple[str, ...], str] = {}
+    n = len(rows)
+    last_t = None
+    for start in range(0, n, chunk):
+        out = [] if start else ['{\n  "moves": [']
+        append = out.append
+        for t, v, ids in rows[start:start + chunk]:
+            if t != last_t:
+                head = f',\n    {{\n      "time": {t},\n      "node": '
+                last_t = t
+            append(head)
+            mid = mids.get(v)
+            if mid is None:
+                mid = mids[v] = f'{v},\n      "groups": '
+            append(mid)
+            tail = tails.get(ids)
+            if tail is None:
+                tail = tails[ids] = ("[\n        " + ",\n        ".join(
+                    map(encode_basestring, ids)) + "\n      ]\n    }") \
+                    if ids else "[]\n    }"
+            append(tail)
+        if not start:
+            out[1] = out[1][1:]
+        if start + chunk >= n:
+            append("\n  ]\n}\n")
+        write("".join(out))
 
 
 def serialize_schedule(sched: Schedule) -> str:
     """The canonical schedule text, the same bytes as `_dumps` of
     {"moves": [{"time", "node", "groups"}, ...]}, written directly because
     `json.dumps` with an indent runs the pure-Python encoder. The rows are
-    written in the order given, the (time, node) order a `Schedule` keeps.
-
-    The text is one template, `_MOVE` once per row, filled by one `%`
-    from a flat list of each row's time, node and group list. Each
-    distinct group list is rendered once, and every later row that
-    carries it reuses the text: `assemble_schedule` gives every row along
-    a bin's route the same tuple.
+    written in the order given, the (time, node) order a `Schedule` keeps,
+    by `_write_rows` as one chunk, so the text is one join.
     """
-    rows = sched.rows
-    rendered: dict[tuple[str, ...], str] = {}
-    fields: list[int | str] = []
-    append = fields.append
-    for t, v, ids in rows:
-        groups = rendered.get(ids)
-        if groups is None:
-            groups = rendered[ids] = ("[\n        " + ",\n        ".join(
-                map(encode_basestring, ids)) + "\n      ]") if ids else "[]"
-        append(t)
-        append(v)
-        append(groups)
-    return ('{\n  "moves": ' + _array([_MOVE] * len(rows)) + "\n}\n") \
-        % tuple(fields)
+    text: list[str] = []
+    _write_rows(sched.rows, text.append, len(sched.rows))
+    return "".join(text)
+
+
+def write_schedule(sched: Schedule, fh: TextIO) -> None:
+    """Write `serialize_schedule(sched)` to the text file `fh`, `_CHUNK`
+    rows per write, so neither the whole text nor its encoded copy is
+    ever held."""
+    _write_rows(sched.rows, fh.write, _CHUNK)

@@ -10,7 +10,9 @@ function reads only `moves` of the schedule it is given, so it runs on a
 `pathevac.model.Schedule` as well, through its `Move` view. The
 assembly keeps its own copy of `pathevac.evac._raise_first_fault`, which
 is unchanged since, so that a fault there does not reach both sides of
-the differential.
+the differential. The writer is also the one-template writer, one `%`
+over every move, that `pathevac.model.serialize_schedule` replaced with
+pieces shared by epoch, node and group list.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import csv
+import errno
+import hashlib
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -11,6 +14,7 @@ from pathevac import (GenParams, Schedule, gen_random, instances,
                       schedule_objective, serialize_instance,
                       serialize_packing_instance, serialize_schedule,
                       simulate, solve_report, validate_schedule)
+from pathevac import cli, model
 from pathevac.cli import main
 from checkers import parse_packing
 
@@ -472,6 +476,117 @@ def test_output_missing_parent_exit_1(fig1b_files, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and str(target) in err
     assert not target.parent.exists()
+
+
+# the schedule `solve --output` writes for `gen --seed 7 --nodes 100
+# --groups 600 --capacity 10 --max-size 10 --max-weight 20 --max-distance 3
+# --facility 50`: 10,728 moves, more than two of the writer's chunks; CI
+# pins the same digest
+_SPRAWL_SCHEDULE_SHA256 = \
+    "6dc16ad1812d015fba9029ccacfe5961bd7aee531c65090aba7e36c402b6bae9"
+
+
+@pytest.fixture(scope="module")
+def sprawl_file(tmp_path_factory):
+    inst = gen_random(7, GenParams(nodes=100, groups=600, capacity=10,
+                                   max_size=10, max_weight=20,
+                                   max_distance=3, facility=50))
+    path = tmp_path_factory.mktemp("sprawl") / "inst.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    return path
+
+
+class _RecordingFile:
+    """A text file that keeps the text of each write and raises OSError at
+    write number `fail_at` (never when 0)."""
+
+    def __init__(self, fh, fail_at=0):
+        self.fh = fh
+        self.fail_at = fail_at
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        if len(self.writes) == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _record_writes(monkeypatch, fail_at=0):
+    """Wrap each file `cli` opens for writing in a `_RecordingFile`; returns
+    the list of them."""
+    files = []
+
+    def recording_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" not in mode:
+            return fh
+        files.append(_RecordingFile(fh, fail_at))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return files
+
+
+def _assert_streamed(writes, text):
+    """The writes are `text` in chunks of at most `_CHUNK` moves, three or
+    more of them."""
+    assert "".join(writes) == text
+    assert len(writes) >= 3
+    assert max(w.count('"time": ') for w in writes) <= model._CHUNK
+
+
+def test_solve_output_streams(sprawl_file, tmp_path, monkeypatch, capsys):
+    def whole_text(sched):
+        raise AssertionError("solve --output built the whole text")
+
+    monkeypatch.setattr(cli, "serialize_schedule", whole_text)
+    files = _record_writes(monkeypatch)
+    target = tmp_path / "sched.json"
+    assert main(["solve", "--instance", str(sprawl_file),
+                 "--output", str(target)]) == 0
+    report = capsys.readouterr().out
+    text = target.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        _SPRAWL_SCHEDULE_SHA256
+    _assert_streamed(files[0].writes, text)
+    # to stdout, the same chunks follow the report's three lines
+    stdout = _RecordingFile(io.StringIO())
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["solve", "--instance", str(sprawl_file),
+                 "--output", "-"]) == 0
+    assert stdout.fh.getvalue() == report + text
+    first = next(k for k, w in enumerate(stdout.writes)
+                 if w.startswith('{\n  "moves"'))
+    _assert_streamed(stdout.writes[first:], text)
+
+
+def test_output_failing_mid_stream_exit_1(sprawl_file, tmp_path,
+                                          monkeypatch, capsys):
+    # the first chunk is written, the second raises
+    files = _record_writes(monkeypatch, fail_at=2)
+    assert main(["solve", "--instance", str(sprawl_file),
+                 "--output", str(tmp_path / "sched.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [str(OSError(errno.ENOSPC,
+                                            os.strerror(errno.ENOSPC)))]
+    assert len(files[0].writes) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+def test_output_to_a_full_device_exit_1(sprawl_file, capsys):
+    assert main(["solve", "--instance", str(sprawl_file),
+                 "--output", "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
 
 
 def test_stdin_dash(fig1b_files, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import inspect
+import io
 import json
 import pickle
 import time
+import types
 from itertools import starmap
 
 import pytest
@@ -18,7 +20,7 @@ from pathevac import (Group, InstanceError, PathInstance, bundled_examples,
                       serialize_schedule)
 from pathevac.evac import _positions, fractional_lower_bound, solve_report
 from pathevac.model import (Move, Packing, PackingInstance, PackingItem,
-                            Schedule)
+                            Schedule, write_schedule)
 from checkers import parse_packing
 from ref_items import packing_instance, path_instance
 from ref_parse_schedule import ref_parse_schedule
@@ -446,6 +448,9 @@ def test_schedule_writer_matches_json_dumps(moves):
     assert serialize_schedule(Schedule(moves=tuple(moves))) == expected
     assert ref_move_schedule.serialize_schedule(
         ref_move_schedule.Schedule(moves=tuple(moves))) == expected
+    fh = io.StringIO()
+    write_schedule(Schedule(moves=tuple(moves)), fh)
+    assert fh.getvalue() == expected
 
 
 def test_schedule_writer_edge_cases():
@@ -479,6 +484,47 @@ def test_schedule_writer_matches_reference_on_solver_schedules(
             Schedule(moves=sched.moves[::-1])
 
 
+_CHUNK = model._CHUNK
+_ESCAPED = ('"\\', "\x00\u2028", "\U0001f600")
+
+
+def _chunk_rows(n):
+    """n rows in (time, node) order, two per epoch, with rows _CHUNK - 1
+    and _CHUNK in one epoch; the group lists cycle through one that recurs
+    in every chunk, none, ids that need escapes and an id of the row's
+    own."""
+    pool = (_AB, (), _ESCAPED)
+    rows = []
+    for k in range(n):
+        j = k + 1 - _CHUNK
+        rows.append((_CHUNK + j // 2, 1 + 40 * (j % 2),
+                     pool[k % 4] if k % 4 < 3 else (f"g{k}",)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 1])
+def test_schedule_writer_across_chunk_boundaries(n):
+    rows = _chunk_rows(n)
+    if n > _CHUNK:
+        # an epoch and a recurring group list straddle the first boundary
+        assert rows[_CHUNK - 1][0] == rows[_CHUNK][0]
+        assert _AB in {r[2] for r in rows[:_CHUNK]} & \
+            {r[2] for r in rows[_CHUNK:]}
+    moves = tuple(starmap(Move, rows))
+    expected = json_schedule_text(moves)
+    assert ref_move_schedule.serialize_schedule(
+        ref_move_schedule.Schedule(moves=moves)) == expected
+    sched = Schedule.from_rows(rows)
+    assert serialize_schedule(sched) == expected
+    writes = []
+    write_schedule(sched, types.SimpleNamespace(write=writes.append))
+    assert "".join(writes) == expected
+    # one write per chunk, each of _CHUNK entries but the last
+    assert [w.count('"time": ') for w in writes] == \
+        ([min(_CHUNK, n - k) for k in range(0, n, _CHUNK)] or [0])
+
+
 def test_schedule_writer_renders_each_group_list_once(monkeypatch):
     encoded = []
     monkeypatch.setattr(model, "encode_basestring",
@@ -487,6 +533,15 @@ def test_schedule_writer_renders_each_group_list_once(monkeypatch):
                             Move(2, 2, _AB), Move(3, 1, tuple(list(_AB)))))
     serialize_schedule(sched)
     assert encoded == ["A", "B", "C"]
+    # a list that comes back in a later chunk is not rendered again
+    sched = Schedule.from_rows(
+        [(1, 1, _AB)] + [(2, v, ()) for v in range(1, _CHUNK + 1)]
+        + [(3, 1, tuple(list(_AB)))])
+    for write in (serialize_schedule,
+                  lambda s: write_schedule(s, io.StringIO())):
+        encoded.clear()
+        write(sched)
+        assert encoded == ["A", "B"]
 
 
 def test_schedule_parse_errors():

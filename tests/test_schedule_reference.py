@@ -3,8 +3,10 @@ they replaced.
 
 The assembly in `ref_move_schedule` builds a `Move` per move where the one
 in `pathevac.evac` builds a (time, node, ids) row, and its writer reads
-the `Move`s; both assemblies build the moves in (time, node) order, and
-both writers fill one template with one `%`. The assemblies must give
+the `Move`s; both assemblies build the moves in (time, node) order. The
+reference writer fills one template with one `%`, where the one in
+`pathevac.model` joins pieces shared by epoch, node and group list. The
+assemblies must give
 equal `Schedule`s, or raise the same first error, and the writers the
 bytes `json.dumps` writes, on:
 - `gen_random` instances in the shapes of the four benchmark workloads,
